@@ -41,7 +41,6 @@ from .morphisms import (
     radon_nikodym,
 )
 from .norms import (
-    ModularReport,
     amemiya_norm,
     holder_check,
     kunze_norm,
@@ -51,7 +50,6 @@ from .norms import (
     moment_bound_check,
     pairing_integral,
     pistone_sempi_equivalence,
-    probe_modular,
     quant_membership,
     tau_x,
 )
@@ -73,15 +71,12 @@ from .orlicz import (
     zero_then_linear,
 )
 from .rearrangement import (
-    F_x,
     ParametricForm,
     StepForm,
     WeightedContext,
     constant,
-    evaluate,
     exp_decay,
     fack_kosaki_checks,
-    head_integral,
     log_reciprocal,
     power_decay,
     rearrange_step,

@@ -40,6 +40,11 @@ from .verify import SuiteConfig, Tolerances, run_suite
 ENV_SEED = "NCORLICZ_SEED"
 
 
+def _load(*paths) -> list:
+    """Each input file read once; the loaded dicts feed both parsing and the digest."""
+    return [load_json_file(p) for p in paths]
+
+
 def _digest(*objects) -> str:
     payload = json.dumps(objects, sort_keys=True, default=str).encode()
     return hashlib.sha256(payload).hexdigest()[:16]
@@ -86,15 +91,14 @@ def _tolerances(args) -> dict:
 
 
 def cmd_norm(args) -> int:
-    alg = load_algebra(load_json_file(args.algebra))
-    element = load_element(alg, load_json_file(args.element))
-    phi = load_orlicz(load_json_file(args.orlicz))
+    specs = _load(args.algebra, args.element, args.orlicz)
+    alg = load_algebra(specs[0])
+    element = load_element(alg, specs[1])
+    phi = load_orlicz(specs[2])
     mu = singular_values(alg, element)
     report = {
         "command": "norm",
-        "inputs_digest": _digest(load_json_file(args.algebra),
-                                 load_json_file(args.element),
-                                 load_json_file(args.orlicz)),
+        "inputs_digest": _digest(*specs),
         "effective_tolerances": _tolerances(args),
         "timestamp": _now(),
     }
@@ -102,11 +106,12 @@ def cmd_norm(args) -> int:
         lux = luxemburg_norm(mu, phi)
         kun = kunze_norm(alg, element, phi)
         ame = amemiya_norm(mu, phi)
+        slack = 1e-7 * max(1.0, lux)
         report["result"] = {
             "luxemburg": lux, "kunze": kun, "amemiya": ame,
             "relations": {
-                "kunze_matches_luxemburg": abs(kun - lux) <= 1e-7 * max(1.0, lux),
-                "sandwich": lux <= ame + 1e-9 and ame <= 2.0 * lux + 1e-9,
+                "kunze_matches_luxemburg": abs(kun - lux) <= slack,
+                "sandwich": lux <= ame + slack and ame <= 2.0 * (lux + slack),
             },
         }
     except UnboundedNormError:
@@ -116,8 +121,9 @@ def cmd_norm(args) -> int:
 
 
 def cmd_singular(args) -> int:
-    alg = load_algebra(load_json_file(args.algebra))
-    element = load_element(alg, load_json_file(args.element))
+    specs = _load(args.algebra, args.element)
+    alg = load_algebra(specs[0])
+    element = load_element(alg, specs[1])
     mu = singular_values(alg, element)
     grid = np.unique(np.concatenate([[0.0], mu.breakpoints,
                                      0.5 * (np.concatenate([[0.0], mu.breakpoints[:-1]])
@@ -126,7 +132,7 @@ def cmd_singular(args) -> int:
     pairs = [[float(t), mu.evaluate(float(t))] for t in grid]
     report = {
         "command": "singular",
-        "inputs_digest": _digest(load_json_file(args.algebra), load_json_file(args.element)),
+        "inputs_digest": _digest(*specs),
         "effective_tolerances": _tolerances(args),
         "timestamp": _now(),
         "result": {"durations": mu.durations.tolist(), "values": mu.values.tolist()},
@@ -137,19 +143,17 @@ def cmd_singular(args) -> int:
 
 
 def cmd_dual_check(args) -> int:
-    alg = load_algebra(load_json_file(args.algebra))
-    f = load_element(alg, load_json_file(args.element))
-    g = load_element(alg, load_json_file(args.element2))
-    phi = load_orlicz(load_json_file(args.orlicz))
+    specs = _load(args.algebra, args.element, args.element2, args.orlicz)
+    alg = load_algebra(specs[0])
+    f = load_element(alg, specs[1])
+    g = load_element(alg, specs[2])
+    phi = load_orlicz(specs[3])
     rng = np.random.default_rng(_seed_from(args))
     rep = holder_check(alg, f, g, phi, tol=args.tol, rng=rng,
                        sup_samples=args.samples)
     report = {
         "command": "dual-check",
-        "inputs_digest": _digest(load_json_file(args.algebra),
-                                 load_json_file(args.element),
-                                 load_json_file(args.element2),
-                                 load_json_file(args.orlicz)),
+        "inputs_digest": _digest(*specs),
         "seed": _seed_from(args),
         "effective_tolerances": _tolerances(args),
         "timestamp": _now(),
@@ -164,12 +168,13 @@ def cmd_dual_check(args) -> int:
 
 
 def cmd_ps_check(args) -> int:
-    mu = load_mu(load_json_file(args.mu))
-    ctx = load_weight(load_json_file(args.weight))
+    specs = _load(args.mu, args.weight)
+    mu = load_mu(specs[0])
+    ctx = load_weight(specs[1])
     rep = pistone_sempi_equivalence(mu, ctx)
     report = {
         "command": "ps-check",
-        "inputs_digest": _digest(load_json_file(args.mu), load_json_file(args.weight)),
+        "inputs_digest": _digest(*specs),
         "effective_tolerances": _tolerances(args),
         "timestamp": _now(),
         "result": {
@@ -183,9 +188,10 @@ def cmd_ps_check(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    J = load_morphism(load_json_file(args.morphism))
-    psi = load_orlicz(load_json_file(args.psi))
-    phi2 = load_orlicz(load_json_file(args.phi2))
+    specs = _load(args.morphism, args.psi, args.phi2)
+    J = load_morphism(specs[0])
+    psi = load_orlicz(specs[1])
+    phi2 = load_orlicz(specs[2])
     rng = np.random.default_rng(_seed_from(args))
     f = radon_nikodym(J)
     rep = composition_bound_check(J, psi, phi2, samples=args.samples, rng=rng,
@@ -193,8 +199,7 @@ def cmd_compose(args) -> int:
     spectrum = sorted({float(b[0, 0].real) for b in f.blocks}, reverse=True)
     report = {
         "command": "compose",
-        "inputs_digest": _digest(load_json_file(args.morphism),
-                                 load_json_file(args.psi), load_json_file(args.phi2)),
+        "inputs_digest": _digest(*specs),
         "seed": _seed_from(args),
         "effective_tolerances": _tolerances(args),
         "timestamp": _now(),

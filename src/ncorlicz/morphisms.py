@@ -306,10 +306,10 @@ def modular_chain_check(J: JordanMorphism, psi: OrliczFunction, phi2: OrliczFunc
     vals = (q1, q2, q3, q4)
     scale = max(1.0, *(abs(v) for v in vals))
     gap = max(abs(x - y) for x in vals for y in vals)
-    dual = dual_gauge_bound(J, psi)
-    # dual_gauge_bound includes the max with 1; the chain needs the bare norm
-    mu_f = singular_values(J.source, radon_nikodym(J))
+    # the chain needs the bare norm; the reported bound is dual_gauge_bound's max with 1
+    mu_f = singular_values(J.source, f)
     bare_dual = 0.0 if mu_f.is_zero else amemiya_norm(mu_f, conjugate(psi))
+    dual = max(1.0, bare_dual)
     inner = luxemburg_norm(singular_values(J.source, gauged), psi)
     chain_ok = (q1 <= bare_dual * inner + tol * scale
                 and bare_dual * inner <= bare_dual * source_norm + tol * scale * max(1.0, bare_dual))

@@ -13,19 +13,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainError, InvalidOrliczError, NumericError
+from .solve import bisect, bracket
 
 INF = math.inf
 
 # Tolerance ladder: closed-form paths exact, bisection 1e-10 relative,
 # conjugate/quadrature paths 1e-8 (each numeric layer loses ~2 digits).
 BISECT_RTOL = 1e-10
-CONJ_BRACKET_CAP = 1e12
+# Threshold detection of custom gauges probes (0, DETECT_TOP] and resolves to
+# DETECT_TOL, absolute and relative.
+DETECT_TOP = 1e30
+DETECT_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,41 +268,34 @@ def custom(evaluate: Callable[[float], float], *, name: str = "custom",
     )
 
 
-def _detect_finiteness_cap(fn, lo: float = 1e-12, hi_cap: float = 1e154) -> float:
-    u = 1.0
-    while math.isinf(fn(u)) and u > lo:
-        u /= 2.0
-    if math.isinf(fn(u)):
+def _detect_finiteness_cap(fn) -> float:
+    def finite(u: float) -> bool:
+        return not math.isinf(fn(u))
+
+    # halve from 1 down to 2**-40 < 1e-12 looking for a finite value
+    found = bracket(lambda u: not finite(u), 1.0, 0.5, 40)
+    if found is None:
         raise InvalidOrliczError("gauge is infinite on all of (0, inf)")
-    if not math.isinf(fn(min(hi_cap, 1e30))):
+    if finite(DETECT_TOP):
         return INF
-    lo_u, hi_u = u, min(hi_cap, 1e30)
-    while hi_u - lo_u > 1e-12 * max(1.0, lo_u):
-        mid = 0.5 * (lo_u + hi_u)
-        if math.isinf(fn(mid)):
-            hi_u = mid
-        else:
-            lo_u = mid
-    return lo_u
+    return bisect(finite, found[1], DETECT_TOP, rtol=DETECT_TOL, atol=DETECT_TOL)
 
 
 def _detect_largest_zero(fn, b_phi: float) -> float:
-    hi = min(b_phi, 1e30)
-    if fn(min(1e-12, hi / 2)) > 0:
-        return 0.0
-    u = min(1e-12, hi / 2)
-    while u < hi and fn(u) == 0.0:
-        u *= 2.0
-    if fn(min(u, hi)) == 0.0:
+    hi = min(b_phi, DETECT_TOP)
+
+    def zero(u: float) -> bool:
+        return fn(min(u, hi)) == 0.0
+
+    # double from below 1e-12 until the walk reaches hi
+    u = min(DETECT_TOL, hi / 2)
+    found = bracket(zero, u, 2.0, math.ceil(math.log2(hi / u)))
+    if found is None:
         raise InvalidOrliczError("gauge is identically zero on (0, inf)")
-    lo_u, hi_u = u / 2.0, min(u, hi)
-    while hi_u - lo_u > 1e-12 * max(1.0, hi_u):
-        mid = 0.5 * (lo_u + hi_u)
-        if fn(mid) == 0.0:
-            lo_u = mid
-        else:
-            hi_u = mid
-    return lo_u
+    last, first_positive = found
+    if last is None:
+        return 0.0
+    return bisect(zero, last, min(first_positive, hi), rtol=DETECT_TOL, atol=DETECT_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +316,6 @@ def eval_gauge(phi: OrliczFunction, u: float) -> float:
 
 def conjugate(phi: OrliczFunction) -> OrliczFunction:
     """Legendre conjugate phi*(u) = sup_{v>0} (uv - phi(v)); closed form when known."""
-    return _conjugate_cached(phi)
-
-
-@lru_cache(maxsize=None)
-def _conjugate_cached(phi: OrliczFunction) -> OrliczFunction:
     if phi._conjugate_factory is not None:
         return phi._conjugate_factory()
     return _numeric_conjugate(phi)
@@ -364,12 +355,11 @@ def _conjugate_value(phi: OrliczFunction, u: float) -> float:
     if phi.b_phi < INF:
         lo, hi = 0.0, phi.b_phi
     else:
-        v = 1.0
-        while g(2.0 * v) > g(v) and v < CONJ_BRACKET_CAP:
-            v *= 2.0
-        if v >= CONJ_BRACKET_CAP:
+        # double v from 1 to 2**39 < 1e12 while the objective still increases
+        found = bracket(lambda v: g(2.0 * v) > g(v), 1.0, 2.0, 39)
+        if found is None:
             return INF  # objective still increasing at the bracket cap
-        lo, hi = 0.0, 2.0 * v
+        lo, hi = 0.0, 2.0 * found[1]
 
     # golden-section maximum of a concave objective
     gr = (math.sqrt(5.0) - 1.0) / 2.0
@@ -416,22 +406,20 @@ def formal_inverse(phi: OrliczFunction, t: float) -> float:
         return min(s, phi.b_phi)
     if phi.b_phi < INF and t >= phi.value_at_b:
         return phi.b_phi
+
+    def below(s: float) -> bool:
+        return eval_gauge(phi, s) <= t
+
     lo = phi.a_phi
     if phi.b_phi < INF:
         hi = phi.b_phi
     else:
-        hi = max(1.0, 2.0 * lo if lo > 0 else 1.0)
-        while eval_gauge(phi, hi) <= t:
-            hi *= 2.0
-            if hi > 1e154:
-                raise NumericError("formal inverse bracket exceeded 1e154")
-    while hi - lo > BISECT_RTOL * max(1.0, lo):
-        mid = 0.5 * (lo + hi)
-        if eval_gauge(phi, mid) <= t:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+        start = max(1.0, 2.0 * lo)
+        found = bracket(below, start, 2.0, int(math.log2(1e154 / start)))
+        if found is None:
+            raise NumericError("formal inverse bracket exceeded 1e154")
+        hi = found[1]
+    return bisect(below, lo, hi, rtol=BISECT_RTOL, atol=BISECT_RTOL)
 
 
 def compose_orlicz(psi: OrliczFunction, phi2: OrliczFunction) -> OrliczFunction:

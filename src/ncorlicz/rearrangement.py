@@ -14,8 +14,9 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .algebra import AlgebraElement, TracedAlgebra
-from .errors import DomainError, StructuralError
+from .errors import DomainError, NumericError, StructuralError
 from .quadrature import integrate_sentinel
+from .solve import bisect, bracket
 
 INF = math.inf
 SUBMAJOR_SLACK = 1e-10
@@ -257,16 +258,6 @@ def singular_values(alg: TracedAlgebra, a: AlgebraElement) -> StepForm:
     return StepForm(d[order], v[order])
 
 
-def evaluate(mu: RearrangementFunction, t: float) -> float:
-    """Right-continuous evaluation; evaluate(mu, 0) is the sup-norm proxy."""
-    return mu.evaluate(t)
-
-
-def head_integral(mu: RearrangementFunction, alpha: float) -> float:
-    """Integral of mu over [0, alpha]; exact for step forms."""
-    return mu.head_integral(alpha)
-
-
 def submajorizes(x_mu: RearrangementFunction, y_mu: RearrangementFunction,
                  slack: float = SUBMAJOR_SLACK) -> bool:
     """True when every head integral of y is dominated by the one of x.
@@ -336,27 +327,22 @@ class WeightedContext:
             return float(np.interp(s, cum, grid))
         if w.inverse_cumulative is not None:
             return float(w.inverse_cumulative(s))
-        lo, hi = 0.0, 1.0
-        while self.F(hi) <= s:
-            hi *= 2.0
-        while hi - lo > 1e-12 * max(1.0, hi):
-            mid = 0.5 * (lo + hi)
-            if self.F(mid) <= s:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+
+        def below(t: float) -> bool:
+            return self.F(t) <= s
+
+        # doublings from 1 stop at 2**1023, the largest finite power of two
+        found = bracket(below, 1.0, 2.0, 1023)
+        if found is None:
+            raise NumericError(f"running weight integral never exceeds {s}")
+        last, hi = found
+        return bisect(below, 0.0 if last is None else last, hi, rtol=1e-12, atol=1e-12)
 
     def piece_masses(self, breakpoints: np.ndarray) -> np.ndarray:
         """Weight mass of each interval between consecutive breakpoints (0-prepended)."""
         grid = np.concatenate([[0.0], breakpoints])
         f = np.array([self.F(float(t)) for t in grid])
         return np.diff(f)
-
-
-def F_x(ctx: WeightedContext, t: float) -> float:
-    """Running weight integral; continuous, strictly increasing on the support."""
-    return ctx.F(t)
 
 
 # ---------------------------------------------------------------------------

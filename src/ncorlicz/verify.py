@@ -110,7 +110,7 @@ def check_kunze_luxemburg_equivalence(cfg: SuiteConfig, rng) -> CheckResult:
         a = smp.random_element(alg, rng)
         mu = singular_values(alg, a)
         for phi in gauges:
-            k = kunze_norm(alg, a, phi, tol=cfg.tolerances.bisect, cross_check=False)
+            k = kunze_norm(alg, a, phi, tol=cfg.tolerances.bisect)
             l = luxemburg_norm(mu, phi, tol=cfg.tolerances.bisect)
             worst = max(worst, abs(k - l) / max(1.0, k, l))
     return CheckResult(
@@ -838,7 +838,7 @@ def check_commutative_reweighting_isometry(cfg: SuiteConfig, rng) -> CheckResult
         f = alg.diagonal([[v] for v in fa])
         weighted = luxemburg_norm(mu_a, psi, ctx, tol=1e-10)
         rew_f = reweighted.diagonal([[v] for v in fa])
-        rew = kunze_norm(reweighted, rew_f, psi, tol=1e-10, cross_check=False)
+        rew = kunze_norm(reweighted, rew_f, psi, tol=1e-10)
         worst = max(worst, abs(weighted - rew) / max(1.0, rew))
     return CheckResult(
         name="commutative_reweighting_isometry",

@@ -156,6 +156,48 @@ class TestCli:
         assert rep["result"]["relations"]["kunze_matches_luxemburg"]
         jsonschema.validate(rep, _schema())
 
+    def test_norm_sandwich_for_square_gauge(self, tmp_path, capsys):
+        # for t^2 the Amemiya norm is exactly twice the Luxemburg norm, which
+        # the bisection approaches from just below
+        diag12 = {"blocks": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]]}
+        rc = main(["norm",
+                   "--algebra", _write(tmp_path, "a.json", ALGEBRA),
+                   "--element", _write(tmp_path, "e.json", diag12),
+                   "--orlicz", _write(tmp_path, "p.json", POWER2)])
+        assert rc == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["luxemburg"] == pytest.approx(math.sqrt(5.0), rel=1e-8)
+        assert result["amemiya"] == pytest.approx(2.0 * math.sqrt(5.0), rel=1e-8)
+        assert result["relations"] == {"kunze_matches_luxemburg": True, "sandwich": True}
+
+    def test_each_input_read_once(self, tmp_path, capsys, monkeypatch):
+        import ncorlicz.cli as cli
+        reads = []
+        real = cli.load_json_file
+        monkeypatch.setattr(cli, "load_json_file", lambda p: reads.append(p) or real(p))
+        paths = [_write(tmp_path, "a.json", ALGEBRA), _write(tmp_path, "e.json", DIAG34),
+                 _write(tmp_path, "p.json", POWER2)]
+        assert main(["norm", "--algebra", paths[0], "--element", paths[1],
+                     "--orlicz", paths[2]]) == 0
+        assert reads == paths
+
+    def test_route_disagreement_is_data(self, tmp_path, capsys, monkeypatch):
+        # a trace-modular route that disagrees with the rearrangement route
+        # shows as a false relation, not as an error
+        import ncorlicz.norms as norms
+        real = norms.apply_function
+        monkeypatch.setattr(norms, "apply_function",
+                            lambda phi, a, scale: real(phi, a, scale) * 2.0)
+        rc = main(["norm",
+                   "--algebra", _write(tmp_path, "a.json", ALGEBRA),
+                   "--element", _write(tmp_path, "e.json", DIAG34),
+                   "--orlicz", _write(tmp_path, "p.json", POWER2)])
+        assert rc == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["result"]["kunze"] == pytest.approx(5.0 * math.sqrt(2.0), rel=1e-8)
+        assert rep["result"]["relations"]["kunze_matches_luxemburg"] is False
+        jsonschema.validate(rep, _schema())
+
     def test_norm_zero_element(self, tmp_path, capsys):
         zero = {"blocks": [[[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]}
         rc = main(["norm",

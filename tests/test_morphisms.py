@@ -225,6 +225,23 @@ class TestModularChain:
         assert rep.values[3] == pytest.approx(double, rel=1e-10)
         assert rep.passed
 
+    def test_density_computed_once(self, monkeypatch):
+        import ncorlicz.morphisms as morphisms
+        J = doubling_morphism(2)
+        rng = np.random.default_rng(11)
+        a = random_self_adjoint(J.source, rng)
+        phi1 = compose_orlicz(power_over_p(2.0), power(2.0))
+        a = a * (0.9 / luxemburg_norm(singular_values(J.source, a), phi1))
+        want = morphisms.dual_gauge_bound(J, power_over_p(2.0))
+        calls = []
+        real = morphisms.radon_nikodym
+        monkeypatch.setattr(morphisms, "radon_nikodym",
+                            lambda m: calls.append(m) or real(m))
+        rep = modular_chain_check(J, power_over_p(2.0), power(2.0), a)
+        assert len(calls) == 1
+        assert rep.dual_bound == want
+        assert rep.passed
+
     def test_hypothesis_violation_reported(self):
         J = transpose_morphism(2)
         big = J.source.diagonal([[50.0, 40.0]])  # far outside the unit ball

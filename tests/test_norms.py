@@ -70,14 +70,6 @@ class TestModular:
         vals = [modular(mu, phi, 1.0 / lam) for lam in (0.5, 1.0, 2.0, 4.0)]
         assert all(x >= y - 1e-12 for x, y in zip(vals, vals[1:]))
 
-    def test_probe_schedule_reports(self):
-        from ncorlicz import probe_modular
-        mu = random_decreasing_step(np.random.default_rng(1))
-        reports = probe_modular(mu, cosh_minus_one(), [4.0, 1.0, 0.25, 2.0])
-        assert [r.scaling for r in reports] == [0.25, 1.0, 2.0, 4.0]
-        assert all(a.value >= b.value for a, b in zip(reports, reports[1:]))
-        assert reports[-1].evaluations == 4
-
 
 class TestLuxemburg:
     def test_quadratic_closed_form(self):

@@ -141,6 +141,26 @@ class TestFormalInverse:
             formal_inverse(power(2.0), -1.0)
 
 
+class TestThresholdDetection:
+    def test_finiteness_cap_of_custom_gauge(self):
+        phi = custom(lambda t: t if t <= 0.7 else INF, name="cap_0.7")
+        assert phi.b_phi == pytest.approx(0.7, rel=1e-11)
+        assert phi.b_phi <= 0.7
+
+    def test_largest_zero_of_custom_gauge(self):
+        phi = custom(lambda t: max(0.0, t - 0.3), name="shifted")
+        assert phi.a_phi == pytest.approx(0.3, abs=1e-12)
+        assert phi.b_phi == INF
+
+    def test_infinite_everywhere_rejected(self):
+        with pytest.raises(InvalidOrliczError):
+            custom(lambda t: 0.0 if t == 0.0 else INF, name="infinite")
+
+    def test_zero_everywhere_rejected(self):
+        with pytest.raises(InvalidOrliczError):
+            custom(lambda t: 0.0, name="zero")
+
+
 class TestComposition:
     def test_square_of_identity(self):
         phi1 = compose_orlicz(power(2.0), power(1.0))

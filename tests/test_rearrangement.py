@@ -9,16 +9,14 @@ from hypothesis import strategies as st
 
 from ncorlicz import (
     DomainError,
-    F_x,
     StepForm,
     TracedAlgebra,
     WeightedContext,
     abs_value,
     constant,
-    evaluate,
     exp_decay,
     fack_kosaki_checks,
-    head_integral,
+    power_decay,
     rearrange_step,
     singular_values,
     submajorizes,
@@ -86,27 +84,27 @@ class TestSingularValues:
 
 class TestEvaluateAndHead:
     def test_parametric_at_zero(self):
-        assert evaluate(exp_decay(), 0.0) == 1.0
+        assert exp_decay().evaluate(0.0) == 1.0
 
     def test_head_integral_step(self):
         mu = StepForm.from_raw([1.0, 1.0, 1.0], [3.0, 2.0, 1.0])
-        assert head_integral(mu, 2.0) == pytest.approx(5.0)
-        assert head_integral(mu, 0.0) == 0.0
-        assert head_integral(mu, INF) == pytest.approx(6.0)
+        assert mu.head_integral(2.0) == pytest.approx(5.0)
+        assert mu.head_integral(0.0) == 0.0
+        assert mu.head_integral(INF) == pytest.approx(6.0)
 
     def test_head_integral_exp(self):
-        assert head_integral(exp_decay(), INF) == pytest.approx(1.0, abs=1e-9)
-        assert head_integral(exp_decay(), 2.0) == pytest.approx(1 - math.exp(-2), abs=1e-9)
+        assert exp_decay().head_integral(INF) == pytest.approx(1.0, abs=1e-9)
+        assert exp_decay().head_integral(2.0) == pytest.approx(1 - math.exp(-2), abs=1e-9)
 
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
-            evaluate(exp_decay(), -1.0)
+            exp_decay().evaluate(-1.0)
 
     def test_total_equals_trace_of_abs(self):
         alg = TracedAlgebra((2, 1), (1.0, 3.0))
         rng = np.random.default_rng(9)
         a = random_element(alg, rng)
-        total = head_integral(singular_values(alg, a), INF)
+        total = singular_values(alg, a).head_integral(INF)
         assert total == pytest.approx(trace(alg, abs_value(a)).real, rel=1e-12)
 
 
@@ -156,24 +154,31 @@ class TestWeightedContext:
         ctx = WeightedContext(exp_decay())
         for t in (0.0, 0.5, 2.0, 10.0):
             want = 1.0 - math.exp(-t)
-            assert F_x(ctx, t) == pytest.approx(want, abs=1e-12)
+            assert ctx.F(t) == pytest.approx(want, abs=1e-12)
         # quadrature oracle, independent of the stored closed form
         got = integrate_sentinel(lambda s: math.exp(-s), 0.0, 2.0)
-        assert F_x(ctx, 2.0) == pytest.approx(got, abs=1e-10)
+        assert ctx.F(2.0) == pytest.approx(got, abs=1e-10)
 
     def test_limits(self):
         ctx = WeightedContext(exp_decay())
-        assert F_x(ctx, 0.0) == 0.0
+        assert ctx.F(0.0) == 0.0
         assert ctx.mass == pytest.approx(1.0, abs=1e-9)
 
     def test_rejects_infinite_mass(self):
         with pytest.raises(DomainError):
             WeightedContext(constant(1.0))
 
+    def test_inverse_without_closed_form(self):
+        # F(t) = 2 sqrt(t) on [0, 1] has no stored inverse: the bisection path
+        ctx = WeightedContext(power_decay(0.5))
+        assert ctx.weight.inverse_cumulative is None
+        for s in (0.0, 0.5, 1.0, 1.9):
+            assert ctx.F_inverse(s) == pytest.approx((s / 2.0) ** 2, abs=1e-10)
+
     def test_inverse_of_running_integral(self):
         ctx = WeightedContext(random_weight_step(np.random.default_rng(3)))
         for s in np.linspace(0.0, ctx.mass * 0.99, 7):
-            assert F_x(ctx, ctx.F_inverse(float(s))) == pytest.approx(float(s), abs=1e-10)
+            assert ctx.F(ctx.F_inverse(float(s))) == pytest.approx(float(s), abs=1e-10)
 
 
 class TestWeightedRearrangement:
@@ -184,7 +189,7 @@ class TestWeightedRearrangement:
             w = random_weight_step(rng)
             ctx = WeightedContext(w)
             t = 0.4 * min(h.support, w.support)
-            s = F_x(ctx, t)
+            s = ctx.F(t)
             if s >= ctx.mass:
                 continue
             assert weighted_rearrangement(h, ctx, s) == pytest.approx(
@@ -207,7 +212,7 @@ class TestWeightedRearrangement:
             lebesgue = rearrange_step(durations, values, None)
             weighted = rearrange_step(durations, values, w)
             for t in np.linspace(0.05, base.support * 0.95, 5):
-                assert weighted.evaluate(F_x(ctx, float(t))) <= (
+                assert weighted.evaluate(ctx.F(float(t))) <= (
                     lebesgue.evaluate(float(t)) + 1e-12)
 
     def test_rejects_weird_input(self):
