@@ -161,6 +161,30 @@ def abs_value(a: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(a.algebra, tuple(blocks))
 
 
+def _calculus(phi: OrliczFunction, svd, scales: np.ndarray):
+    """The functional-calculus core: phi(scale * |a|) for each scale, per block.
+
+    From one decomposition a = U diag(s) V* per block, evaluates phi once
+    over scales x all singular values, then yields per block
+    (V* diag(phi(scale * s)) V stacked over the scales, the scaled spectral
+    values, and the mask of those where phi is infinite).  Infinite values
+    enter the rebuilt matrices as 0, so each caller decides what an infinite
+    spectral value means.  NaN from the gauge raises NumericError.
+    """
+    args = np.multiply.outer(scales, np.concatenate([s for _, s, _ in svd]))
+    vals = phi.eval_many(args)
+    if np.isnan(vals).any():
+        bad = float(args[np.isnan(vals)][0])
+        raise NumericError(f"gauge {phi.describe()} returned NaN at spectral value {bad:.6g}")
+    infinite = np.isinf(vals)
+    vals = np.where(infinite, 0.0, vals)
+    start = 0
+    for _, s, vh in svd:
+        cols = slice(start, start + s.size)
+        start += s.size
+        yield vh.conj().T @ (vals[:, cols, None] * vh), args[:, cols], infinite[:, cols]
+
+
 def apply_function(phi: OrliczFunction, a: AlgebraElement, scale: float = 1.0) -> AlgebraElement:
     """Functional calculus phi(scale * |a|).
 
@@ -170,16 +194,31 @@ def apply_function(phi: OrliczFunction, a: AlgebraElement, scale: float = 1.0) -
     if scale <= 0:
         raise DomainError(f"scale must be positive, got {scale}")
     blocks = []
-    for k, (u, s, vh) in enumerate(_svd_blocks(a)):
-        vals = phi.eval_many(scale * s)
-        bad = ~np.isfinite(vals)
-        if np.any(bad):
-            ev = float((scale * s)[bad][0])
+    for k, (mats, args, infinite) in enumerate(
+            _calculus(phi, _svd_blocks(a), np.array([scale], dtype=float))):
+        if infinite.any():
+            ev = float(args[infinite][0])
             raise NotMeasurableError(
                 f"gauge is infinite at spectral value {ev:.6g} in block {k}",
                 eigenvalue=ev, block=k)
-        blocks.append(vh.conj().T @ (vals[:, None] * vh))
+        blocks.append(mats[0])
     return AlgebraElement(a.algebra, tuple(blocks))
+
+
+def _trace_calculus(alg: TracedAlgebra, phi: OrliczFunction, svd,
+                    scales: np.ndarray) -> np.ndarray:
+    """tr phi(scale * |a|) for each scale, from the decomposition of a.
+
+    Each value rebuilds the operator and traces it; a scale at which phi is
+    infinite on the spectrum gets +inf, the value of a non-measurable modular.
+    """
+    total = np.zeros(len(scales))
+    infinite = np.zeros(len(scales), dtype=bool)
+    for w, (mats, _, inf_k) in zip(alg.weights, _calculus(phi, svd, scales)):
+        total += w * np.trace(mats, axis1=1, axis2=2).real
+        infinite |= inf_k.any(axis=1)
+    total[infinite] = np.inf
+    return total
 
 
 def is_projection(e: AlgebraElement, tol: float = PROJECTION_TOL) -> bool:

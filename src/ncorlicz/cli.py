@@ -8,6 +8,7 @@ exit 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -26,7 +27,7 @@ from .loaders import (
     load_orlicz,
     load_weight,
 )
-from .morphisms import composition_bound_check, radon_nikodym
+from .morphisms import composition_bound_check
 from .norms import (
     amemiya_norm,
     holder_check,
@@ -193,10 +194,9 @@ def cmd_compose(args) -> int:
     psi = load_orlicz(specs[1])
     phi2 = load_orlicz(specs[2])
     rng = np.random.default_rng(_seed_from(args))
-    f = radon_nikodym(J)
     rep = composition_bound_check(J, psi, phi2, samples=args.samples, rng=rng,
                                   tol=args.tol)
-    spectrum = sorted({float(b[0, 0].real) for b in f.blocks}, reverse=True)
+    spectrum = sorted({float(b[0, 0].real) for b in rep.density.blocks}, reverse=True)
     report = {
         "command": "compose",
         "inputs_digest": _digest(*specs),
@@ -288,9 +288,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process; argparse parsers can parse repeatedly."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except SpecError as exc:

@@ -214,12 +214,15 @@ def absolute_continuity_check(J: JordanMorphism,
 # Composition-operator bound
 # ---------------------------------------------------------------------------
 
+def _density_dual_norm(J: JordanMorphism, f: AlgebraElement, psi: OrliczFunction) -> float:
+    """Amemiya norm of the trace density f in the conjugate gauge; 0 for f = 0."""
+    mu_f = singular_values(J.source, f)
+    return 0.0 if mu_f.is_zero else amemiya_norm(mu_f, conjugate(psi))
+
+
 def dual_gauge_bound(J: JordanMorphism, psi: OrliczFunction) -> float:
     """max(1, Amemiya norm of the trace density in the conjugate gauge)."""
-    mu_f = singular_values(J.source, radon_nikodym(J))
-    if mu_f.is_zero:
-        return 1.0
-    return max(1.0, amemiya_norm(mu_f, conjugate(psi)))
+    return max(1.0, _density_dual_norm(J, radon_nikodym(J), psi))
 
 
 @dataclass(frozen=True)
@@ -228,6 +231,7 @@ class CompositionBoundReport:
     max_ratio: float
     samples: int
     passed: bool
+    density: AlgebraElement
 
 
 def composition_bound_check(J: JordanMorphism, psi: OrliczFunction,
@@ -243,7 +247,8 @@ def composition_bound_check(J: JordanMorphism, psi: OrliczFunction,
     from .sampling import random_self_adjoint
 
     phi1 = compose_orlicz(psi, phi2)
-    bound = dual_gauge_bound(J, psi)
+    f = radon_nikodym(J)
+    bound = max(1.0, _density_dual_norm(J, f, psi))
     if rng is None:
         rng = np.random.default_rng(0)
     max_ratio, used = 0.0, 0
@@ -258,7 +263,8 @@ def composition_bound_check(J: JordanMorphism, psi: OrliczFunction,
         max_ratio = max(max_ratio, r)
         used += 1
     return CompositionBoundReport(bound=bound, max_ratio=max_ratio, samples=used,
-                                  passed=max_ratio <= bound + tol * max(1.0, bound))
+                                  passed=max_ratio <= bound + tol * max(1.0, bound),
+                                  density=f)
 
 
 @dataclass(frozen=True)
@@ -307,8 +313,7 @@ def modular_chain_check(J: JordanMorphism, psi: OrliczFunction, phi2: OrliczFunc
     scale = max(1.0, *(abs(v) for v in vals))
     gap = max(abs(x - y) for x in vals for y in vals)
     # the chain needs the bare norm; the reported bound is dual_gauge_bound's max with 1
-    mu_f = singular_values(J.source, f)
-    bare_dual = 0.0 if mu_f.is_zero else amemiya_norm(mu_f, conjugate(psi))
+    bare_dual = _density_dual_norm(J, f, psi)
     dual = max(1.0, bare_dual)
     inner = luxemburg_norm(singular_values(J.source, gauged), psi)
     chain_ok = (q1 <= bare_dual * inner + tol * scale

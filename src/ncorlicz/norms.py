@@ -18,8 +18,8 @@ from typing import Optional
 import numpy as np
 from scipy import optimize
 
-from .algebra import AlgebraElement, TracedAlgebra, apply_function, trace
-from .errors import DomainError, NotMeasurableError, NumericError, UnboundedNormError
+from .algebra import AlgebraElement, TracedAlgebra, _svd_blocks, _trace_calculus, trace
+from .errors import DomainError, NumericError, StructuralError, UnboundedNormError
 from .orlicz import OrliczFunction, conjugate, cosh_minus_one
 from .quadrature import integrate_sentinel
 from .rearrangement import (
@@ -38,17 +38,32 @@ BRACKET_LIMIT = 200
 AMEMIYA_K_CAP = 1e9
 
 
-def _step_modular(mu: StepForm, phi: OrliczFunction, inv_scale: float,
-                  ctx: Optional[WeightedContext]) -> float:
-    if mu.is_zero:
-        return 0.0
-    fv = phi.eval_many(mu.values * inv_scale)
-    masses = mu.durations if ctx is None else ctx.piece_masses(mu.breakpoints)
-    bad = ~np.isfinite(fv) & (masses > 0)
-    if np.any(bad):
-        return INF
-    ok = np.isfinite(fv)
-    return float(np.dot(fv[ok], masses[ok]))
+def _live_pieces(mu: StepForm, ctx: Optional[WeightedContext]) -> tuple[np.ndarray, np.ndarray]:
+    """Values and weight masses of the pieces of mu with positive weight mass.
+
+    Pieces of zero mass are left out, so an infinite gauge there counts for
+    nothing.  Durations of a StepForm are positive by construction.
+    """
+    if ctx is None:
+        return mu.values, mu.durations
+    masses = ctx.piece_masses(mu.breakpoints)
+    live = masses > 0
+    return mu.values[live], masses[live]
+
+
+def _step_modular(values: np.ndarray, masses: np.ndarray, phi: OrliczFunction,
+                  inv_scales: np.ndarray) -> np.ndarray:
+    """The modular at each scaling: one pass of phi over scalings x pieces.
+
+    NaN from the gauge raises NumericError.
+    """
+    args = inv_scales[:, None] * values
+    fv = phi.eval_many(args)
+    out = fv @ masses  # phi >= 0 and masses > 0: only a NaN value makes a NaN sum
+    if math.isnan(out.sum()):
+        bad = float(args[np.isnan(fv)][0])
+        raise NumericError(f"gauge {phi.describe()} returned NaN at {bad:.6g}")
+    return out
 
 
 def _parametric_modular(mu: ParametricForm, phi: OrliczFunction, inv_scale: float,
@@ -99,52 +114,74 @@ def _parametric_modular(mu: ParametricForm, phi: OrliczFunction, inv_scale: floa
                               singular_at_zero=mu.singular_at_zero)
 
 
-def modular(mu: RearrangementFunction, phi: OrliczFunction, inv_scale: float,
-            ctx: Optional[WeightedContext] = None) -> float:
+def modular(mu: RearrangementFunction, phi: OrliczFunction, inv_scale,
+            ctx: Optional[WeightedContext] = None):
     """Integral of phi(inv_scale * mu) against the weight; may be +inf.
 
-    Exact for step-by-step data; parametric inputs go through sentinel
-    quadrature.  Pieces of zero weight mass contribute nothing even where
-    the gauge is infinite (the norm only sees weight-a.e. classes).
+    Exact for step-by-step data, where ``inv_scale`` may also be an array of
+    scalings and the result is the array of modulars; parametric inputs go
+    through sentinel quadrature, one scaling at a time.  Pieces of zero
+    weight mass contribute nothing even where the gauge is infinite (the
+    norm only sees weight-a.e. classes).
     """
-    if inv_scale <= 0:
+    scales = np.asarray(inv_scale, dtype=float)
+    if not scales.min(initial=INF) > 0:
         raise DomainError(f"inv_scale must be positive, got {inv_scale}")
     if isinstance(mu, StepForm):
-        return _step_modular(mu, phi, inv_scale, ctx)
-    return _parametric_modular(mu, phi, inv_scale, ctx)
+        out = _step_modular(*_live_pieces(mu, ctx), phi, scales.reshape(-1))
+        return out.reshape(scales.shape) if scales.ndim else float(out[0])
+    if scales.ndim:
+        raise DomainError("an array of scalings needs step data")
+    return _parametric_modular(mu, phi, float(inv_scale), ctx)
 
 
-def _norm_bisect(modular_at, seed: float, tol: float) -> float:
-    """inf{lam > 0 : modular_at(lam) <= 1}, bracketed from ``seed``."""
+def _norm_bisect(modular_at, seed: float, tol: float, batched: bool = False) -> float:
+    """inf{lam > 0 : modular_at(lam) <= 1}, bracketed from ``seed``.
 
-    def feasible(lam: float) -> bool:
+    A ``batched`` ``modular_at`` takes an array of scalings and returns the
+    array of modulars.
+    """
+
+    def feasible(lam):
         return modular_at(lam) <= 1.0 + MODULAR_SLACK
 
+    def infeasible(lam):
+        return np.logical_not(feasible(lam))
+
     lam = seed if 0.0 < seed < INF else 1.0
-    if feasible(lam):
-        found = bracket(feasible, lam / 2.0, 0.5, BRACKET_LIMIT)
-        if found is None:
+    # batches probe scalings far from the norm, where the modular overflows
+    # to +inf: a value, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        down = bracket(feasible, lam, 0.5, BRACKET_LIMIT + 1, batched=batched)
+        if down is None:
             return 0.0  # feasible at arbitrarily small scalings
-        last, no = found
-        yes = lam if last is None else last
-    else:
-        found = bracket(lambda x: not feasible(x), lam * 2.0, 2.0, BRACKET_LIMIT)
-        if found is None:
-            raise UnboundedNormError("no finite scaling brings the modular below one")
-        last, yes = found
-        no = lam if last is None else last
-    return bisect(feasible, yes, no, rtol=tol)
+        yes, no = down
+        if yes is None:  # lam itself is infeasible: walk up
+            up = bracket(infeasible, lam * 2.0, 2.0, BRACKET_LIMIT, batched=batched)
+            if up is None:
+                raise UnboundedNormError("no finite scaling brings the modular below one")
+            last, yes = up
+            no = lam if last is None else last
+        return bisect(feasible, yes, no, rtol=tol, batched=batched)
 
 
 def luxemburg_norm(mu: RearrangementFunction, phi: OrliczFunction,
                    ctx: Optional[WeightedContext] = None,
                    tol: float = DEFAULT_TOL) -> float:
-    """inf{lam > 0 : modular(mu, phi, 1/lam, ctx) <= 1}; 0 for vanishing mu."""
+    """inf{lam > 0 : modular(mu, phi, 1/lam, ctx) <= 1}; 0 for vanishing mu.
+
+    Step data are solved in batches of scalings against piece masses
+    computed once per solve.
+    """
     if not 0 < tol <= 1e-3:
         raise DomainError("tol must lie in (0, 1e-3]")
     if mu.is_zero:
         return 0.0
     seed = mu.sup_value
+    if isinstance(mu, StepForm):
+        values, masses = _live_pieces(mu, ctx)
+        return _norm_bisect(lambda lams: _step_modular(values, masses, phi, 1.0 / lams),
+                            seed, tol, batched=True)
     return _norm_bisect(lambda lam: modular(mu, phi, 1.0 / lam, ctx), seed, tol)
 
 
@@ -152,24 +189,22 @@ def kunze_norm(alg: TracedAlgebra, a: AlgebraElement, phi: OrliczFunction,
                tol: float = DEFAULT_TOL) -> float:
     """Trace-modular norm inf{lam : tr phi(|a|/lam) <= 1} via functional calculus.
 
-    An independent code path from ``luxemburg_norm``: each probe rebuilds
-    phi(|a|/lam) as a matrix and traces it, treating inadmissible functional
-    calculus as a modular value of +inf.  The two routes agree; the ``norm``
-    command and the verification suite compare them.
+    An independent code path from ``luxemburg_norm``: each block is
+    decomposed once, and each probed scaling rebuilds phi(|a|/lam) as a
+    matrix and traces it, treating inadmissible functional calculus as a
+    modular value of +inf.  The two routes agree; the ``norm`` command and
+    the verification suite compare them.
     """
     if not 0 < tol <= 1e-3:
         raise DomainError("tol must lie in (0, 1e-3]")
-
-    def trace_modular(lam: float) -> float:
-        try:
-            return trace(alg, apply_function(phi, a, 1.0 / lam)).real
-        except NotMeasurableError:
-            return INF
-
-    seed = a.sup_norm()
+    if a.algebra != alg:
+        raise StructuralError("element does not belong to the given algebra")
+    svd = _svd_blocks(a)
+    seed = max((float(s[0]) for _, s, _ in svd if s.size), default=0.0)
     if seed == 0.0:
         return 0.0
-    return _norm_bisect(trace_modular, seed, tol)
+    return _norm_bisect(lambda lams: _trace_calculus(alg, phi, svd, 1.0 / lams),
+                        seed, tol, batched=True)
 
 
 def amemiya_norm(mu: RearrangementFunction, phi: OrliczFunction,
@@ -185,11 +220,15 @@ def amemiya_norm(mu: RearrangementFunction, phi: OrliczFunction,
     if mu.is_zero:
         return 0.0
 
+    seen: dict[float, float] = {}  # the walks and the final candidates revisit points
+
     def objective(k: float) -> float:
         if k <= 0:
             return INF
-        m = modular(mu, phi, k, ctx)
-        return INF if math.isinf(m) else (1.0 + m) / k
+        if k not in seen:
+            m = modular(mu, phi, k, ctx)
+            seen[k] = INF if math.isinf(m) else (1.0 + m) / k
+        return seen[k]
 
     def finite(k: float) -> bool:
         return not math.isinf(objective(k))

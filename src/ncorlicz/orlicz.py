@@ -348,9 +348,13 @@ def _conjugate_value(phi: OrliczFunction, u: float) -> float:
     if u == 0.0:
         return 0.0
 
+    seen: dict[float, float] = {}  # each doubling step compares g(2v) with the last g(v)
+
     def g(v: float) -> float:
-        p = eval_gauge(phi, v)
-        return -INF if math.isinf(p) else u * v - p
+        if v not in seen:
+            p = eval_gauge(phi, v)
+            seen[v] = -INF if math.isinf(p) else u * v - p
+        return seen[v]
 
     if phi.b_phi < INF:
         lo, hi = 0.0, phi.b_phi

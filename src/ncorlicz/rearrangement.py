@@ -340,9 +340,22 @@ class WeightedContext:
 
     def piece_masses(self, breakpoints: np.ndarray) -> np.ndarray:
         """Weight mass of each interval between consecutive breakpoints (0-prepended)."""
-        grid = np.concatenate([[0.0], breakpoints])
-        f = np.array([self.F(float(t)) for t in grid])
-        return np.diff(f)
+        return _interval_masses(self.weight, breakpoints)
+
+
+def _interval_masses(weight: RearrangementFunction, ends: np.ndarray) -> np.ndarray:
+    """Weight mass of each interval between consecutive ends (0-prepended).
+
+    One ``np.interp`` on the cumulative weight for a step weight, which is
+    the same interpolation ``StepForm.head_integral`` makes point by point.
+    """
+    grid = np.concatenate([[0.0], ends])
+    if isinstance(weight, StepForm):
+        cum = np.concatenate([[0.0], np.cumsum(weight.durations * weight.values)])
+        f = np.interp(grid, np.concatenate([[0.0], weight.breakpoints]), cum)
+    else:
+        f = np.array([weight.head_integral(float(t)) for t in grid])
+    return np.diff(f)
 
 
 # ---------------------------------------------------------------------------
@@ -361,12 +374,7 @@ def rearrange_step(durations, values, weight: RearrangementFunction | None = Non
         raise StructuralError("durations and values must be 1-d arrays of equal length")
     if np.any(d < 0) or np.any(v < 0):
         raise DomainError("durations and values must be nonnegative")
-    if weight is None:
-        masses = d
-    else:
-        ends = np.cumsum(d)
-        f = np.array([weight.head_integral(float(t)) for t in np.concatenate([[0.0], ends])])
-        masses = np.diff(f)
+    masses = d if weight is None else _interval_masses(weight, np.cumsum(d))
     order = np.argsort(-v, kind="stable")
     return StepForm(masses[order], v[order])
 

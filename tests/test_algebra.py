@@ -8,11 +8,13 @@ import pytest
 from ncorlicz import (
     DomainError,
     NotMeasurableError,
+    NumericError,
     StructuralError,
     TracedAlgebra,
     abs_value,
     apply_function,
     cosh_minus_one,
+    custom,
     exp_minus_one,
     is_projection,
     linear_until_cap,
@@ -94,6 +96,16 @@ def test_apply_function_beyond_cap_raises():
     with pytest.raises(NotMeasurableError) as exc:
         apply_function(linear_until_cap(1.0), a)
     assert exc.value.eigenvalue == pytest.approx(2.0)
+
+
+def test_apply_function_nan_gauge_raises():
+    alg = TracedAlgebra((2,), (1.0,))
+    a = alg.diagonal([[1.0, 4.0]])
+    phi = custom(lambda u: u * u if u < 3.0 else math.nan)
+    with pytest.raises(NumericError):
+        apply_function(phi, a)
+    np.testing.assert_allclose(apply_function(phi, a, 0.5).blocks[0],
+                               np.diag([0.25, 4.0]), atol=1e-12)
 
 
 def test_apply_function_identity_gauge_returns_abs():

@@ -185,9 +185,9 @@ class TestCli:
         # a trace-modular route that disagrees with the rearrangement route
         # shows as a false relation, not as an error
         import ncorlicz.norms as norms
-        real = norms.apply_function
-        monkeypatch.setattr(norms, "apply_function",
-                            lambda phi, a, scale: real(phi, a, scale) * 2.0)
+        real = norms._trace_calculus
+        monkeypatch.setattr(norms, "_trace_calculus",
+                            lambda alg, phi, svd, scales: real(alg, phi, svd, scales) * 2.0)
         rc = main(["norm",
                    "--algebra", _write(tmp_path, "a.json", ALGEBRA),
                    "--element", _write(tmp_path, "e.json", DIAG34),
@@ -273,6 +273,44 @@ class TestCli:
             0.9 * math.sqrt(2.0), rel=1e-5)
         assert rep["result"]["pass"]
         jsonschema.validate(rep, _schema())
+
+    def test_compose_density_computed_once(self, tmp_path, capsys, monkeypatch):
+        import ncorlicz.cli as cli
+        import ncorlicz.morphisms as morphisms
+        calls = []
+        real = morphisms.radon_nikodym
+        for ns in (morphisms, cli):  # every module the command could reach it from
+            monkeypatch.setattr(ns, "radon_nikodym", lambda J: calls.append(J) or real(J),
+                                raising=False)
+        doubling = {
+            "source": {"blocks": [{"dim": 2, "weight": 1.0}]},
+            "target": {"blocks": [{"dim": 2, "weight": 1.0}, {"dim": 2, "weight": 1.0}]},
+            "blocks": [{"assignments": [{"src": 0, "copies": 1}], "flavor": "homo"},
+                       {"assignments": [{"src": 0, "copies": 1}], "flavor": "homo"}],
+        }
+        rc = main(["compose",
+                   "--morphism", _write(tmp_path, "j.json", doubling),
+                   "--psi", _write(tmp_path, "psi.json", {"kind": "power", "p": 1}),
+                   "--phi2", _write(tmp_path, "phi2.json", POWER2),
+                   "--samples", "3", "--seed", "1"])
+        assert rc == 0
+        assert len(calls) == 1
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["result"]["density_spectrum"] == [2.0]
+
+    def test_parser_reused_across_commands(self, tmp_path, capsys):
+        import ncorlicz.cli as cli
+        alg = _write(tmp_path, "a.json", ALGEBRA)
+        element = _write(tmp_path, "e.json", DIAG34)
+        assert main(["singular", "--algebra", alg, "--element", element]) == 0
+        singular = json.loads(capsys.readouterr().out)
+        assert main(["norm", "--algebra", alg, "--element", element,
+                     "--orlicz", _write(tmp_path, "p.json", POWER2)]) == 0
+        norm = json.loads(capsys.readouterr().out)
+        assert singular["result"] == {"durations": [1.0, 1.0], "values": [4.0, 3.0]}
+        assert norm["command"] == "norm"
+        assert norm["result"]["luxemburg"] == pytest.approx(5.0, rel=1e-9)
+        assert cli._parser() is cli._parser()
 
     def test_outside_space_result_is_data(self, tmp_path, capsys, monkeypatch):
         import ncorlicz.cli as cli

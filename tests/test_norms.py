@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncorlicz import (
     DomainError,
+    NumericError,
     StepForm,
     TracedAlgebra,
     UnboundedNormError,
@@ -16,6 +19,7 @@ from ncorlicz import (
     conjugate,
     constant,
     cosh_minus_one,
+    custom,
     exp_decay,
     exp_minus_one,
     holder_check,
@@ -42,8 +46,23 @@ from ncorlicz.sampling import (
     random_positive,
     random_state,
 )
+from ncorlicz.verify import _norm_gauges
 
 INF = math.inf
+
+
+def _nan_from_three():
+    """A broken gauge: t^2 below 3, NaN at and beyond 3."""
+    return custom(lambda u: u * u if u < 3.0 else math.nan, name="nan_from_three")
+
+
+@st.composite
+def _steps(draw):
+    m = draw(st.integers(1, 6))
+    values = sorted(draw(st.lists(st.floats(0.05, 4.0), min_size=m, max_size=m)),
+                    reverse=True)
+    durations = draw(st.lists(st.floats(0.1, 2.0), min_size=m, max_size=m))
+    return StepForm.from_raw(durations, values)
 
 
 class TestModular:
@@ -63,6 +82,30 @@ class TestModular:
     def test_invalid_scale(self):
         with pytest.raises(DomainError):
             modular(StepForm.from_raw([1.0], [1.0]), power(2.0), 0.0)
+
+    def test_nan_gauge_is_an_error(self):
+        mu = StepForm.from_raw([0.5, 0.5], [4.0, 1.0])
+        with pytest.raises(NumericError):
+            modular(mu, _nan_from_three(), 1.0)
+        # below 3 the gauge is t^2
+        assert modular(mu, _nan_from_three(), 0.5) == pytest.approx(0.5 * 4.0 + 0.5 * 0.25)
+
+    def test_array_of_scalings(self):
+        mu = StepForm.from_raw([1.0, 1.0, 1.0], [3.0, 2.0, 1.0])
+        got = modular(mu, power(2.0), np.array([1.0, 0.5, 2.0]))
+        np.testing.assert_allclose(got, [14.0, 3.5, 56.0], rtol=1e-15)
+        with pytest.raises(DomainError):
+            modular(mu, power(2.0), np.array([1.0, 0.0]))
+        with pytest.raises(DomainError):
+            modular(exp_decay(), power(2.0), np.array([1.0, 2.0]))
+
+    @given(_steps(), st.lists(st.floats(0.01, 100.0), min_size=1, max_size=20))
+    @settings(max_examples=60, deadline=None)
+    def test_array_modular_is_the_scalar_modular(self, mu, scalings):
+        for phi in _norm_gauges():
+            got = modular(mu, phi, np.array(scalings))
+            want = [modular(mu, phi, s) for s in scalings]
+            np.testing.assert_allclose(got, want, rtol=1e-14)
 
     def test_monotone_in_scaling(self):
         mu = random_decreasing_step(np.random.default_rng(0))
@@ -108,6 +151,33 @@ class TestLuxemburg:
             assert modular(mu, phi, 1.0 / lam) <= 1.0 + 1e-8
             assert modular(mu, phi, 1.0 / (lam * (1 - 1e-8))) > 1.0 - 1e-9
 
+    @given(_steps())
+    @settings(max_examples=60, deadline=None)
+    def test_batched_solve_brackets_the_norm(self, mu):
+        tol = 1e-9
+        for phi in _norm_gauges():
+            lam = luxemburg_norm(mu, phi, tol=tol)
+            assert modular(mu, phi, 1.0 / lam) <= 1.0 + 1e-9
+            assert modular(mu, phi, 1.0 / (lam * (1.0 - 2.0 * tol))) > 1.0
+
+    def test_nan_gauge_is_an_error(self):
+        # the norm is 1: every solve evaluates the gauge at 10
+        mu = StepForm.from_raw([0.01], [10.0])
+        with pytest.raises(NumericError):
+            luxemburg_norm(mu, _nan_from_three())
+
+    def test_weighted_masses_once_per_solve(self, monkeypatch):
+        ctx = WeightedContext(StepForm.from_raw([1.0, 2.0], [1.0, 0.5]))
+        mu = StepForm.from_raw([0.5, 1.0], [3.0, 1.0])
+        calls = []
+        real = WeightedContext.piece_masses
+        monkeypatch.setattr(WeightedContext, "piece_masses",
+                            lambda self, b: calls.append(b) or real(self, b))
+        lam = luxemburg_norm(mu, power(2.0), ctx)
+        assert len(calls) == 1
+        # weight masses of the pieces: 0.5 and 0.5 + 0.5 * 0.5
+        assert lam == pytest.approx(math.sqrt(0.5 * 9.0 + 0.75 * 1.0), rel=1e-9)
+
 
 class TestKunze:
     def test_matches_luxemburg(self):
@@ -130,6 +200,23 @@ class TestKunze:
         assert k == pytest.approx(l, rel=1e-8)
         assert math.isfinite(k)
 
+    def test_one_decomposition_per_call(self, monkeypatch):
+        import ncorlicz.norms as norms
+        alg = TracedAlgebra((2, 1), (1.0, 0.5))
+        a = alg.element([np.array([[1.0, 2.0], [0.0, 1.0]]), np.array([[3.0]])])
+        calls = []
+        real = norms._svd_blocks
+        monkeypatch.setattr(norms, "_svd_blocks", lambda x: calls.append(x) or real(x))
+        k = kunze_norm(alg, a, cosh_minus_one())
+        assert len(calls) == 1
+        assert k == pytest.approx(luxemburg_norm(singular_values(alg, a), cosh_minus_one()),
+                                  rel=1e-8)
+
+    def test_nan_gauge_is_an_error(self):
+        alg = TracedAlgebra((1,), (0.01,))
+        with pytest.raises(NumericError):
+            kunze_norm(alg, alg.diagonal([[10.0]]), _nan_from_three())
+
 
 class TestAmemiya:
     def test_linear_gauge_limit(self):
@@ -148,6 +235,18 @@ class TestAmemiya:
 
     def test_zero_input(self):
         assert amemiya_norm(StepForm.from_raw([], []), power(2.0)) == 0.0
+
+    def test_each_k_evaluated_once(self, monkeypatch):
+        import ncorlicz.norms as norms
+        ks = []
+        real = norms.modular
+        monkeypatch.setattr(norms, "modular",
+                            lambda mu, phi, k, ctx=None: ks.append(k) or real(mu, phi, k, ctx))
+        mu = StepForm.from_raw([2.0, 1.0], [1.0, 0.5])
+        # t^2: the Amemiya norm is twice the Luxemburg norm sqrt(2.25)
+        assert amemiya_norm(mu, power(2.0)) == pytest.approx(3.0, rel=1e-8)
+        assert len(ks) == 14
+        assert len(set(ks)) == len(ks)
 
     def test_sup_type_conjugate_gauge(self):
         # conjugate of the linear gauge turns Amemiya into the sup value

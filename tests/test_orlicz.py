@@ -103,6 +103,16 @@ class TestConjugate:
         assert star(u) == pytest.approx(u * math.log(u) - u + 1.0, rel=1e-12)
         assert star(u) == pytest.approx(brute_force_conjugate(exp_minus_one(), u), abs=1e-7)
 
+    def test_doubling_walk_evaluates_each_point_once(self, monkeypatch):
+        import ncorlicz.orlicz as orlicz
+        vs = []
+        real = orlicz.eval_gauge
+        monkeypatch.setattr(orlicz, "eval_gauge", lambda phi, v: vs.append(v) or real(phi, v))
+        got = orlicz._conjugate_value(t_log1p(), 3.0)
+        assert got == pytest.approx(brute_force_conjugate(t_log1p(), 3.0), abs=1e-7)
+        assert len(vs) == 71
+        assert len(set(vs)) == len(vs)
+
     def test_biconjugation(self):
         grid = np.linspace(0.05, 4.0, 15)
         for phi in (power(2.0), power_over_p(3.0), cosh_minus_one(), t_log1p()):

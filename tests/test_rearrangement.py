@@ -175,6 +175,15 @@ class TestWeightedContext:
         for s in (0.0, 0.5, 1.0, 1.9):
             assert ctx.F_inverse(s) == pytest.approx((s / 2.0) ** 2, abs=1e-10)
 
+    def test_piece_masses_match_running_integral(self):
+        rng = np.random.default_rng(4)
+        for weight in (random_weight_step(rng), exp_decay()):
+            ctx = WeightedContext(weight)
+            breakpoints = np.cumsum(rng.uniform(0.1, 2.0, size=6))
+            grid = np.concatenate([[0.0], breakpoints])
+            want = np.diff([ctx.F(float(t)) for t in grid])
+            assert np.array_equal(ctx.piece_masses(breakpoints), want)
+
     def test_inverse_of_running_integral(self):
         ctx = WeightedContext(random_weight_step(np.random.default_rng(3)))
         for s in np.linspace(0.0, ctx.mass * 0.99, 7):
