@@ -36,6 +36,7 @@ from .norms import (
     pistone_sempi_equivalence,
 )
 from .rearrangement import singular_values
+from .sampling import random_element, random_self_adjoint
 from .verify import SuiteConfig, Tolerances, run_suite
 
 ENV_SEED = "NCORLICZ_SEED"
@@ -150,8 +151,8 @@ def cmd_dual_check(args) -> int:
     g = load_element(alg, specs[2])
     phi = load_orlicz(specs[3])
     rng = np.random.default_rng(_seed_from(args))
-    rep = holder_check(alg, f, g, phi, tol=args.tol, rng=rng,
-                       sup_samples=args.samples)
+    probes = [random_element(alg, rng) for _ in range(args.samples)]
+    rep = holder_check(alg, f, g, phi, tol=args.tol, probes=probes)
     report = {
         "command": "dual-check",
         "inputs_digest": _digest(*specs),
@@ -194,8 +195,8 @@ def cmd_compose(args) -> int:
     psi = load_orlicz(specs[1])
     phi2 = load_orlicz(specs[2])
     rng = np.random.default_rng(_seed_from(args))
-    rep = composition_bound_check(J, psi, phi2, samples=args.samples, rng=rng,
-                                  tol=args.tol)
+    probes = [random_self_adjoint(J.source, rng) for _ in range(args.samples)]
+    rep = composition_bound_check(J, psi, phi2, probes, tol=args.tol)
     spectrum = sorted({float(b[0, 0].real) for b in rep.density.blocks}, reverse=True)
     report = {
         "command": "compose",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -169,28 +169,26 @@ class AbsoluteContinuityReport:
 
 def absolute_continuity_check(J: JordanMorphism,
                               epsilons: tuple[float, ...] = (1e-1, 1e-2, 1e-3),
-                              rng: Optional[np.random.Generator] = None
+                              projections: Sequence[AlgebraElement] = ()
                               ) -> AbsoluteContinuityReport:
     """Epsilon-delta continuity of the pulled-back trace on projections.
 
     In finite dimension the modulus is linear: delta(eps) = eps / sup f where
-    f is the trace density; the check enumerates a projection corpus and
-    verifies the implication directly.
+    f is the trace density; the check enumerates the coordinate projections
+    of every source block plus the given ``projections`` and verifies the
+    implication directly.
     """
     f = radon_nikodym(J)
     sup_density = f.sup_norm()
-    if rng is None:
-        rng = np.random.default_rng(0)
 
-    projections: list[AlgebraElement] = []
+    corpus: list[AlgebraElement] = []
     for j, n in enumerate(J.source.dims):
         for r in range(1, n + 1):
             diag = np.diag([1.0] * r + [0.0] * (n - r))
-            projections.append(J.source.element([
+            corpus.append(J.source.element([
                 diag if jj == j else np.zeros((nn, nn))
                 for jj, nn in enumerate(J.source.dims)]))
-    from .sampling import random_projection
-    projections.extend(random_projection(J.source, rng) for _ in range(8))
+    corpus.extend(projections)
 
     worst = 0.0
     verified = True
@@ -198,7 +196,7 @@ def absolute_continuity_check(J: JordanMorphism,
     for eps in epsilons:
         delta = eps / sup_density if sup_density > 0 else INF
         deltas.append(delta)
-        for e in projections:
+        for e in corpus:
             t1 = trace(J.source, e).real
             t2 = trace(J.target, apply_jordan(J, e)).real
             if t1 > 0:
@@ -235,25 +233,19 @@ class CompositionBoundReport:
 
 
 def composition_bound_check(J: JordanMorphism, psi: OrliczFunction,
-                            phi2: OrliczFunction, samples: int = 12,
-                            rng: Optional[np.random.Generator] = None,
+                            phi2: OrliczFunction, probes: Sequence[AlgebraElement],
                             tol: float = 1e-7) -> CompositionBoundReport:
     """Image norms of unit-ball self-adjoint elements stay under the density bound.
 
-    Draws self-adjoint a, rescales into the open unit ball of the composed
+    Rescales each self-adjoint probe a into the open unit ball of the composed
     gauge, and checks the target-space gauge norm of J(a) against
-    max(1, dual-gauge norm of the trace density).
+    max(1, dual-gauge norm of the trace density).  Zero probes are skipped.
     """
-    from .sampling import random_self_adjoint
-
     phi1 = compose_orlicz(psi, phi2)
     f = radon_nikodym(J)
     bound = max(1.0, _density_dual_norm(J, f, psi))
-    if rng is None:
-        rng = np.random.default_rng(0)
     max_ratio, used = 0.0, 0
-    for _ in range(samples):
-        a = random_self_adjoint(J.source, rng)
+    for a in probes:
         nrm = luxemburg_norm(singular_values(J.source, a), phi1)
         if nrm == 0.0:
             continue
@@ -317,7 +309,8 @@ def modular_chain_check(J: JordanMorphism, psi: OrliczFunction, phi2: OrliczFunc
     dual = max(1.0, bare_dual)
     inner = luxemburg_norm(singular_values(J.source, gauged), psi)
     chain_ok = (q1 <= bare_dual * inner + tol * scale
-                and bare_dual * inner <= bare_dual * source_norm + tol * scale * max(1.0, bare_dual))
+                and bare_dual * inner
+                <= bare_dual * source_norm + tol * scale * max(1.0, bare_dual))
     return ModularChainReport(values=vals, max_pairwise_gap=gap, dual_bound=dual,
                               inner_norm=inner, source_norm=source_norm,
                               hypothesis_ok=True,
@@ -472,32 +465,26 @@ class InterpolationReport:
 
 
 def interpolation_contraction_check(T: PositiveMap, phi: OrliczFunction,
-                                    samples: int = 20,
-                                    rng: Optional[np.random.Generator] = None,
+                                    positives: Sequence[AlgebraElement],
+                                    probes: Sequence[AlgebraElement],
                                     tol: float = 1e-8) -> InterpolationReport:
     """Norm contraction and head-integral domination under a positive map.
 
     C is the least constant with pulled-back trace <= C * source trace (the
-    adjoint applied to the identity); N is the image of the identity.  For
-    self-adjoint samples: mu(T(a) / max(C, N)) is submajorized by mu(a), and
-    the gauge norm of T(a) is at most max(C, N) times that of a.
+    adjoint applied to the identity); N is the image of the identity.  T must
+    keep each of ``positives`` positive.  For each self-adjoint probe a:
+    mu(T(a) / max(C, N)) is submajorized by mu(a), and the gauge norm of T(a)
+    is at most max(C, N) times that of a.
     """
-    from .sampling import random_positive, random_self_adjoint
-
-    if rng is None:
-        rng = np.random.default_rng(0)
     c = T.adjoint_apply(T.target.identity()).sup_norm()
     n = T.apply(T.source.identity()).sup_norm()
     bound = max(c, n)
 
-    positivity_ok = all(
-        T.apply(random_positive(T.source, rng)).is_positive(1e-9)
-        for _ in range(5))
+    positivity_ok = all(T.apply(p).is_positive(1e-9) for p in positives)
 
     worst_excess = -INF
     sub_ok = True
-    for _ in range(samples):
-        a = random_self_adjoint(T.source, rng)
+    for a in probes:
         mu_a = singular_values(T.source, a)
         image = T.apply(a)
         mu_img = singular_values(T.target, image)
@@ -510,4 +497,4 @@ def interpolation_contraction_check(T: PositiveMap, phi: OrliczFunction,
     return InterpolationReport(trace_constant=float(c), unital_constant=float(n),
                                bound=float(bound), max_norm_excess=float(worst_excess),
                                submajorization_ok=sub_ok, positivity_ok=positivity_ok,
-                               samples=samples, passed=passed)
+                               samples=len(probes), passed=passed)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import optimize
@@ -73,7 +73,10 @@ def _parametric_modular(mu: ParametricForm, phi: OrliczFunction, inv_scale: floa
         val = float(phi.eval_many(np.array([mu.constant_level * inv_scale]))[0])
         if val == 0.0:
             return 0.0
-        span = mu.support if ctx is None else ctx.F(mu.support) if not math.isinf(mu.support) else ctx.mass
+        if ctx is None:
+            span = mu.support
+        else:
+            span = ctx.mass if math.isinf(mu.support) else ctx.F(mu.support)
         if math.isinf(val):
             return INF if span > 0 else 0.0
         return val * span if not math.isinf(span) else INF
@@ -318,14 +321,13 @@ class HolderReport:
 
 def holder_check(alg: TracedAlgebra, f: AlgebraElement, g: AlgebraElement,
                  phi: OrliczFunction, tol: float = 1e-8,
-                 rng: Optional[np.random.Generator] = None,
-                 sup_samples: int = 0) -> HolderReport:
+                 probes: Sequence[AlgebraElement] = ()) -> HolderReport:
     """|tr(fg)| <= (dual gauge norm of f) * (gauge norm of g).
 
     The dual factor is the Amemiya norm in the conjugate gauge — the computable
-    form of the pairing norm sup{tr|fg'| : norm of g' <= 1}.  When requested,
-    that sup is also estimated by random sampling, which can falsify but not
-    certify the bound.
+    form of the pairing norm sup{tr|fg'| : norm of g' <= 1}.  When ``probes``
+    are given, that sup is also estimated over them, each scaled to gauge
+    norm one; the estimate can falsify but not certify the bound.
     """
     lhs = abs(trace(alg, f @ g))
     dual = amemiya_norm(singular_values(alg, f), conjugate(phi))
@@ -334,13 +336,9 @@ def holder_check(alg: TracedAlgebra, f: AlgebraElement, g: AlgebraElement,
     passed = lhs <= rhs + tol * (1.0 + rhs) if not math.isinf(rhs) else True
 
     sampled, sampled_ok = None, True
-    if sup_samples > 0:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        from .sampling import random_element
+    if probes:
         best = 0.0
-        for _ in range(sup_samples):
-            gp = random_element(alg, rng)
+        for gp in probes:
             nrm = luxemburg_norm(singular_values(alg, gp), phi)
             if nrm == 0.0:
                 continue

@@ -367,6 +367,7 @@ def rearrange_step(durations, values, weight: RearrangementFunction | None = Non
 
     Rearranges with respect to the measure w(t)dt when ``weight`` is given,
     Lebesgue measure otherwise; exact: level sets are sorted by their measure.
+    A weighted rearrangement vanishes at and beyond the weight's total mass.
     """
     d = np.asarray(durations, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -376,7 +377,26 @@ def rearrange_step(durations, values, weight: RearrangementFunction | None = Non
         raise DomainError("durations and values must be nonnegative")
     masses = d if weight is None else _interval_masses(weight, np.cumsum(d))
     order = np.argsort(-v, kind="stable")
-    return StepForm(masses[order], v[order])
+    form = StepForm(masses[order], v[order])
+    return form if weight is None else _within_mass(form, weight.total_integral())
+
+
+def _within_mass(form: StepForm, mass: float) -> StepForm:
+    """``form`` with its tail cut back until its support is at most ``mass``.
+
+    Piece masses summed in decreasing-value order round differently from the
+    running weight integral, which can put the support a few ulps past the
+    weight's total mass; the excess comes off the last piece.
+    """
+    if form.support <= mass:
+        return form
+    d = form.durations.copy()
+    while d.size and (excess := float(np.cumsum(d)[-1]) - mass) > 0:
+        if d[-1] > excess:
+            d[-1] -= excess  # rounding may leave an ulp over; the next pass takes it
+        else:
+            d = d[:-1]
+    return StepForm(d, form.values[:d.size])
 
 
 def weighted_rearrangement(h, ctx: WeightedContext, s: float) -> float:

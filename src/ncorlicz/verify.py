@@ -4,10 +4,16 @@ Each check states a mathematical claim, runs it over a reproducible corpus,
 and reports the worst observed slack (positive slack = violation).  The CLI
 ``verify`` command runs the whole registry; the acceptance tests run the
 criteria-bearing checks at their contract scale.
+
+A check is a function ``check_<name>(cfg, rng)`` under ``@_check(claim)``,
+which registers it in ``CHECKS`` as ``<name>``.  It draws every sample from
+its one generator ``rng`` and returns the sample count, the worst slack and
+the verdict, plus a details dict when it has one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
@@ -19,7 +25,7 @@ from . import rearrangement as rg
 from . import sampling as smp
 from .algebra import TracedAlgebra, abs_value, apply_function, is_projection, \
     projection_trace_norm, trace
-from .errors import NotMeasurableError
+from .errors import NotMeasurableError, UnboundedNormError
 from .morphisms import (
     absolute_continuity_check,
     apply_jordan,
@@ -43,6 +49,7 @@ from .norms import (
 from .rearrangement import (
     StepForm,
     WeightedContext,
+    fack_kosaki_checks,
     rearrange_step,
     singular_values,
     weighted_rearrangement,
@@ -61,7 +68,6 @@ class Tolerances:
     exchange: float = 1e-10
     chain: float = 1e-9
     bound_slack: float = 1e-7
-    submajorization: float = 1e-10
     isometry: float = 1e-8
 
 
@@ -86,8 +92,38 @@ class SuiteConfig:
         return max(1, int(round(base * self.scale)))
 
 
-def _rng_for(cfg: SuiteConfig, index: int) -> np.random.Generator:
+CHECKS: dict[str, Callable[[SuiteConfig, np.random.Generator], CheckResult]] = {}
+
+
+def _check(claim: str):
+    """Register ``check_<name>`` in CHECKS as ``<name>``, returning CheckResults.
+
+    The body returns the remaining CheckResult fields in order: the sample
+    count, the worst slack, the verdict, and details when it has them.
+    """
+    def register(body):
+        name = body.__name__.removeprefix("check_")
+
+        @functools.wraps(body)
+        def check(cfg: SuiteConfig, rng: np.random.Generator) -> CheckResult:
+            return CheckResult(name, claim, *body(cfg, rng))
+
+        CHECKS[name] = check
+        return check
+
+    return register
+
+
+def _rng_for(cfg: SuiteConfig, name: str) -> np.random.Generator:
+    """The generator of one check, seeded by its index among the sorted names."""
+    index = sorted(CHECKS).index(name)
     return np.random.default_rng(np.random.SeedSequence([cfg.seed, index]))
+
+
+def _corpus(cfg: SuiteConfig, base: int) -> list[TracedAlgebra]:
+    """``cfg.count(base)`` algebras, cycling through the catalog shapes."""
+    shapes = smp.algebra_shapes()
+    return [shapes[i % len(shapes)] for i in range(cfg.count(base))]
 
 
 def _norm_gauges() -> list[og.OrliczFunction]:
@@ -99,50 +135,40 @@ def _norm_gauges() -> list[og.OrliczFunction]:
 # Checks
 # ---------------------------------------------------------------------------
 
-def check_kunze_luxemburg_equivalence(cfg: SuiteConfig, rng) -> CheckResult:
+@_check("inf{lam : tr phi(|a|/lam) <= 1} equals the Luxemburg norm of the "
+        "singular value function, for every gauge including a finite cap")
+def check_kunze_luxemburg_equivalence(cfg: SuiteConfig, rng):
     """Trace-modular and rearrangement-integral norms agree on random elements."""
-    shapes = smp.algebra_shapes()
+    corpus = _corpus(cfg, 200)
     gauges = _norm_gauges()
-    n = cfg.count(200)
     worst = 0.0
-    for i in range(n):
-        alg = shapes[i % len(shapes)]
+    for alg in corpus:
         a = smp.random_element(alg, rng)
         mu = singular_values(alg, a)
         for phi in gauges:
             k = kunze_norm(alg, a, phi, tol=cfg.tolerances.bisect)
             l = luxemburg_norm(mu, phi, tol=cfg.tolerances.bisect)
             worst = max(worst, abs(k - l) / max(1.0, k, l))
-    return CheckResult(
-        name="kunze_luxemburg_equivalence",
-        claim="inf{lam : tr phi(|a|/lam) <= 1} equals the Luxemburg norm of the "
-              "singular value function, for every gauge including a finite cap",
-        samples=n * len(gauges), worst_slack=worst,
-        passed=worst <= cfg.tolerances.norm_equivalence_rel)
+    return len(corpus) * len(gauges), worst, worst <= cfg.tolerances.norm_equivalence_rel
 
 
-def check_rearrangement_exchange(cfg: SuiteConfig, rng) -> CheckResult:
+@_check("singular values of phi(|a|) equal phi applied to the singular "
+        "values of a, as step functions")
+def check_rearrangement_exchange(cfg: SuiteConfig, rng):
     """Gauge and rearrangement commute: mu(phi(|a|)) = phi(mu(a)) pointwise."""
-    shapes = smp.algebra_shapes()
+    corpus = _corpus(cfg, 200)
     cap = og.linear_until_cap(1.0)
     gauges = [og.power(2.0), og.cosh_minus_one(), og.zero_then_linear(0.5)]
-    n = cfg.count(200)
     worst = 0.0
-    for i in range(n):
-        alg = shapes[i % len(shapes)]
+    for alg in corpus:
         a = smp.random_element(alg, rng)
         mu = singular_values(alg, a)
-        todo = list(gauges)
         if mu.sup_value > 0:  # cap gauge on elements with spectrum below the cap
             a_small = a * (0.9 / mu.sup_value)
             worst = max(worst, _exchange_gap(alg, a_small, cap))
-        for phi in todo:
+        for phi in gauges:
             worst = max(worst, _exchange_gap(alg, a, phi))
-    return CheckResult(
-        name="rearrangement_exchange",
-        claim="singular values of phi(|a|) equal phi applied to the singular "
-              "values of a, as step functions",
-        samples=n * 4, worst_slack=worst, passed=worst <= cfg.tolerances.exchange)
+    return len(corpus) * 4, worst, worst <= cfg.tolerances.exchange
 
 
 def _exchange_gap(alg, a, phi) -> float:
@@ -156,15 +182,15 @@ def _exchange_gap(alg, a, phi) -> float:
     return max(abs(left.evaluate(float(t)) - right.evaluate(float(t))) for t in pts)
 
 
-def check_holder_pairing(cfg: SuiteConfig, rng) -> CheckResult:
+@_check("|tr(fg)| <= (Amemiya norm of f in the conjugate gauge) * "
+        "(Luxemburg norm of g); quadratic case matches the trace 2-norm")
+def check_holder_pairing(cfg: SuiteConfig, rng):
     """|tr(fg)| is dominated by the dual-gauge/gauge norm product."""
-    shapes = smp.algebra_shapes()
+    corpus = _corpus(cfg, 500)
     gauges = [og.power(2.0), og.cosh_minus_one(), og.exp_minus_one()]
-    n = cfg.count(500)
     worst = 0.0
     cs_worst = 0.0
-    for i in range(n):
-        alg = shapes[i % len(shapes)]
+    for alg in corpus:
         f = smp.random_element(alg, rng)
         g = smp.random_element(alg, rng)
         for phi in gauges:
@@ -180,27 +206,23 @@ def check_holder_pairing(cfg: SuiteConfig, rng) -> CheckResult:
         cs_worst = max(cs_worst, abs(ame - two_f) / max(1.0, two_f),
                        abs(lux - two_g) / max(1.0, two_g))
     passed = worst <= cfg.tolerances.slack and cs_worst <= cfg.tolerances.norm_equivalence_rel
-    return CheckResult(
-        name="holder_pairing",
-        claim="|tr(fg)| <= (Amemiya norm of f in the conjugate gauge) * "
-              "(Luxemburg norm of g); quadratic case matches the trace 2-norm",
-        samples=n * len(gauges), worst_slack=max(worst, cs_worst), passed=passed,
-        details={"cauchy_schwarz_rel_error": cs_worst})
+    return (len(corpus) * len(gauges), max(worst, cs_worst), passed,
+            {"cauchy_schwarz_rel_error": cs_worst})
 
 
-def check_weighted_norm_axioms(cfg: SuiteConfig, rng) -> CheckResult:
+@_check("triangle inequality and absolute homogeneity of the weighted "
+        "Luxemburg norm over step and exponential weights")
+def check_weighted_norm_axioms(cfg: SuiteConfig, rng):
     """The weighted Luxemburg functional is a norm: triangle + homogeneity."""
-    shapes = smp.algebra_shapes()
+    corpus = _corpus(cfg, 300)
     contexts = [
         WeightedContext(StepForm.from_raw([1.0, 1.0], [0.7, 0.3])),
         WeightedContext(StepForm.from_raw([0.5, 1.0, 2.0], [1.2, 0.6, 0.1])),
         WeightedContext(rg.exp_decay()),
     ]
     psi = og.cosh_minus_one()
-    n = cfg.count(300)
     worst = 0.0
-    for i in range(n):
-        alg = shapes[i % len(shapes)]
+    for i, alg in enumerate(corpus):
         ctx = contexts[i % len(contexts)]
         a = smp.random_element(alg, rng)
         b = smp.random_element(alg, rng)
@@ -212,14 +234,13 @@ def check_weighted_norm_axioms(cfg: SuiteConfig, rng) -> CheckResult:
         nscaled = luxemburg_norm(singular_values(alg, alpha * a), psi, ctx,
                                  tol=cfg.tolerances.bisect)
         worst = max(worst, abs(nscaled - alpha * na) / max(1.0, alpha * na))
-    return CheckResult(
-        name="weighted_norm_axioms",
-        claim="triangle inequality and absolute homogeneity of the weighted "
-              "Luxemburg norm over step and exponential weights",
-        samples=n, worst_slack=worst, passed=worst <= cfg.tolerances.slack)
+    return len(corpus), worst, worst <= cfg.tolerances.slack
 
 
-def check_weighted_rearrangement_identity(cfg: SuiteConfig, rng) -> CheckResult:
+@_check("a decreasing step function equals its weighted rearrangement "
+        "composed with the running weight integral; for arbitrary steps "
+        "the weighted rearrangement is dominated by the Lebesgue one")
+def check_weighted_rearrangement_identity(cfg: SuiteConfig, rng):
     """Decreasing functions are fixed points of the weighted rearrangement."""
     n = cfg.count(100)
     worst = 0.0
@@ -247,16 +268,14 @@ def check_weighted_rearrangement_identity(cfg: SuiteConfig, rng) -> CheckResult:
             t = frac * h.support
             ineq_worst = max(ineq_worst,
                              weighted.evaluate(ctx.F(t)) - lebesgue.evaluate(t))
-    return CheckResult(
-        name="weighted_rearrangement_identity",
-        claim="a decreasing step function equals its weighted rearrangement "
-              "composed with the running weight integral; for arbitrary steps "
-              "the weighted rearrangement is dominated by the Lebesgue one",
-        samples=n, worst_slack=max(worst, ineq_worst),
-        passed=worst <= cfg.tolerances.exchange and ineq_worst <= cfg.tolerances.exchange)
+    tol = cfg.tolerances.exchange
+    return n, max(worst, ineq_worst), worst <= tol and ineq_worst <= tol
 
 
-def check_pistone_sempi_catalog(cfg: SuiteConfig, rng) -> CheckResult:
+@_check("two-sided exponential moments near zero are finite exactly when "
+        "the cosh-minus-one weighted modular is finite at some scaling; "
+        "catalog spans bounded, log-, power-divergent and reciprocal data")
+def check_pistone_sempi_catalog(cfg: SuiteConfig, rng):
     """Exponential-moment membership agrees with cosh-gauge norm membership."""
     mus = [
         ("bounded_step", StepForm.from_raw([1.0, 1.0], [1.5, 0.5]), True),
@@ -269,8 +288,7 @@ def check_pistone_sempi_catalog(cfg: SuiteConfig, rng) -> CheckResult:
         ("step", WeightedContext(StepForm.from_raw([1.0, 1.0], [0.7, 0.3]))),
     ]
     rows = []
-    agree = True
-    correct = True
+    ok = True
     for mname, mu, expected in mus:
         for wname, ctx in weights:
             rep = pistone_sempi_equivalence(mu, ctx)
@@ -278,25 +296,19 @@ def check_pistone_sempi_catalog(cfg: SuiteConfig, rng) -> CheckResult:
                          "laplace": rep.member_via_laplace,
                          "norm": rep.member_via_norm,
                          "expected": expected})
-            agree = agree and rep.agree
-            correct = correct and (rep.member_via_laplace == expected)
-    return CheckResult(
-        name="pistone_sempi_catalog",
-        claim="two-sided exponential moments near zero are finite exactly when "
-              "the cosh-minus-one weighted modular is finite at some scaling; "
-              "catalog spans bounded, log-, power-divergent and reciprocal data",
-        samples=len(rows), worst_slack=0.0 if (agree and correct) else 1.0,
-        passed=agree and correct, details={"rows": rows})
+            ok = ok and rep.agree and rep.member_via_laplace == expected
+    return len(rows), 0.0 if ok else 1.0, ok, {"rows": rows}
 
 
-def check_quasi_trace_suite(cfg: SuiteConfig, rng) -> CheckResult:
+@_check("the pairing of rearrangements is subadditive, homogeneous, "
+        "tracial, faithful, continuous along increasing sequences, and "
+        "returns the weight mass on the identity")
+def check_quasi_trace_suite(cfg: SuiteConfig, rng):
     """The rearrangement pairing behaves like a finite faithful normal trace."""
-    shapes = smp.algebra_shapes()
-    n = cfg.count(200)
+    corpus = _corpus(cfg, 200)
     worst = 0.0
     exact_gap = 0.0
-    for i in range(n):
-        alg = shapes[i % len(shapes)]
+    for alg in corpus:
         x = smp.random_state(alg, rng)
         ctx = WeightedContext(singular_values(alg, x))
         a = smp.random_positive(alg, rng)
@@ -318,25 +330,18 @@ def check_quasi_trace_suite(cfg: SuiteConfig, rng) -> CheckResult:
         sup_a = mu_a.sup_value
         caps = [sup_a * k / 6.0 for k in range(1, 6)] + [sup_a * 2.0]
         prev = -INF
-        seq_vals = []
         for cpv in caps:
             capped = alg.element([
                 _clip_spectrum(blk, cpv) for blk in a.blocks])
             v = tau_x(singular_values(alg, capped), ctx)
             worst = max(worst, prev - v - 1e-12)  # must be nondecreasing
             prev = v
-            seq_vals.append(v)
-        worst = max(worst, abs(seq_vals[-1] - t_a))
+        worst = max(worst, abs(prev - t_a))
         # pairing against the identity gives back the weight mass exactly
         one = alg.identity()
         exact_gap = max(exact_gap, abs(tau_x(singular_values(alg, one), ctx) - ctx.mass))
-    return CheckResult(
-        name="quasi_trace_suite",
-        claim="the pairing of rearrangements is subadditive, homogeneous, "
-              "tracial, faithful, continuous along increasing sequences, and "
-              "returns the weight mass on the identity",
-        samples=n, worst_slack=max(worst, exact_gap),
-        passed=worst <= cfg.tolerances.slack and exact_gap <= 1e-12)
+    return (len(corpus), max(worst, exact_gap),
+            worst <= cfg.tolerances.slack and exact_gap <= 1e-12)
 
 
 def _clip_spectrum(block: np.ndarray, cap: float) -> np.ndarray:
@@ -344,37 +349,32 @@ def _clip_spectrum(block: np.ndarray, cap: float) -> np.ndarray:
     return v @ np.diag(np.minimum(w, cap)) @ v.conj().T
 
 
-def check_moment_chain(cfg: SuiteConfig, rng) -> CheckResult:
+@_check("moments of a positive variable against a state are dominated by "
+        "2n times the rearrangement pairing of the n-th power")
+def check_moment_chain(cfg: SuiteConfig, rng):
     """tr(x y^n) <= 2n * integral mu(y)^n mu(x) for unit-trace positive x."""
-    shapes = smp.algebra_shapes()
-    n_pairs = cfg.count(200)
+    corpus = _corpus(cfg, 200)
+    orders = (1, 2, 3, 5)
     worst = -INF
-    count = 0
-    for i in range(n_pairs):
-        alg = shapes[i % len(shapes)]
+    for alg in corpus:
         x = smp.random_state(alg, rng)
         y = smp.random_positive(alg, rng)
-        for order in (1, 2, 3, 5):
+        for order in orders:
             rep = moment_bound_check(alg, x, y, order, factor=cfg.moment_factor)
             worst = max(worst, rep.lhs - rep.rhs)
-            count += 1
-    return CheckResult(
-        name="moment_chain",
-        claim="moments of a positive variable against a state are dominated by "
-              "2n times the rearrangement pairing of the n-th power",
-        samples=count, worst_slack=worst, passed=worst <= cfg.tolerances.slack)
+    return len(corpus) * len(orders), worst, worst <= cfg.tolerances.slack
 
 
-def check_gauge_threshold_bounds(cfg: SuiteConfig, rng) -> CheckResult:
+@_check("a_phi * norm <= sup norm; b_phi * norm >= sup norm; and "
+        "tr phi(beta |a|) <= beta tr phi(|a|) for beta <= 1")
+def check_gauge_threshold_bounds(cfg: SuiteConfig, rng):
     """Threshold inequalities tie gauge norms to the operator norm."""
-    shapes = smp.algebra_shapes()
+    corpus = _corpus(cfg, 200)
     low = og.zero_then_linear(0.7)
     cap = og.linear_until_cap(1.3)
     scalers = [og.power(2.0), og.cosh_minus_one()]
-    n = cfg.count(200)
     worst = 0.0
-    for i in range(n):
-        alg = shapes[i % len(shapes)]
+    for alg in corpus:
         a = smp.random_element(alg, rng)
         mu = singular_values(alg, a)
         if mu.is_zero:
@@ -387,32 +387,24 @@ def check_gauge_threshold_bounds(cfg: SuiteConfig, rng) -> CheckResult:
             lhs = trace(alg, apply_function(phi, a, beta)).real
             rhs = beta * trace(alg, apply_function(phi, a, 1.0)).real
             worst = max(worst, lhs - rhs)
-    return CheckResult(
-        name="gauge_threshold_bounds",
-        claim="a_phi * norm <= sup norm; b_phi * norm >= sup norm; and "
-              "tr phi(beta |a|) <= beta tr phi(|a|) for beta <= 1",
-        samples=n, worst_slack=worst, passed=worst <= cfg.tolerances.slack)
+    return len(corpus), worst, worst <= cfg.tolerances.slack
 
 
-def check_projection_norm_formula(cfg: SuiteConfig, rng) -> CheckResult:
+@_check("the gauge norm of a projection equals one over the formal "
+        "inverse of the gauge evaluated at the reciprocal trace")
+def check_projection_norm_formula(cfg: SuiteConfig, rng):
     """Projection norms come from the formal inverse of the gauge at 1/trace."""
-    shapes = smp.algebra_shapes()
+    corpus = _corpus(cfg, 50)
     gauges = [og.power(2.0), og.power(3.0), og.cosh_minus_one(),
               og.exp_minus_one(), og.linear_until_cap(1.0), og.t_log1p()]
-    n = cfg.count(50)
     worst = 0.0
-    for i in range(n):
-        alg = shapes[i % len(shapes)]
+    for i, alg in enumerate(corpus):
         e = smp.random_projection(alg, rng)
         phi = gauges[i % len(gauges)]
         formula = projection_trace_norm(alg, e, phi)
         oracle = luxemburg_norm(singular_values(alg, e), phi, tol=1e-10)
         worst = max(worst, abs(formula - oracle) / max(1.0, formula))
-    return CheckResult(
-        name="projection_norm_formula",
-        claim="the gauge norm of a projection equals one over the formal "
-              "inverse of the gauge evaluated at the reciprocal trace",
-        samples=n, worst_slack=worst, passed=worst <= cfg.tolerances.slack)
+    return len(corpus), worst, worst <= cfg.tolerances.slack
 
 
 def _psi_phi2_pairs() -> list[tuple[str, og.OrliczFunction, og.OrliczFunction]]:
@@ -425,7 +417,10 @@ def _psi_phi2_pairs() -> list[tuple[str, og.OrliczFunction, og.OrliczFunction]]:
     ]
 
 
-def check_composition_bound(cfg: SuiteConfig, rng) -> CheckResult:
+@_check("unit-ball self-adjoint elements map into the ball of radius "
+        "max(1, dual-gauge norm of the trace density); the four modular "
+        "evaluation routes agree along the way")
+def check_composition_bound(cfg: SuiteConfig, rng):
     """Composition operators are bounded by the dual-gauge norm of the density."""
     morphs = smp.morphism_catalog(rng)
     pairs = _psi_phi2_pairs()
@@ -435,8 +430,9 @@ def check_composition_bound(cfg: SuiteConfig, rng) -> CheckResult:
     total = 0
     for _, J in morphs:
         for _, psi, phi2 in pairs:
-            rep = composition_bound_check(J, psi, phi2, samples=samples_per,
-                                          rng=rng, tol=cfg.tolerances.bound_slack)
+            probes = [smp.random_self_adjoint(J.source, rng) for _ in range(samples_per)]
+            rep = composition_bound_check(J, psi, phi2, probes,
+                                          tol=cfg.tolerances.bound_slack)
             worst = max(worst, rep.max_ratio - rep.bound)
             total += rep.samples
             for _ in range(2):
@@ -451,17 +447,13 @@ def check_composition_bound(cfg: SuiteConfig, rng) -> CheckResult:
                     chain_worst = max(chain_worst, chain.max_pairwise_gap)
                     if not chain.passed:
                         worst = max(worst, 1.0)
-    return CheckResult(
-        name="composition_bound",
-        claim="unit-ball self-adjoint elements map into the ball of radius "
-              "max(1, dual-gauge norm of the trace density); the four modular "
-              "evaluation routes agree along the way",
-        samples=total, worst_slack=max(worst, 0.0),
-        passed=worst <= cfg.tolerances.bound_slack and chain_worst <= 1e-6,
-        details={"max_chain_gap": chain_worst})
+    passed = worst <= cfg.tolerances.bound_slack and chain_worst <= 1e-6
+    return total, max(worst, 0.0), passed, {"max_chain_gap": chain_worst}
 
 
-def check_tau_T_construction(cfg: SuiteConfig, rng) -> CheckResult:
+@_check("tr_source(e a) + tr_target(J((1-e) a)) is a faithful trace "
+        "dominating the pulled-back trace on positives")
+def check_tau_T_construction(cfg: SuiteConfig, rng):
     """The kernel-patched pulled-back trace is tracial, faithful, dominating."""
     morphs = smp.morphism_catalog(rng)
     worst = 0.0
@@ -480,14 +472,13 @@ def check_tau_T_construction(cfg: SuiteConfig, rng) -> CheckResult:
             pulled = trace(J.target, apply_jordan(J, p)).real
             worst = max(worst, pulled - tp)
             total += 1
-    return CheckResult(
-        name="tau_T_construction",
-        claim="tr_source(e a) + tr_target(J((1-e) a)) is a faithful trace "
-              "dominating the pulled-back trace on positives",
-        samples=total, worst_slack=worst, passed=worst <= cfg.tolerances.slack)
+    return total, worst, worst <= cfg.tolerances.slack
 
 
-def check_interpolation_contraction(cfg: SuiteConfig, rng) -> CheckResult:
+@_check("images under a positive map scaled by max(trace constant, "
+        "image of identity) are submajorized by the input, and gauge "
+        "norms contract accordingly")
+def check_interpolation_contraction(cfg: SuiteConfig, rng):
     """Positive maps with trace and identity bounds contract gauge norms."""
     maps = smp.positive_map_catalog(rng)
     gauges = [og.power(2.0), og.cosh_minus_one()]
@@ -497,21 +488,19 @@ def check_interpolation_contraction(cfg: SuiteConfig, rng) -> CheckResult:
     total = 0
     for _, T in maps:
         for phi in gauges:
-            rep = interpolation_contraction_check(T, phi, samples=per, rng=rng,
+            positives = [smp.random_positive(T.source, rng) for _ in range(5)]
+            probes = [smp.random_self_adjoint(T.source, rng) for _ in range(per)]
+            rep = interpolation_contraction_check(T, phi, positives, probes,
                                                   tol=cfg.tolerances.slack)
             worst = max(worst, rep.max_norm_excess / max(1.0, rep.bound))
             sub_ok = sub_ok and rep.submajorization_ok and rep.positivity_ok
             total += rep.samples
-    return CheckResult(
-        name="interpolation_contraction",
-        claim="images under a positive map scaled by max(trace constant, "
-              "image of identity) are submajorized by the input, and gauge "
-              "norms contract accordingly",
-        samples=total, worst_slack=max(worst, 0.0),
-        passed=sub_ok and worst <= cfg.tolerances.slack)
+    return total, max(worst, 0.0), sub_ok and worst <= cfg.tolerances.slack
 
 
-def check_purity_detection(cfg: SuiteConfig, rng) -> CheckResult:
+@_check("a completely positive map dominates only its scalar multiples "
+        "exactly when its Choi matrix has rank one")
+def check_purity_detection(cfg: SuiteConfig, rng):
     """Choi rank one recognizes pure completely positive maps."""
     rows = []
     ok = True
@@ -528,15 +517,13 @@ def check_purity_detection(cfg: SuiteConfig, rng) -> CheckResult:
     choi = smp.depolarizing_map(2).choi_matrix()
     eigs = np.sort(np.linalg.eigvalsh(choi))
     ok = ok and np.allclose(eigs, 0.5, atol=1e-10)  # four equal eigenvalues 1/2
-    return CheckResult(
-        name="purity_detection",
-        claim="a completely positive map dominates only its scalar multiples "
-              "exactly when its Choi matrix has rank one",
-        samples=len(cases), worst_slack=0.0 if ok else 1.0, passed=ok,
-        details={"rows": rows})
+    return len(cases), 0.0 if ok else 1.0, ok, {"rows": rows}
 
 
-def check_jordan_structure(cfg: SuiteConfig, rng) -> CheckResult:
+@_check("block morphisms preserve the symmetrized product, adjoints and "
+        "absolute values; their trace pulls back through a central "
+        "density; the pulled-back trace is epsilon-delta continuous")
+def check_jordan_structure(cfg: SuiteConfig, rng):
     """Constructed morphisms satisfy the Jordan axioms and trace duality."""
     morphs = smp.morphism_catalog(rng)
     worst = 0.0
@@ -558,47 +545,38 @@ def check_jordan_structure(cfg: SuiteConfig, rng) -> CheckResult:
             worst = max(worst, (apply_jordan(J, a.adjoint()) - ja.adjoint()).sup_norm())
             worst = max(worst, abs(trace(J.target, ja) - trace(J.source, f @ a)))
             total += 1
-        rep = absolute_continuity_check(J, rng=rng)
-        if not rep.verified:
+        projections = [smp.random_projection(J.source, rng) for _ in range(8)]
+        if not absolute_continuity_check(J, projections=projections).verified:
             worst = max(worst, 1.0)
         sa = smp.random_self_adjoint(J.source, rng)
         gap = (abs_value(apply_jordan(J, sa))
                - apply_jordan(J, abs_value(sa))).sup_norm()
         worst = max(worst, gap)
-    return CheckResult(
-        name="jordan_structure",
-        claim="block morphisms preserve the symmetrized product, adjoints and "
-              "absolute values; their trace pulls back through a central "
-              "density; the pulled-back trace is epsilon-delta continuous",
-        samples=total, worst_slack=worst, passed=worst <= 1e-9)
+    return total, worst, worst <= 1e-9
 
 
-def check_fack_kosaki(cfg: SuiteConfig, rng) -> CheckResult:
+@_check("mu_{t+s}(fg) <= mu_t(f) mu_s(g); mu(f*f) = mu(ff*); "
+        "mu(alpha f) = |alpha| mu(f)")
+def check_fack_kosaki(cfg: SuiteConfig, rng):
     """Singular-value product, symmetry and homogeneity inequalities."""
-    from .rearrangement import fack_kosaki_checks
-    shapes = smp.algebra_shapes()
-    n = cfg.count(40)
+    corpus = _corpus(cfg, 40)
     worst = 0.0
-    for i in range(n):
-        alg = shapes[i % len(shapes)]
+    for alg in corpus:
         rep = fack_kosaki_checks(alg, smp.random_element(alg, rng),
                                  smp.random_element(alg, rng))
         worst = max(worst, rep.product_violation, rep.trace_symmetry_violation,
                     rep.homogeneity_violation)
-    return CheckResult(
-        name="fack_kosaki",
-        claim="mu_{t+s}(fg) <= mu_t(f) mu_s(g); mu(f*f) = mu(ff*); "
-              "mu(alpha f) = |alpha| mu(f)",
-        samples=n, worst_slack=worst, passed=worst <= 1e-9)
+    return len(corpus), worst, worst <= 1e-9
 
 
-def check_rearrangement_laws(cfg: SuiteConfig, rng) -> CheckResult:
+@_check("singular values are invariant under absolute value and "
+        "adjoints, integrate to the trace of |a|, obey the distribution "
+        "definition and the head-integral triangle inequality")
+def check_rearrangement_laws(cfg: SuiteConfig, rng):
     """Distribution-function definition, symmetry, head totals, idempotence."""
-    shapes = smp.algebra_shapes()
-    n = cfg.count(60)
+    corpus = _corpus(cfg, 60)
     worst = 0.0
-    for i in range(n):
-        alg = shapes[i % len(shapes)]
+    for alg in corpus:
         a = smp.random_element(alg, rng)
         mu = singular_values(alg, a)
         mu_abs = singular_values(alg, abs_value(a))
@@ -637,15 +615,13 @@ def check_rearrangement_laws(cfg: SuiteConfig, rng) -> CheckResult:
         again = StepForm(mu.durations.copy(), mu.values.copy())
         if again != mu:
             worst = max(worst, 1.0)
-    return CheckResult(
-        name="rearrangement_laws",
-        claim="singular values are invariant under absolute value and "
-              "adjoints, integrate to the trace of |a|, obey the distribution "
-              "definition and the head-integral triangle inequality",
-        samples=n, worst_slack=worst, passed=worst <= 1e-9)
+    return len(corpus), worst, worst <= 1e-9
 
 
-def check_orlicz_function_laws(cfg: SuiteConfig, rng) -> CheckResult:
+@_check("midpoint convexity, sublinearity under shrinking, the pairing "
+        "inequality with the conjugate, cap-aware inversion, "
+        "biconjugation, and doubling-constant probes")
+def check_orlicz_function_laws(cfg: SuiteConfig, rng):
     """Convexity, scaling, duality and inversion laws of the gauge catalog."""
     gauges = [og.power(1.0), og.power(2.0), og.power_over_p(3.0),
               og.cosh_minus_one(), og.exp_minus_one(), og.t_log1p(),
@@ -685,21 +661,16 @@ def check_orlicz_function_laws(cfg: SuiteConfig, rng) -> CheckResult:
     rep = og.delta2_probe(og.power(2.0))
     if not (rep.satisfied and abs(rep.constant - 4.0) <= 1e-12):
         worst = max(worst, 1.0)
-    rep = og.delta2_probe(og.linear_until_cap(1.0))
-    if rep.satisfied is not False:
-        worst = max(worst, 1.0)
-    rep = og.delta2_probe(og.cosh_minus_one())
-    if rep.satisfied is not False:
-        worst = max(worst, 1.0)
-    return CheckResult(
-        name="orlicz_function_laws",
-        claim="midpoint convexity, sublinearity under shrinking, the pairing "
-              "inequality with the conjugate, cap-aware inversion, "
-              "biconjugation, and doubling-constant probes",
-        samples=len(gauges), worst_slack=worst, passed=worst <= 1e-6)
+    for phi in (og.linear_until_cap(1.0), og.cosh_minus_one()):
+        if og.delta2_probe(phi).satisfied is not False:
+            worst = max(worst, 1.0)
+    return len(gauges), worst, worst <= 1e-6
 
 
-def check_amemiya_sandwich(cfg: SuiteConfig, rng) -> CheckResult:
+@_check("the Amemiya norm lies between the Luxemburg norm and twice it; "
+        "for the linear gauge it reproduces the total integral in the "
+        "large-k limit")
+def check_amemiya_sandwich(cfg: SuiteConfig, rng):
     """Luxemburg <= Amemiya <= 2 * Luxemburg, and the linear-gauge limit."""
     gauges = [og.power(1.0), og.power(2.0), og.cosh_minus_one(), og.exp_minus_one()]
     n = cfg.count(60)
@@ -713,15 +684,12 @@ def check_amemiya_sandwich(cfg: SuiteConfig, rng) -> CheckResult:
     mu = smp.random_decreasing_step(rng)
     total = mu.total_integral()
     worst = max(worst, abs(amemiya_norm(mu, og.power(1.0)) - total) / max(1.0, total))
-    return CheckResult(
-        name="amemiya_sandwich",
-        claim="the Amemiya norm lies between the Luxemburg norm and twice it; "
-              "for the linear gauge it reproduces the total integral in the "
-              "large-k limit",
-        samples=n, worst_slack=worst, passed=worst <= cfg.tolerances.slack)
+    return n, worst, worst <= cfg.tolerances.slack
 
 
-def check_modular_at_norm(cfg: SuiteConfig, rng) -> CheckResult:
+@_check("the modular evaluated at the norm scaling is at most one, and "
+        "any visibly smaller scaling pushes it above one")
+def check_modular_at_norm(cfg: SuiteConfig, rng):
     """At the Luxemburg norm the modular sits at the unit boundary."""
     gauges = [og.power(2.0), og.cosh_minus_one(), og.exp_minus_one()]
     n = cfg.count(50)
@@ -738,27 +706,24 @@ def check_modular_at_norm(cfg: SuiteConfig, rng) -> CheckResult:
         below = modular(mu, phi, 1.0 / (lam * (1.0 - 10.0 * tol)))
         if below <= 1.0 - tol:
             worst = max(worst, (1.0 - tol) - below)
-    return CheckResult(
-        name="modular_at_norm",
-        claim="the modular evaluated at the norm scaling is at most one, and "
-              "any visibly smaller scaling pushes it above one",
-        samples=n, worst_slack=worst, passed=worst <= 1e-6)
+    return n, worst, worst <= 1e-6
 
 
-def check_delta2_norm_finiteness(cfg: SuiteConfig, rng) -> CheckResult:
+@_check("under a doubling gauge the norm is finite exactly when the "
+        "unscaled modular is; a cap gauge admits finite norm with "
+        "infinite modular")
+def check_delta2_norm_finiteness(cfg: SuiteConfig, rng):
     """Doubling gauges: finite norm iff finite modular; cap gauges break it."""
-    shapes = smp.algebra_shapes()
-    n = cfg.count(40)
+    corpus = _corpus(cfg, 40)
     ok = True
-    for i in range(n):
-        alg = shapes[i % len(shapes)]
+    for alg in corpus:
         a = smp.random_element(alg, rng) * float(rng.uniform(0.5, 1000.0))
         mu = singular_values(alg, a)
         for phi in [og.power(2.0), og.power(3.0)]:
             finite_norm = True
             try:
                 luxemburg_norm(mu, phi)
-            except Exception:
+            except UnboundedNormError:
                 finite_norm = False
             finite_modular = math.isfinite(modular(mu, phi, 1.0))
             ok = ok and (finite_norm == finite_modular)
@@ -767,26 +732,19 @@ def check_delta2_norm_finiteness(cfg: SuiteConfig, rng) -> CheckResult:
     big = StepForm.from_raw([1.0], [5.0])
     witness_norm = luxemburg_norm(big, cap)
     witness_modular = modular(big, cap, 1.0)
-    witness = math.isfinite(witness_norm) and math.isinf(witness_modular)
-    return CheckResult(
-        name="delta2_norm_finiteness",
-        claim="under a doubling gauge the norm is finite exactly when the "
-              "unscaled modular is; a cap gauge admits finite norm with "
-              "infinite modular",
-        samples=n, worst_slack=0.0 if (ok and witness) else 1.0,
-        passed=ok and witness,
-        details={"witness_norm": witness_norm})
+    ok = ok and math.isfinite(witness_norm) and math.isinf(witness_modular)
+    return len(corpus), 0.0 if ok else 1.0, ok, {"witness_norm": witness_norm}
 
 
-def check_composed_gauge_norm_bound(cfg: SuiteConfig, rng) -> CheckResult:
+@_check("for unit-ball elements of the composed gauge, the outer-gauge "
+        "norm of the inner-gauge image never exceeds the composed norm")
+def check_composed_gauge_norm_bound(cfg: SuiteConfig, rng):
     """Applying the inner gauge contracts from the composed to the outer norm."""
-    shapes = smp.algebra_shapes()
+    corpus = _corpus(cfg, 50)
     pairs = _psi_phi2_pairs()
-    n = cfg.count(50)
     worst = 0.0
     used = 0
-    for i in range(n):
-        alg = shapes[i % len(shapes)]
+    for i, alg in enumerate(corpus):
         _, psi, phi2 = pairs[i % len(pairs)]
         phi1 = og.compose_orlicz(psi, phi2)
         a = smp.random_self_adjoint(alg, rng)
@@ -802,14 +760,13 @@ def check_composed_gauge_norm_bound(cfg: SuiteConfig, rng) -> CheckResult:
         npsi = luxemburg_norm(singular_values(alg, inner), psi)
         worst = max(worst, npsi - n1)
         used += 1
-    return CheckResult(
-        name="composed_gauge_norm_bound",
-        claim="for unit-ball elements of the composed gauge, the outer-gauge "
-              "norm of the inner-gauge image never exceeds the composed norm",
-        samples=used, worst_slack=worst, passed=worst <= cfg.tolerances.slack)
+    return used, worst, worst <= cfg.tolerances.slack
 
 
-def check_commutative_reweighting_isometry(cfg: SuiteConfig, rng) -> CheckResult:
+@_check("on commuting data ordered like the density, the weighted "
+        "Luxemburg norm equals the trace-modular norm of the re-weighted "
+        "algebra, after the pairing is verified additive on that cone")
+def check_commutative_reweighting_isometry(cfg: SuiteConfig, rng):
     """Weighted norms over a diagonal density match re-weighted trace norms."""
     n = cfg.count(40)
     psi_list = [og.cosh_minus_one(), og.power(2.0)]
@@ -822,12 +779,8 @@ def check_commutative_reweighting_isometry(cfg: SuiteConfig, rng) -> CheckResult
         x = alg.diagonal([[v] for v in xs])
         ctx = WeightedContext(singular_values(alg, x))
         reweighted = TracedAlgebra((1,) * dim, tuple(float(v) for v in xs))
-
-        def sorted_diag():
-            vals = np.sort(rng.uniform(0.0, 3.0, size=dim))[::-1]
-            return vals
-
-        fa, fb = sorted_diag(), sorted_diag()
+        fa = np.sort(rng.uniform(0.0, 3.0, size=dim))[::-1]
+        fb = np.sort(rng.uniform(0.0, 3.0, size=dim))[::-1]
         # additivity of the pairing on the similarly-ordered cone comes first
         mu_a = StepForm.from_raw(np.ones(dim), fa)
         mu_b = StepForm.from_raw(np.ones(dim), fb)
@@ -835,52 +788,17 @@ def check_commutative_reweighting_isometry(cfg: SuiteConfig, rng) -> CheckResult
         additive_worst = max(additive_worst, abs(
             tau_x(mu_ab, ctx) - tau_x(mu_a, ctx) - tau_x(mu_b, ctx)))
         psi = psi_list[i % len(psi_list)]
-        f = alg.diagonal([[v] for v in fa])
         weighted = luxemburg_norm(mu_a, psi, ctx, tol=1e-10)
         rew_f = reweighted.diagonal([[v] for v in fa])
         rew = kunze_norm(reweighted, rew_f, psi, tol=1e-10)
         worst = max(worst, abs(weighted - rew) / max(1.0, rew))
-    return CheckResult(
-        name="commutative_reweighting_isometry",
-        claim="on commuting data ordered like the density, the weighted "
-              "Luxemburg norm equals the trace-modular norm of the re-weighted "
-              "algebra, after the pairing is verified additive on that cone",
-        samples=n, worst_slack=max(worst, additive_worst),
-        passed=worst <= cfg.tolerances.isometry and additive_worst <= 1e-10)
+    return (n, max(worst, additive_worst),
+            worst <= cfg.tolerances.isometry and additive_worst <= 1e-10)
 
 
 # ---------------------------------------------------------------------------
-# Registry and runner
+# Runner
 # ---------------------------------------------------------------------------
-
-CHECKS: dict[str, Callable[[SuiteConfig, np.random.Generator], CheckResult]] = {
-    fn.__name__.removeprefix("check_"): fn for fn in [
-        check_amemiya_sandwich,
-        check_commutative_reweighting_isometry,
-        check_composed_gauge_norm_bound,
-        check_composition_bound,
-        check_delta2_norm_finiteness,
-        check_fack_kosaki,
-        check_gauge_threshold_bounds,
-        check_holder_pairing,
-        check_interpolation_contraction,
-        check_jordan_structure,
-        check_kunze_luxemburg_equivalence,
-        check_modular_at_norm,
-        check_moment_chain,
-        check_orlicz_function_laws,
-        check_pistone_sempi_catalog,
-        check_projection_norm_formula,
-        check_purity_detection,
-        check_quasi_trace_suite,
-        check_rearrangement_exchange,
-        check_rearrangement_laws,
-        check_tau_T_construction,
-        check_weighted_norm_axioms,
-        check_weighted_rearrangement_identity,
-    ]
-}
-
 
 def run_suite(cfg: SuiteConfig, names: Optional[list[str]] = None) -> dict:
     """Run the named checks (all by default) and assemble a sorted report."""
@@ -889,8 +807,7 @@ def run_suite(cfg: SuiteConfig, names: Optional[list[str]] = None) -> dict:
     for name in selected:
         if name not in CHECKS:
             raise KeyError(f"unknown check {name!r}; known: {sorted(CHECKS)}")
-        rng = _rng_for(cfg, sorted(CHECKS).index(name))
-        results.append(CHECKS[name](cfg, rng))
+        results.append(CHECKS[name](cfg, _rng_for(cfg, name)))
     report = {
         "suite": "ncorlicz-verify",
         "seed": cfg.seed,

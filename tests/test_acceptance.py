@@ -8,17 +8,14 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the lines live.
 import json
 import time
 
-import numpy as np
-
-from ncorlicz.verify import CHECKS, SuiteConfig, run_suite
+from ncorlicz.verify import CHECKS, SuiteConfig, _rng_for, run_suite
 
 CFG = SuiteConfig(seed=0, scale=1.0)
 
 
 def _run(criterion: int, check_name: str, description: str,
          max_seconds: float | None = None):
-    rng = np.random.default_rng(np.random.SeedSequence([CFG.seed,
-                                                        sorted(CHECKS).index(check_name)]))
+    rng = _rng_for(CFG, check_name)
     start = time.time()
     result = CHECKS[check_name](CFG, rng)
     elapsed = time.time() - start

@@ -44,6 +44,7 @@ from ncorlicz.sampling import (
     pinching_map,
     random_element,
     random_positive,
+    random_projection,
     random_self_adjoint,
     random_trace_preserving_map,
     scaled_identity_map,
@@ -144,21 +145,37 @@ class TestRadonNikodym:
                 assert abs(lhs - rhs) < 1e-10, name
 
 
+def _projections(J):
+    """Eight random projections of the source algebra, drawn from seed 0."""
+    rng = np.random.default_rng(0)
+    return [random_projection(J.source, rng) for _ in range(8)]
+
+
+def _contraction(T, phi, rng, samples):
+    """The contraction check on 5 positive and ``samples`` self-adjoint draws."""
+    positives = [random_positive(T.source, rng) for _ in range(5)]
+    probes = [random_self_adjoint(T.source, rng) for _ in range(samples)]
+    return interpolation_contraction_check(T, phi, positives, probes)
+
+
 class TestAbsoluteContinuity:
     def test_doubling_modulus(self):
-        rep = absolute_continuity_check(doubling_morphism(2))
+        J = doubling_morphism(2)
+        rep = absolute_continuity_check(J, projections=_projections(J))
         assert rep.density_sup == pytest.approx(2.0)
         assert rep.deltas[0] == pytest.approx(rep.epsilons[0] / 2.0)
         assert rep.verified
 
     def test_zero_morphism_vacuous(self):
-        rep = absolute_continuity_check(zero_morphism(2))
+        J = zero_morphism(2)
+        rep = absolute_continuity_check(J, projections=_projections(J))
         assert rep.density_sup == 0.0
         assert rep.verified
         assert math.isinf(rep.deltas[0])
 
     def test_identity_like_modulus(self):
-        rep = absolute_continuity_check(transpose_morphism(2))
+        J = transpose_morphism(2)
+        rep = absolute_continuity_check(J, projections=_projections(J))
         assert rep.density_sup == pytest.approx(1.0)
         assert rep.deltas[0] == pytest.approx(rep.epsilons[0])
         assert rep.verified
@@ -167,16 +184,18 @@ class TestAbsoluteContinuity:
 class TestCompositionBound:
     def test_transpose_within_unit_bound(self):
         rng = np.random.default_rng(5)
-        rep = composition_bound_check(transpose_morphism(2), power(1.0), power(2.0),
-                                      samples=10, rng=rng)
+        J = transpose_morphism(2)
+        probes = [random_self_adjoint(J.source, rng) for _ in range(10)]
+        rep = composition_bound_check(J, power(1.0), power(2.0), probes)
         assert rep.bound == pytest.approx(1.0)
         assert rep.max_ratio < 1.0
         assert rep.passed
 
     def test_doubling_bound_two(self):
         rng = np.random.default_rng(6)
-        rep = composition_bound_check(doubling_morphism(2), power(1.0), power(2.0),
-                                      samples=10, rng=rng)
+        J = doubling_morphism(2)
+        probes = [random_self_adjoint(J.source, rng) for _ in range(10)]
+        rep = composition_bound_check(J, power(1.0), power(2.0), probes)
         assert rep.bound == pytest.approx(2.0)
         # images scale by sqrt(2) in the quadratic gauge; samples sit at norm 0.9
         assert rep.max_ratio == pytest.approx(0.9 * math.sqrt(2.0), rel=1e-6)
@@ -184,8 +203,9 @@ class TestCompositionBound:
 
     def test_zero_morphism(self):
         rng = np.random.default_rng(7)
-        rep = composition_bound_check(zero_morphism(2), power(1.0), power(2.0),
-                                      samples=5, rng=rng)
+        J = zero_morphism(2)
+        probes = [random_self_adjoint(J.source, rng) for _ in range(5)]
+        rep = composition_bound_check(J, power(1.0), power(2.0), probes)
         assert rep.bound == 1.0 and rep.max_ratio == 0.0 and rep.passed
 
 
@@ -294,7 +314,7 @@ class TestInterpolation:
         rng = np.random.default_rng(14)
         T = pinching_map(3)
         for phi in (power(2.0), cosh_minus_one()):
-            rep = interpolation_contraction_check(T, phi, samples=10, rng=rng)
+            rep = _contraction(T, phi, rng, 10)
             assert rep.bound == pytest.approx(1.0)
             assert rep.passed
 
@@ -311,7 +331,7 @@ class TestInterpolation:
     def test_scaled_identity_equality_case(self):
         rng = np.random.default_rng(16)
         T = scaled_identity_map(2.0, 2)
-        rep = interpolation_contraction_check(T, power(2.0), samples=10, rng=rng)
+        rep = _contraction(T, power(2.0), rng, 10)
         assert rep.trace_constant == pytest.approx(2.0)
         assert rep.unital_constant == pytest.approx(2.0)
         assert abs(rep.max_norm_excess) < 1e-9  # homogeneity makes it exact
@@ -320,8 +340,7 @@ class TestInterpolation:
     def test_random_channels_contract(self):
         rng = np.random.default_rng(17)
         for T in (mixed_unitary_map(rng, 3), random_trace_preserving_map(rng, 3)):
-            rep = interpolation_contraction_check(T, cosh_minus_one(),
-                                                  samples=10, rng=rng)
+            rep = _contraction(T, cosh_minus_one(), rng, 10)
             assert rep.passed
 
 
@@ -367,7 +386,7 @@ class TestTransposeRoute:
     def test_contraction_still_holds(self):
         T = self._map()
         rng = np.random.default_rng(20)
-        rep = interpolation_contraction_check(T, power(2.0), samples=8, rng=rng)
+        rep = _contraction(T, power(2.0), rng, 8)
         assert rep.bound == pytest.approx(1.0)
         assert rep.passed
 

@@ -278,7 +278,8 @@ class TestHolder:
         alg = TracedAlgebra((2,), (1.0,))
         rng = np.random.default_rng(4)
         f, g = random_element(alg, rng), random_element(alg, rng)
-        rep = holder_check(alg, f, g, cosh_minus_one(), rng=rng, sup_samples=10)
+        probes = [random_element(alg, rng) for _ in range(10)]
+        rep = holder_check(alg, f, g, cosh_minus_one(), probes=probes)
         assert rep.passed and rep.sampled_sup_ok
         assert rep.sampled_sup <= rep.dual_norm + 1e-7
 
