@@ -1,4 +1,4 @@
-"""JSON loaders for gauges, algebras, elements, rearrangements, and maps.
+"""JSON loaders for gauges, algebras, elements, rearrangements, and morphisms.
 
 Values are IEEE doubles in decimal; bit-exactness of inputs is not required.
 All loaders raise SpecError with a breadcrumb location on malformed input.
@@ -15,7 +15,7 @@ import numpy as np
 from . import orlicz, rearrangement
 from .algebra import AlgebraElement, TracedAlgebra
 from .errors import SpecError
-from .morphisms import Assignment, BlockImage, JordanMorphism, KrausGroup, PositiveMap
+from .morphisms import Assignment, BlockImage, JordanMorphism
 from .rearrangement import ParametricForm, StepForm, WeightedContext
 
 
@@ -161,36 +161,3 @@ def load_morphism(spec: dict, where: str = "morphism") -> JordanMorphism:
         return JordanMorphism(source, target, tuple(blocks))
     except Exception as exc:
         raise SpecError(f"invalid morphism bookkeeping: {exc}", location=where) from exc
-
-
-def load_positive_map(spec: dict, where: str = "positive_map") -> PositiveMap:
-    kraus = _need(spec, "kraus", where)
-    groups = []
-    if kraus and isinstance(kraus[0], dict):
-        # extended form with explicit routing
-        source = load_algebra(_need(spec, "source", where), where=f"{where}.source")
-        target = load_algebra(_need(spec, "target", where), where=f"{where}.target")
-        for i, g in enumerate(kraus):
-            loc = f"{where}.kraus[{i}]"
-            ops = tuple(_matrix_from_json(op, f"{loc}.ops[{j}]")
-                        for j, op in enumerate(_need(g, "ops", loc)))
-            groups.append(KrausGroup(int(g.get("src", 0)), int(g.get("tgt", 0)),
-                                     ops, bool(g.get("transpose", False))))
-    else:
-        # compact form: group i routes source block i to target block i
-        mats = [[np.atleast_2d(_matrix_from_json(op, f"{where}.kraus[{i}][{j}]"))
-                 for j, op in enumerate(group)] for i, group in enumerate(kraus)]
-        if "source" in spec:
-            source = load_algebra(spec["source"], where=f"{where}.source")
-            target = load_algebra(spec["target"], where=f"{where}.target")
-        else:
-            dims_src = tuple(m[0].shape[1] for m in mats)
-            dims_tgt = tuple(m[0].shape[0] for m in mats)
-            source = TracedAlgebra(dims_src, (1.0,) * len(dims_src))
-            target = TracedAlgebra(dims_tgt, (1.0,) * len(dims_tgt))
-        for i, ops in enumerate(mats):
-            groups.append(KrausGroup(i, i, tuple(ops)))
-    try:
-        return PositiveMap(source, target, tuple(groups), cp=bool(spec.get("cp", True)))
-    except Exception as exc:
-        raise SpecError(f"invalid positive map: {exc}", location=where) from exc

@@ -27,6 +27,7 @@ from .rearrangement import (
     RearrangementFunction,
     StepForm,
     WeightedContext,
+    _interval_masses,
     singular_values,
 )
 from .solve import bisect, bracket
@@ -36,6 +37,7 @@ DEFAULT_TOL = 1e-9
 MODULAR_SLACK = 1e-9  # absolute slack at the modular <= 1 boundary
 BRACKET_LIMIT = 200
 AMEMIYA_K_CAP = 1e9
+AMEMIYA_K_FLOOR = 1e-300
 
 
 def _live_pieces(mu: StepForm, ctx: Optional[WeightedContext]) -> tuple[np.ndarray, np.ndarray]:
@@ -66,43 +68,42 @@ def _step_modular(values: np.ndarray, masses: np.ndarray, phi: OrliczFunction,
     return out
 
 
-def _parametric_modular(mu: ParametricForm, phi: OrliczFunction, inv_scale: float,
-                        ctx: Optional[WeightedContext]) -> float:
-    # flat functions integrate exactly; phi(0) = 0 kills every tail
+def _weighted_integral(h, mu: ParametricForm,
+                       weight: Optional[RearrangementFunction]) -> float:
+    """Integral of h(mu(t)) against ``weight`` (Lebesgue when None); may be +inf.
+
+    ``h`` is a scalar function with h(0) = 0, so nothing beyond mu's support
+    counts.  A flat mu integrates exactly; a step weight splits the
+    quadrature at its jumps.  This is the one place where parametric data
+    meet a weight: modulars, Laplace probes and pairings all come here.
+    """
     if mu.constant_level is not None:
-        val = float(phi.eval_many(np.array([mu.constant_level * inv_scale]))[0])
+        val = h(mu.constant_level)
         if val == 0.0:
             return 0.0
-        if ctx is None:
-            span = mu.support
-        else:
-            span = ctx.mass if math.isinf(mu.support) else ctx.F(mu.support)
+        span = mu.support if weight is None else weight.head_integral(mu.support)
         if math.isinf(val):
             return INF if span > 0 else 0.0
         return val * span if not math.isinf(span) else INF
 
-    def gauge_of_mu(t: float) -> float:
-        v = mu.evaluate(t)
-        return float(phi.eval_many(np.array([v * inv_scale]))[0])
+    def h_of_mu(t: float) -> float:
+        return h(mu.evaluate(t))
 
-    # infinite gauge values on a set of positive measure force +inf
-    probe = gauge_of_mu(min(1e-8, mu.support / 2))
-    if math.isinf(probe):
+    # infinite values of h on a set of positive measure force +inf
+    if math.isinf(h_of_mu(min(1e-8, mu.support / 2))):
         return INF
 
     top = mu.support
-    if ctx is None:
-        return integrate_sentinel(gauge_of_mu, 0.0, top,
-                                  singular_at_zero=mu.singular_at_zero)
-    w = ctx.weight
-    if isinstance(w, StepForm):
+    if weight is None:
+        return integrate_sentinel(h_of_mu, 0.0, top, singular_at_zero=mu.singular_at_zero)
+    if isinstance(weight, StepForm):
         total = 0.0
-        edges = np.concatenate([[0.0], w.breakpoints])
-        for lo, hi, wval in zip(edges[:-1], edges[1:], w.values):
+        edges = np.concatenate([[0.0], weight.breakpoints])
+        for lo, hi, wval in zip(edges[:-1], edges[1:], weight.values):
             hi_eff = min(hi, top)
             if hi_eff <= lo:
                 break
-            piece = integrate_sentinel(gauge_of_mu, float(lo), float(hi_eff),
+            piece = integrate_sentinel(h_of_mu, float(lo), float(hi_eff),
                                        singular_at_zero=mu.singular_at_zero and lo == 0.0)
             total += wval * piece
             if math.isinf(total):
@@ -110,11 +111,10 @@ def _parametric_modular(mu: ParametricForm, phi: OrliczFunction, inv_scale: floa
         return total
 
     def integrand(t: float) -> float:
-        return gauge_of_mu(t) * w.evaluate(t)
+        return h_of_mu(t) * weight.evaluate(t)
 
-    hi = min(top, w.support)
-    return integrate_sentinel(integrand, 0.0, hi,
-                              singular_at_zero=mu.singular_at_zero)
+    hi = min(top, weight.support)
+    return integrate_sentinel(integrand, 0.0, hi, singular_at_zero=mu.singular_at_zero)
 
 
 def modular(mu: RearrangementFunction, phi: OrliczFunction, inv_scale,
@@ -135,7 +135,9 @@ def modular(mu: RearrangementFunction, phi: OrliczFunction, inv_scale,
         return out.reshape(scales.shape) if scales.ndim else float(out[0])
     if scales.ndim:
         raise DomainError("an array of scalings needs step data")
-    return _parametric_modular(mu, phi, float(inv_scale), ctx)
+    k = float(inv_scale)
+    return _weighted_integral(lambda v: float(phi.eval_many(np.array([v * k]))[0]),
+                              mu, None if ctx is None else ctx.weight)
 
 
 def _norm_bisect(modular_at, seed: float, tol: float, batched: bool = False) -> float:
@@ -212,7 +214,7 @@ def kunze_norm(alg: TracedAlgebra, a: AlgebraElement, phi: OrliczFunction,
 
 def amemiya_norm(mu: RearrangementFunction, phi: OrliczFunction,
                  ctx: Optional[WeightedContext] = None,
-                 tol: float = DEFAULT_TOL, k_cap: float = AMEMIYA_K_CAP) -> float:
+                 tol: float = DEFAULT_TOL) -> float:
     """inf_{k>0} (1 + modular(mu, phi, k, ctx)) / k via unimodal search.
 
     The objective is the slope from (0, -1) to the convex modular curve,
@@ -240,23 +242,24 @@ def amemiya_norm(mu: RearrangementFunction, phi: OrliczFunction,
     if found is None:
         raise UnboundedNormError("Amemiya objective infinite for all probed k")
 
-    # geometric walk to an interior bracket around the minimum
+    def octaves_past(k: float, bound: float) -> int:
+        # a walk by factors of two from k reaches past ``bound`` in 1 + this many steps
+        return int(abs(math.log2(bound / k)))
+
+    # geometric walks to an interior bracket around the minimum; k is a power of two
     k = found[1]
+    down = bracket(lambda x: objective(x) < objective(2.0 * x), k / 2.0, 0.5,
+                   octaves_past(k, AMEMIYA_K_FLOOR))
+    if down is None:
+        raise NumericError("Amemiya search underflow")
+    k = down[0] or k
+    up = bracket(lambda x: objective(x) < objective(x / 2.0), 2.0 * k, 2.0,
+                 octaves_past(k, AMEMIYA_K_CAP))
+    if up is None:
+        # infimum approached in the k -> inf limit (linear-at-infinity gauges)
+        return objective(AMEMIYA_K_CAP)
+    k = up[0] or k
     f_k = objective(k)
-    while objective(k / 2.0) < f_k:
-        k /= 2.0
-        f_k = objective(k)
-        if k < 1e-300:
-            raise NumericError("Amemiya search underflow")
-    while True:
-        f_up = objective(2.0 * k)
-        if not f_up < f_k:
-            break
-        k *= 2.0
-        f_k = f_up
-        if k >= k_cap:
-            # infimum approached in the k -> inf limit (linear-at-infinity gauges)
-            return objective(k_cap)
 
     lo, hi = k / 2.0, 2.0 * k
     # the right edge may be infinite (finite cap gauges); shrink to the boundary
@@ -279,7 +282,12 @@ def amemiya_norm(mu: RearrangementFunction, phi: OrliczFunction,
 
 def pairing_integral(mu_a: RearrangementFunction, mu_b: RearrangementFunction,
                      power: float = 1.0) -> float:
-    """Integral of mu_a(t)^power * mu_b(t) dt; exact for step-by-step data."""
+    """Integral of mu_a(t)^power * mu_b(t) dt; exact for step-by-step data.
+
+    A step mu_a against parametric mu_b pairs with the mass mu_b puts on
+    each of its pieces; a parametric mu_a is integrated against mu_b as a
+    weight.
+    """
     if isinstance(mu_a, StepForm) and isinstance(mu_b, StepForm):
         if mu_a.is_zero or mu_b.is_zero:
             return 0.0
@@ -289,13 +297,9 @@ def pairing_integral(mu_a: RearrangementFunction, mu_b: RearrangementFunction,
         vb = np.array([mu_b.evaluate(float(t)) for t in mids])
         return float(np.dot(va ** power * vb, np.diff(edges)))
 
-    def integrand(t: float) -> float:
-        return mu_a.evaluate(t) ** power * mu_b.evaluate(t)
-
-    singular = (getattr(mu_a, "singular_at_zero", False)
-                or getattr(mu_b, "singular_at_zero", False))
-    hi = min(mu_a.support, mu_b.support)
-    return integrate_sentinel(integrand, 0.0, hi, singular_at_zero=singular)
+    if isinstance(mu_a, StepForm):
+        return float(mu_a.values ** power @ _interval_masses(mu_b, mu_a.breakpoints))
+    return _weighted_integral(lambda v: v ** power, mu_a, mu_b)
 
 
 def tau_x(mu_f: RearrangementFunction, ctx: WeightedContext) -> float:
@@ -357,63 +361,37 @@ def holder_check(alg: TracedAlgebra, f: AlgebraElement, g: AlgebraElement,
 # ---------------------------------------------------------------------------
 
 def laplace_probe(mu_g: RearrangementFunction, ctx: WeightedContext, s: float) -> float:
-    """Integral of exp(s * mu_g(t)) against the weight; divergence reports +inf."""
-    if s == 0.0:
-        return ctx.mass
-    w = ctx.weight
-    if isinstance(mu_g, StepForm):
-        if mu_g.is_zero:
-            return ctx.mass
-        with np.errstate(over="ignore"):
-            ev = np.exp(s * mu_g.values)
-        masses = ctx.piece_masses(mu_g.breakpoints)
-        tail = ctx.mass - float(np.sum(masses))
-        if np.any(np.isinf(ev) & (masses > 0)):
-            return INF
-        ok = np.isfinite(ev)
-        return float(np.dot(ev[ok], masses[ok])) + tail
+    """Integral of exp(s * mu_g(t)) against the weight; divergence reports +inf.
 
-    if mu_g.constant_level is not None:
-        level = mu_g.constant_level
-        head = ctx.F(mu_g.support) if not math.isinf(mu_g.support) else ctx.mass
-        tail = ctx.mass - head
-        val = math.exp(s * level) if s * level < 700 else INF
-        return val * head + tail if not math.isinf(val) or head == 0 else INF
-
-    def integrand(t: float) -> float:
-        arg = s * mu_g.evaluate(t)
-        if arg >= 709.0:
-            return INF
-        if arg <= -745.0:
-            return 0.0
-        return math.exp(arg) * w.evaluate(t)
-
-    top = mu_g.support
-    head = integrate_sentinel(integrand, 0.0, top,
-                              singular_at_zero=mu_g.singular_at_zero and s > 0)
-    if math.isinf(head):
-        return INF
-    tail = ctx.mass - ctx.F(top) if not math.isinf(top) else 0.0
-    return head + tail
-
-
-def quant_membership(mu_g: RearrangementFunction, ctx: WeightedContext,
-                     probe_schedule: Optional[np.ndarray] = None) -> bool:
-    """Two-sided exponential moments finite for some probed s > 0.
-
-    Finiteness at +s and -s puts the whole interval (-s, s) inside the
-    transform's domain by convexity of the exponential integrand, which is
-    exactly membership of 0 in the interior of the domain.
+    Computed as the weight mass plus the integral of expm1(s * mu_g), which
+    vanishes beyond mu_g's support.  For s < 0 the result lies in (0, mass],
+    so only s > 0 can diverge, and ``quant_membership`` probes that side alone.
     """
-    if probe_schedule is None:
-        probe_schedule = 2.0 ** (-np.arange(0, 41, dtype=float))
-    for s in probe_schedule:
-        if s <= 0:
-            raise DomainError("probe schedule must be positive")
-        if not math.isinf(laplace_probe(mu_g, ctx, float(s))) and \
-                not math.isinf(laplace_probe(mu_g, ctx, float(-s))):
-            return True
-    return False
+    if isinstance(mu_g, StepForm):
+        values, masses = _live_pieces(mu_g, ctx)
+        with np.errstate(over="ignore"):
+            excess = float(np.abs(np.expm1(s * values)) @ masses)
+    else:
+        def h(v: float) -> float:
+            try:
+                return abs(math.expm1(s * v))
+            except OverflowError:
+                return INF
+
+        excess = _weighted_integral(h, mu_g, ctx.weight)
+    return ctx.mass + math.copysign(excess, s)
+
+
+def quant_membership(mu_g: RearrangementFunction, ctx: WeightedContext) -> bool:
+    """Exponential moments finite at some probed s = 2^0, ..., 2^-40.
+
+    For mu_g >= 0 the moment at -s is at most the weight mass, so finiteness
+    at +s alone puts the whole interval (-s, s) inside the transform's
+    domain by convexity, which is exactly membership of 0 in the interior of
+    the domain.  Only +s is probed.
+    """
+    walk = bracket(lambda s: math.isinf(laplace_probe(mu_g, ctx, s)), 1.0, 0.5, 40)
+    return walk is not None
 
 
 @dataclass(frozen=True)
@@ -426,18 +404,19 @@ class RegularityReport:
         return self.member_via_laplace == self.member_via_norm
 
 
-def pistone_sempi_equivalence(mu_g: RearrangementFunction, ctx: WeightedContext,
-                              octaves: int = 60) -> RegularityReport:
+def pistone_sempi_equivalence(mu_g: RearrangementFunction,
+                              ctx: WeightedContext) -> RegularityReport:
     """Exponential-moment membership versus cosh-gauge modular finiteness.
 
-    The Laplace route probes two-sided moments near 0; the norm route doubles
-    the scaling over ``octaves`` octaves looking for a finite cosh-minus-one
-    modular.  The two booleans agree whenever the numerics are sound.
+    The Laplace route probes exponential moments near 0 (``quant_membership``);
+    the norm route doubles the scaling over 60 octaves looking for a finite
+    cosh-minus-one modular.  The two booleans agree whenever the numerics are
+    sound.
     """
     a = quant_membership(mu_g, ctx)
     psi = cosh_minus_one()
     walk = bracket(lambda lam: math.isinf(modular(mu_g, psi, 1.0 / lam, ctx)),
-                   1.0, 2.0, octaves)
+                   1.0, 2.0, 60)
     return RegularityReport(member_via_laplace=a, member_via_norm=walk is not None)
 
 

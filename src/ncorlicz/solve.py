@@ -1,8 +1,10 @@
 """The boundary of a monotone predicate: geometric bracketing, then bisection.
 
 Every scaling problem in the package is this one search: the Luxemburg and
-trace-modular norms, the Amemiya domain edge, formal inverses, the detected
-gauge thresholds, the inverse running weight and the regularity walk.
+trace-modular norms, the Amemiya domain edge and its walks down and up to
+the minimum, formal inverses, the detected gauge thresholds, the inverse
+running weight, the exponential-moment membership walk and the regularity
+walk.
 ``bracket`` walks geometrically until the predicate first fails;
 ``bisect`` narrows a (holds, fails) pair to the caller's tolerance.  Callers
 keep their own tolerances and their own answer to a walk that never ends.

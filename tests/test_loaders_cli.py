@@ -16,7 +16,6 @@ from ncorlicz.loaders import (
     load_morphism,
     load_mu,
     load_orlicz,
-    load_positive_map,
     load_weight,
 )
 from ncorlicz.verify import SuiteConfig, run_suite
@@ -123,24 +122,6 @@ class TestLoaders:
         with pytest.raises(SpecError) as exc:
             load_morphism(spec)
         assert "blocks" in str(exc.value) or "bookkeeping" in str(exc.value)
-
-    def test_positive_map_compact_form(self):
-        ident = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
-        T = load_positive_map({"kraus": [[ident]], "cp": True})
-        a = T.source.diagonal([[2.0, 3.0]])
-        np.testing.assert_allclose(T.apply(a).blocks[0], a.blocks[0])
-
-    def test_positive_map_extended_form(self):
-        spec = {
-            "source": {"blocks": [{"dim": 2, "weight": 1.0}]},
-            "target": {"blocks": [{"dim": 2, "weight": 1.0}]},
-            "kraus": [{"src": 0, "tgt": 0,
-                       "ops": [[[[1.0, 0.0], [0.0, 0.0]],
-                                [[0.0, 0.0], [1.0, 0.0]]]]}],
-            "cp": True,
-        }
-        T = load_positive_map(spec)
-        assert T.groups[0].src == 0
 
 
 class TestCli:

@@ -30,8 +30,10 @@ from ncorlicz import (
     luxemburg_norm,
     modular,
     moment_bound_check,
+    pairing_integral,
     pistone_sempi_equivalence,
     power,
+    power_decay,
     quant_membership,
     reciprocal,
     singular_values,
@@ -45,6 +47,7 @@ from ncorlicz.sampling import (
     random_element,
     random_positive,
     random_state,
+    random_weight_step,
 )
 from ncorlicz.verify import _norm_gauges
 
@@ -309,6 +312,29 @@ class TestTauX:
             rhs = tau_x(singular_values(alg, a), ctx) + tau_x(singular_values(alg, b), ctx)
             assert lhs <= rhs + 1e-10
 
+    def test_step_under_exp_decay_matches_closed_form(self):
+        # sum of v_i (e^{-a_i} - e^{-b_i}) over the pieces (a_i, b_i]
+        ctx = WeightedContext(exp_decay())
+        for seed in range(300):
+            mu = random_decreasing_step(np.random.default_rng(seed))
+            a = np.concatenate([[0.0], mu.breakpoints[:-1]])
+            want = float(np.sum(mu.values * (np.exp(-a) - np.exp(-mu.breakpoints))))
+            assert tau_x(mu, ctx) == pytest.approx(want, rel=0, abs=1e-12)
+
+
+class TestPairing:
+    def test_log_against_step_matches_closed_form(self):
+        # the integral of -log t over (a, b] is [t (1 - log t)] from a to b, within (0, 1]
+        def head(t):
+            return np.array([u * (1.0 - math.log(u)) if u > 0 else 0.0 for u in t])
+
+        for seed in range(100):
+            mu = random_decreasing_step(np.random.default_rng(seed))
+            a = np.minimum(np.concatenate([[0.0], mu.breakpoints[:-1]]), 1.0)
+            b = np.minimum(mu.breakpoints, 1.0)
+            want = float(np.sum(mu.values * (head(b) - head(a))))
+            assert pairing_integral(log_reciprocal(1.0), mu) == pytest.approx(want, rel=1e-12)
+
 
 class TestLaplace:
     def test_at_zero_gives_mass(self):
@@ -328,15 +354,36 @@ class TestLaplace:
             assert laplace_probe(reciprocal(), ctx, s) == INF
 
     def test_negative_side_always_finite(self):
-        ctx = WeightedContext(exp_decay())
-        assert math.isfinite(laplace_probe(reciprocal(), ctx, -1.0))
+        # finite and more: 0 < probe at -s <= weight mass
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            step = random_decreasing_step(rng)
+            mus = [log_reciprocal(), reciprocal(), power_decay(0.5), exp_decay(),
+                   constant(2.0, 3.0), step, step.scaled(1e-18)]
+            for ctx in (WeightedContext(random_weight_step(rng)), WeightedContext(exp_decay())):
+                for mu in mus:
+                    for s in (1.0, 0.5, 2.0 ** -40):
+                        assert 0 < laplace_probe(mu, ctx, -s) <= ctx.mass
+
+    def test_log_under_step_weights_matches_closed_form(self):
+        # exp(-s log t) = t^{-s}: sum of w_i (b_i^{1-s} - a_i^{1-s}) / (1 - s) over the
+        # weight's pieces within (0, 1], plus the weight's mass beyond 1, where mu is 0
+        mu = log_reciprocal(1.0)
+        for seed in range(200):
+            w = random_weight_step(np.random.default_rng(seed))
+            ctx = WeightedContext(w)
+            a = np.concatenate([[0.0], w.breakpoints[:-1]])
+            beyond = float(np.sum(w.values * np.clip(w.breakpoints - np.maximum(a, 1.0), 0, None)))
+            lo, hi = np.minimum(a, 1.0), np.minimum(w.breakpoints, 1.0)
+            for s in (0.5, -0.5, 0.9):
+                head = float(np.sum(w.values * (hi ** (1 - s) - lo ** (1 - s)))) / (1 - s)
+                assert laplace_probe(mu, ctx, s) == pytest.approx(head + beyond, rel=1e-10)
 
 
 class TestMembership:
     def test_bounded_variable(self):
         ctx = WeightedContext(exp_decay())
-        assert quant_membership(StepForm.from_raw([2.0], [5.0]), ctx,
-                                probe_schedule=np.array([1.0]))
+        assert quant_membership(StepForm.from_raw([2.0], [5.0]), ctx)
 
     def test_catalog_equivalence(self):
         contexts = [WeightedContext(exp_decay()),
