@@ -6,7 +6,8 @@ The Luxemburg norm is inf{lam > 0 : modular(mu, phi, 1/lam) <= 1}; the
 Amemiya norm is inf_k (1 + modular(mu, phi, k)) / k.  The Luxemburg norm
 coincides with the trace-modular route through functional calculus, which
 ``kunze_norm`` computes independently; callers compare the two routes.
-Every boundary search goes through ``solve.bracket`` and ``solve.bisect``.
+Every boundary search goes through ``solve.bracket`` and ``solve.bisect``,
+and the Amemiya minimum through ``solve.minimize``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .algebra import AlgebraElement, TracedAlgebra, _svd_blocks, _trace_calculus, trace
 from .errors import DomainError, NumericError, StructuralError, UnboundedNormError
@@ -30,14 +30,13 @@ from .rearrangement import (
     _interval_masses,
     singular_values,
 )
-from .solve import bisect, bracket
+from .solve import bisect, bracket, minimize
 
 INF = math.inf
 DEFAULT_TOL = 1e-9
 MODULAR_SLACK = 1e-9  # absolute slack at the modular <= 1 boundary
 BRACKET_LIMIT = 200
 AMEMIYA_K_CAP = 1e9
-AMEMIYA_K_FLOOR = 1e-300
 
 
 def _live_pieces(mu: StepForm, ctx: Optional[WeightedContext]) -> tuple[np.ndarray, np.ndarray]:
@@ -215,65 +214,30 @@ def kunze_norm(alg: TracedAlgebra, a: AlgebraElement, phi: OrliczFunction,
 def amemiya_norm(mu: RearrangementFunction, phi: OrliczFunction,
                  ctx: Optional[WeightedContext] = None,
                  tol: float = DEFAULT_TOL) -> float:
-    """inf_{k>0} (1 + modular(mu, phi, k, ctx)) / k via unimodal search.
+    """inf_{k>0} (1 + modular(mu, phi, k, ctx)) / k for step data.
 
-    The objective is the slope from (0, -1) to the convex modular curve,
-    hence unimodal in k.  A monotone-decreasing tail (linear-at-infinity
-    gauges) is reported at the k-cap; an objective that is infinite for all
-    probed k raises UnboundedNormError.
+    The objective is convex in s = K_CAP / k (a perspective of the modular),
+    searched from s = 2^0, ..., 2^(30 + BRACKET_LIMIT).  The value lies at
+    most 1e-3 * tol (relative) above the minimum, so comparisons at ``tol``
+    see the Luxemburg bisection's error, not this one.  A minimum at s = 1 is
+    reported at the k-cap; an objective infinite for all probed k raises
+    UnboundedNormError.
     """
+    if not isinstance(mu, StepForm):
+        raise DomainError("the Amemiya norm needs step data")
     if mu.is_zero:
         return 0.0
+    values, masses = _live_pieces(mu, ctx)
 
-    seen: dict[float, float] = {}  # the walks and the final candidates revisit points
+    def objective(_, s: np.ndarray) -> np.ndarray:
+        k = AMEMIYA_K_CAP / s
+        return (1.0 + _step_modular(values, masses, phi, k.reshape(-1)).reshape(k.shape)) / k
 
-    def objective(k: float) -> float:
-        if k <= 0:
-            return INF
-        if k not in seen:
-            m = modular(mu, phi, k, ctx)
-            seen[k] = INF if math.isinf(m) else (1.0 + m) / k
-        return seen[k]
-
-    def finite(k: float) -> bool:
-        return not math.isinf(objective(k))
-
-    found = bracket(lambda k: not finite(k), 1.0, 0.5, BRACKET_LIMIT)
-    if found is None:
+    s = 2.0 ** np.arange(math.ceil(math.log2(AMEMIYA_K_CAP)) + BRACKET_LIMIT + 1)
+    least = float(minimize(objective, s[None, :], 1e-3 * tol)[0][0])
+    if math.isinf(least):
         raise UnboundedNormError("Amemiya objective infinite for all probed k")
-
-    def octaves_past(k: float, bound: float) -> int:
-        # a walk by factors of two from k reaches past ``bound`` in 1 + this many steps
-        return int(abs(math.log2(bound / k)))
-
-    # geometric walks to an interior bracket around the minimum; k is a power of two
-    k = found[1]
-    down = bracket(lambda x: objective(x) < objective(2.0 * x), k / 2.0, 0.5,
-                   octaves_past(k, AMEMIYA_K_FLOOR))
-    if down is None:
-        raise NumericError("Amemiya search underflow")
-    k = down[0] or k
-    up = bracket(lambda x: objective(x) < objective(x / 2.0), 2.0 * k, 2.0,
-                 octaves_past(k, AMEMIYA_K_CAP))
-    if up is None:
-        # infimum approached in the k -> inf limit (linear-at-infinity gauges)
-        return objective(AMEMIYA_K_CAP)
-    k = up[0] or k
-    f_k = objective(k)
-
-    lo, hi = k / 2.0, 2.0 * k
-    # the right edge may be infinite (finite cap gauges); shrink to the boundary
-    if not finite(hi):
-        hi = bisect(finite, k, hi, rtol=1e-12)
-
-    res = optimize.minimize_scalar(
-        objective, bounds=(lo, hi), method="bounded",
-        options={"xatol": max(1e-13 * hi, 1e-8 * (hi - lo) * tol ** 0.5)})
-    candidates = [float(res.fun), f_k, objective(lo), objective(hi)]
-    best = min(c for c in candidates if not math.isnan(c))
-    if math.isinf(best):
-        raise UnboundedNormError("Amemiya objective infinite for all probed k")
-    return best
+    return least
 
 
 # ---------------------------------------------------------------------------

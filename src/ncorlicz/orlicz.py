@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, InvalidOrliczError, NumericError
-from .solve import bisect, bracket
+from .solve import bisect, bracket, minimize
 
 INF = math.inf
 
@@ -29,6 +29,10 @@ BISECT_RTOL = 1e-10
 # DETECT_TOL, absolute and relative.
 DETECT_TOP = 1e30
 DETECT_TOL = 1e-12
+# Numeric conjugates: the doubling walk's last octave and the certified tolerance
+CONJUGATE_OCTAVES = 40
+CONJUGATE_RTOL = 1e-13
+CONJUGATE_ATOL = 1e-20  # ends searches toward v = 0, far below a modular's resolution
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,61 +345,39 @@ def _sup_slope_at_infinity(phi: OrliczFunction) -> float:
     return s1
 
 
-def _conjugate_value(phi: OrliczFunction, u: float) -> float:
-    """Numeric sup_{v in [0, b_phi]} of the concave map v -> uv - phi(v)."""
-    if u < 0:
-        raise DomainError(f"conjugate argument must be nonnegative, got {u}")
-    if u == 0.0:
-        return 0.0
+def _conjugate_values(phi: OrliczFunction, u: np.ndarray) -> np.ndarray:
+    """sup_{v in [0, b_phi]} (uv - phi(v)) for each u, as rows of one search.
 
-    seen: dict[float, float] = {}  # each doubling step compares g(2v) with the last g(v)
+    Each row starts from v = 0, 2^0, ..., 2^40, scaled to end at a finite
+    b_phi; a maximum still at 2^40 under an infinite b_phi is +inf.
+    """
+    u = np.asarray(u, dtype=float)
+    out = np.where(u > 0, INF, u * 0.0)  # 0 at u = 0, NaN stays NaN
+    live = np.isfinite(u) & (u > 0)
+    slopes = u[live]
+    top = phi.b_phi if phi.b_phi < INF else 2.0 ** CONJUGATE_OCTAVES
+    walk = np.concatenate([[0.0], top * 0.5 ** np.arange(CONJUGATE_OCTAVES, -1, -1)])
 
-    def g(v: float) -> float:
-        if v not in seen:
-            p = eval_gauge(phi, v)
-            seen[v] = -INF if math.isinf(p) else u * v - p
-        return seen[v]
+    def objective(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+        fv = np.where(v < phi.b_phi, phi.eval_many(v), phi.value_at_b)
+        return fv - slopes[rows, None] * v
 
-    if phi.b_phi < INF:
-        lo, hi = 0.0, phi.b_phi
-    else:
-        # double v from 1 to 2**39 < 1e12 while the objective still increases
-        found = bracket(lambda v: g(2.0 * v) > g(v), 1.0, 2.0, 39)
-        if found is None:
-            return INF  # objective still increasing at the bracket cap
-        lo, hi = 0.0, 2.0 * found[1]
-
-    # golden-section maximum of a concave objective
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - gr * (hi - lo)
-    x2 = lo + gr * (hi - lo)
-    f1, f2 = g(x1), g(x2)
-    for _ in range(200):
-        if hi - lo <= 1e-13 * max(1.0, hi):
-            break
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + gr * (hi - lo)
-            f2 = g(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - gr * (hi - lo)
-            f1 = g(x1)
-    best = max(f1, f2, g(lo), g(hi), 0.0)
-    return best
+    least, at = minimize(objective, np.broadcast_to(walk, (slopes.size, walk.size)),
+                         CONJUGATE_RTOL, CONJUGATE_ATOL)
+    out[live] = np.where((at == top) & (phi.b_phi == INF), INF, np.maximum(0.0, -least))
+    return out
 
 
 def _numeric_conjugate(phi: OrliczFunction) -> OrliczFunction:
     a_star = _sup_slope_at_zero(phi)
     b_star = _sup_slope_at_infinity(phi)
-    vec = np.vectorize(lambda u: _conjugate_value(phi, float(u)), otypes=[float])
-    vb = _conjugate_value(phi, b_star) if b_star < INF else INF
+    vb = float(_conjugate_values(phi, np.array([b_star]))[0]) if b_star < INF else INF
     return OrliczFunction(
         kind=f"conjugate({phi.kind})",
         a_phi=a_star, b_phi=b_star, value_at_b=vb,
         delta2_all_t=False if a_star > 0 else None,
         delta2_constant=None,
-        _vector=vec,
+        _vector=lambda u: _conjugate_values(phi, u),
         _conjugate_factory=None,
         _inverse_closed=None,
     )

@@ -49,6 +49,7 @@ from ncorlicz.sampling import (
     random_state,
     random_weight_step,
 )
+from ncorlicz.norms import AMEMIYA_K_CAP
 from ncorlicz.verify import _norm_gauges
 
 INF = math.inf
@@ -241,15 +242,50 @@ class TestAmemiya:
 
     def test_each_k_evaluated_once(self, monkeypatch):
         import ncorlicz.norms as norms
-        ks = []
-        real = norms.modular
-        monkeypatch.setattr(norms, "modular",
-                            lambda mu, phi, k, ctx=None: ks.append(k) or real(mu, phi, k, ctx))
+        passes = []
+        real = norms._step_modular
+        monkeypatch.setattr(norms, "_step_modular",
+                            lambda v, m, phi, k: passes.append(k.copy()) or real(v, m, phi, k))
         mu = StepForm.from_raw([2.0, 1.0], [1.0, 0.5])
         # t^2: the Amemiya norm is twice the Luxemburg norm sqrt(2.25)
-        assert amemiya_norm(mu, power(2.0)) == pytest.approx(3.0, rel=1e-8)
-        assert len(ks) == 14
-        assert len(set(ks)) == len(ks)
+        assert amemiya_norm(mu, power(2.0)) == pytest.approx(3.0, rel=1e-12)
+        # one pass over k = K_CAP / 2^j, then 7 rounds of the convex search
+        assert [k.size for k in passes] == [231, 15] + [14] * 6
+        ks = np.concatenate(passes)
+        assert len(set(ks.tolist())) == len(ks)
+
+    def test_kinked_gauges_exact(self):
+        # zero_then_linear(a) makes the objective piecewise linear in 1/k with
+        # kinks at k = a / v_i; its minimum is at one of them or at the k-cap
+        rng = np.random.default_rng(0)
+        kinked = [(zero_then_linear(1.0), 1.0), (zero_then_linear(0.5), 0.5),
+                  (conjugate(linear_until_cap(1.0)), 1.0)]
+        for _ in range(300):
+            mu = random_decreasing_step(rng)
+            for phi, a in kinked:
+                ks = np.append((a / mu.values)[a / mu.values < AMEMIYA_K_CAP], AMEMIYA_K_CAP)
+                exact = min((1.0 + modular(mu, phi, float(k))) / k for k in ks)
+                assert -1e-15 <= amemiya_norm(mu, phi) / exact - 1.0 <= 1e-10
+            total = mu.total_integral()
+            for p in (1.5, 2.0, 3.0):
+                mass = modular(mu, power(p), 1.0)
+                exact = p / (p - 1.0) * ((p - 1.0) * mass) ** (1.0 / p)
+                assert amemiya_norm(mu, power(p)) == pytest.approx(exact, rel=1e-12)
+            assert amemiya_norm(mu, linear_until_cap(1.0)) == pytest.approx(
+                float(mu.values[0]) + total, rel=1e-12)
+
+    @given(_steps())
+    @settings(max_examples=60, deadline=None)
+    def test_between_luxemburg_and_twice_it(self, mu):
+        for phi in _norm_gauges() + [zero_then_linear(1.0), zero_then_linear(0.5)]:
+            lux = luxemburg_norm(mu, phi)
+            ame = amemiya_norm(mu, phi)
+            assert lux * (1.0 - 1e-8) <= ame <= 2.0 * lux * (1.0 + 1e-8)
+
+    def test_parametric_data_rejected(self):
+        for mu in (exp_decay(), constant(1.0), reciprocal()):
+            with pytest.raises(DomainError):
+                amemiya_norm(mu, power(2.0))
 
     def test_sup_type_conjugate_gauge(self):
         # conjugate of the linear gauge turns Amemiya into the sup value

@@ -105,13 +105,35 @@ class TestConjugate:
 
     def test_doubling_walk_evaluates_each_point_once(self, monkeypatch):
         import ncorlicz.orlicz as orlicz
-        vs = []
-        real = orlicz.eval_gauge
-        monkeypatch.setattr(orlicz, "eval_gauge", lambda phi, v: vs.append(v) or real(phi, v))
-        got = orlicz._conjugate_value(t_log1p(), 3.0)
-        assert got == pytest.approx(brute_force_conjugate(t_log1p(), 3.0), abs=1e-7)
-        assert len(vs) == 71
-        assert len(set(vs)) == len(vs)
+        phi = t_log1p()
+        star = orlicz._numeric_conjugate(phi)
+        passes = []
+        real = orlicz.OrliczFunction.eval_many
+
+        def counted(self, v):
+            if self is phi:
+                passes.append(np.array(v))
+            return real(self, v)
+
+        want = brute_force_conjugate(phi, 3.0)
+        monkeypatch.setattr(orlicz.OrliczFunction, "eval_many", counted)
+        for us, count in (([3.0], 9), (np.linspace(0.01, 3.0, 200), 11)):
+            passes.clear()
+            assert star.eval_many(np.array(us))[-1] == pytest.approx(want, abs=1e-7)
+            # the walk v = 0, 2^0, ..., 2^40 is the first pass; rows then drop
+            # out of the rounds as their values are certified
+            assert passes[0].shape == (len(us), 42)
+            assert len(passes) == count
+        passes.clear()
+        star(3.0)
+        points = np.concatenate([v.ravel() for v in passes])
+        assert len(set(points.tolist())) == len(points)
+
+    def test_numeric_conjugate_beyond_the_slope_at_infinity(self):
+        from ncorlicz.orlicz import _numeric_conjugate
+        # phi(v) - uv still falling at the end of the walk: +inf, not its last value
+        star = _numeric_conjugate(power(1.0))
+        assert star.eval_many(np.array([0.5, 1.0, 1.5])).tolist() == [0.0, 0.0, INF]
 
     def test_biconjugation(self):
         grid = np.linspace(0.05, 4.0, 15)
@@ -120,6 +142,18 @@ class TestConjugate:
             for t in grid:
                 assert bic(float(t)) == pytest.approx(phi(float(t)),
                                                       rel=1e-7, abs=1e-7)
+
+
+    @pytest.mark.parametrize("phi", [power(2.0), power_over_p(3.0), cosh_minus_one(),
+                                     exp_minus_one(), zero_then_linear(1.0),
+                                     linear_until_cap(1.0)], ids=lambda p: p.kind)
+    @given(share=st.floats(0.0, 1.0))
+    @settings(max_examples=50, deadline=None)
+    def test_numeric_conjugate_is_the_closed_form(self, phi, share):
+        from ncorlicz.orlicz import _numeric_conjugate
+        closed = conjugate(phi)
+        u = share * min(5.0, 0.99 * closed.b_phi)
+        assert _numeric_conjugate(phi)(u) == pytest.approx(closed(u), rel=1e-12, abs=1e-12)
 
 
 class TestFormalInverse:

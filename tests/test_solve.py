@@ -1,11 +1,11 @@
-"""The shared boundary search: geometric bracketing and bisection."""
+"""The shared searches: geometric bracketing, bisection and the convex minimum."""
 
 import math
 
 import numpy as np
 import pytest
 
-from ncorlicz.solve import BATCH, bisect, bracket
+from ncorlicz.solve import BATCH, bisect, bracket, minimize
 
 
 class TestBracket:
@@ -126,3 +126,71 @@ class TestBatchedBisect:
         assert bisect(_batched(lambda x: True, calls), 1.0, 1.0 + 1e-13, rtol=1e-12,
                       batched=True) == 1.0
         assert calls == []
+
+
+def _recorded(fn, calls):
+    """A row-wise objective from fn(rows, x), recording each array it gets."""
+
+    def f(rows, x):
+        calls.append(np.array(x))
+        return fn(rows, x)
+
+    return f
+
+
+GEOMETRIC = 2.0 ** np.arange(-10, 11)
+
+
+class TestMinimize:
+    def test_rows_are_independent_problems(self):
+        centres = np.array([0.3, 7.0, 250.0])
+        least, at = minimize(lambda rows, x: (x - centres[rows, None]) ** 2 + 1.0,
+                             np.tile(GEOMETRIC, (3, 1)), rtol=1e-12)
+        np.testing.assert_allclose(least, 1.0, rtol=1e-12)
+        np.testing.assert_allclose(at, centres, rtol=1e-5)
+
+    def test_kink_within_certified_bound(self):
+        for c in (math.pi / 3, 0.01 * math.e, 123.456):
+            least, at = minimize(lambda rows, x: abs(x - c) + 1.0, GEOMETRIC[None, :],
+                                 rtol=1e-12)
+            assert 1.0 <= least[0] <= 1.0 + 1e-12
+            assert abs(at[0] - c) <= 1e-12
+
+    def test_linear_end_minimum_stops_after_one_round(self):
+        calls = []
+        least, at = minimize(_recorded(lambda rows, x: x + 1.0, calls), GEOMETRIC[None, :],
+                             rtol=1e-12)
+        assert (least[0], at[0]) == (GEOMETRIC[0] + 1.0, GEOMETRIC[0])
+        # the first pass, then one round of all BATCH interior points
+        assert [c.shape for c in calls] == [(1, GEOMETRIC.size), (1, BATCH)]
+
+    def test_each_point_evaluated_once(self):
+        calls = []
+        minimize(_recorded(lambda rows, x: np.cosh(x - 0.7), calls), GEOMETRIC[None, :],
+                 rtol=1e-12)
+        points = np.concatenate([c.ravel() for c in calls])
+        assert len(set(points.tolist())) == len(points)
+        # later rounds reuse the kept least point and its neighbours
+        assert all(c.shape == (1, BATCH - 1) for c in calls[2:])
+
+    def test_infinite_values(self):
+        edge = 0.37
+
+        def capped(rows, x):
+            return np.where(x < edge * (rows[:, None] + 1), np.inf, x)
+
+        least, at = minimize(capped, np.tile(GEOMETRIC, (2, 1)), rtol=1e-12)
+        np.testing.assert_allclose(least, [edge, 2 * edge], rtol=1e-14)
+        # no finite value on the first pass: the row's least value is +inf
+        least, _ = minimize(lambda rows, x: np.full(x.shape, np.inf), GEOMETRIC[None, :],
+                            rtol=1e-12)
+        assert least[0] == math.inf
+
+    def test_absolute_floor_at_a_zero_end(self):
+        calls = []
+        start = np.concatenate([[0.0], GEOMETRIC])[None, :]
+        least, at = minimize(_recorded(lambda rows, x: x * x, calls), start, rtol=1e-12,
+                             atol=1e-20)
+        assert (least[0], at[0]) == (0.0, 0.0)
+        # the relative bound alone never certifies a least value of zero
+        assert len(calls) <= 13
