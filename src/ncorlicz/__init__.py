@@ -42,10 +42,14 @@ from .morphisms import (
 )
 from .norms import (
     amemiya_norm,
+    amemiya_norms,
     holder_check,
+    holder_checks,
     kunze_norm,
+    kunze_norms,
     laplace_probe,
     luxemburg_norm,
+    luxemburg_norms,
     modular,
     moment_bound_check,
     pairing_integral,

@@ -137,15 +137,20 @@ def trace(alg: TracedAlgebra, a: AlgebraElement) -> complex:
     return complex(sum(w * np.trace(b) for w, b in zip(alg.weights, a.blocks)))
 
 
-def _svd_blocks(a: AlgebraElement):
-    """Per-block SVD of a; raises NumericError naming the block on failure."""
+def _svd_blocks(elements: Sequence[AlgebraElement]):
+    """Per-block SVD of same-algebra elements, stacked: one LAPACK call per block.
+
+    Returns (s, vh, conj(vh)) per block, each with a leading axis over the
+    elements: a = U diag(s) V* with V* = vh; no caller needs U.  Raises
+    NumericError naming the block on failure.
+    """
     out = []
-    for k, b in enumerate(a.blocks):
+    for k in range(elements[0].algebra.n_blocks):
         try:
-            u, s, vh = np.linalg.svd(b)
+            _, s, vh = np.linalg.svd(np.array([a.blocks[k] for a in elements]))
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"singular value decomposition failed on block {k}: {exc}") from exc
-        out.append((u, s, vh))
+        out.append((s, vh, vh.conj()))
     return out
 
 
@@ -156,33 +161,39 @@ def abs_value(a: AlgebraElement) -> AlgebraElement:
     so the result is nonnegative by construction.
     """
     blocks = []
-    for u, s, vh in _svd_blocks(a):
-        blocks.append(vh.conj().T @ (s[:, None] * vh))
+    for s, vh, vh_conj in _svd_blocks([a]):
+        blocks.append(vh_conj[0].T @ (s[0][:, None] * vh[0]))
     return AlgebraElement(a.algebra, tuple(blocks))
 
 
 def _calculus(phi: OrliczFunction, svd, scales: np.ndarray):
-    """The functional-calculus core: phi(scale * |a|) for each scale, per block.
+    """The functional-calculus core: phi(scale * |a|) for each row's scales.
 
-    From one decomposition a = U diag(s) V* per block, evaluates phi once
-    over scales x all singular values, then yields per block
-    (V* diag(phi(scale * s)) V stacked over the scales, the scaled spectral
-    values, and the mask of those where phi is infinite).  Infinite values
-    enter the rebuilt matrices as 0, so each caller decides what an infinite
-    spectral value means.  NaN from the gauge raises NumericError.
+    From the stacked decompositions a = U diag(s) V* of ``_svd_blocks`` and
+    one row of scales per element, evaluates phi once over rows x scales x
+    all singular values.  Returns the matrices V* diag(phi(scale * s)) V per
+    block, stacked over rows and scales, with the scaled spectral values and
+    phi's values there.  Infinite and NaN values enter the rebuilt matrices
+    as 0, so each caller decides what they mean.
     """
-    args = np.multiply.outer(scales, np.concatenate([s for _, s, _ in svd]))
-    vals = phi.eval_many(args)
-    if np.isnan(vals).any():
-        bad = float(args[np.isnan(vals)][0])
-        raise NumericError(f"gauge {phi.describe()} returned NaN at spectral value {bad:.6g}")
-    infinite = np.isinf(vals)
-    vals = np.where(infinite, 0.0, vals)
-    start = 0
-    for _, s, vh in svd:
-        cols = slice(start, start + s.size)
-        start += s.size
-        yield vh.conj().T @ (vals[:, cols, None] * vh), args[:, cols], infinite[:, cols]
+    args = scales[:, :, None] * np.concatenate([s for s, _, _ in svd], axis=1)[:, None, :]
+    # scalings far from the norm overflow the gauge to +inf: a value
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = phi.eval_many(args)
+    finite = np.isfinite(vals)
+    kept = np.where(finite, vals, 0.0)
+    mats, start = [], 0
+    for s, vh, vh_conj in svd:
+        cols = slice(start, start + s.shape[1])
+        start += s.shape[1]
+        mats.append(vh_conj.swapaxes(-1, -2)[:, None] @ (kept[:, :, cols, None] * vh[:, None]))
+    return mats, args, vals, finite
+
+
+def _first_nan(phi: OrliczFunction, args: np.ndarray, vals: np.ndarray) -> NumericError:
+    """The error for the first argument, in evaluation order, where phi gave NaN."""
+    bad = float(args[np.isnan(vals)][0])
+    return NumericError(f"gauge {phi.describe()} returned NaN at spectral value {bad:.6g}")
 
 
 def apply_function(phi: OrliczFunction, a: AlgebraElement, scale: float = 1.0) -> AlgebraElement:
@@ -190,34 +201,42 @@ def apply_function(phi: OrliczFunction, a: AlgebraElement, scale: float = 1.0) -
 
     Raises NotMeasurableError carrying the offending spectral value when any
     phi(scale * s) is infinite; such an operator has no finite representative.
+    NaN from the gauge raises NumericError.
     """
     if scale <= 0:
         raise DomainError(f"scale must be positive, got {scale}")
-    blocks = []
-    for k, (mats, args, infinite) in enumerate(
-            _calculus(phi, _svd_blocks(a), np.array([scale], dtype=float))):
+    mats, args, vals, _ = _calculus(phi, _svd_blocks([a]), np.array([[scale]], dtype=float))
+    if np.isnan(vals).any():
+        raise _first_nan(phi, args, vals)
+    blocks, start = [], 0
+    for k, m in enumerate(mats):
+        n = m.shape[-1]
+        infinite = np.isinf(vals[0, 0, start:start + n])
         if infinite.any():
-            ev = float(args[infinite][0])
+            ev = float(args[0, 0, start:start + n][infinite][0])
             raise NotMeasurableError(
                 f"gauge is infinite at spectral value {ev:.6g} in block {k}",
                 eigenvalue=ev, block=k)
-        blocks.append(mats[0])
+        start += n
+        blocks.append(m[0, 0])
     return AlgebraElement(a.algebra, tuple(blocks))
 
 
 def _trace_calculus(alg: TracedAlgebra, phi: OrliczFunction, svd,
                     scales: np.ndarray) -> np.ndarray:
-    """tr phi(scale * |a|) for each scale, from the decomposition of a.
+    """tr phi(scale * |a|) for each row's scales, from the stacked decompositions.
 
     Each value rebuilds the operator and traces it; a scale at which phi is
-    infinite on the spectrum gets +inf, the value of a non-measurable modular.
+    infinite on the spectrum gets +inf, the value of a non-measurable
+    modular, and one at which phi gives NaN gets NaN.
     """
-    total = np.zeros(len(scales))
-    infinite = np.zeros(len(scales), dtype=bool)
-    for w, (mats, _, inf_k) in zip(alg.weights, _calculus(phi, svd, scales)):
-        total += w * np.trace(mats, axis1=1, axis2=2).real
-        infinite |= inf_k.any(axis=1)
-    total[infinite] = np.inf
+    mats, _, vals, finite = _calculus(phi, svd, scales)
+    total = np.zeros(scales.shape)
+    for w, m in zip(alg.weights, mats):
+        total += w * np.trace(m, axis1=-2, axis2=-1).real
+    if not np.logical_and.reduce(finite, axis=None):
+        total[np.isinf(vals).any(axis=-1)] = np.inf
+        total[np.isnan(vals).any(axis=-1)] = np.nan
     return total
 
 

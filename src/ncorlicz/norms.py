@@ -13,12 +13,20 @@ and the Amemiya minimum through ``solve.minimize``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, TracedAlgebra, _svd_blocks, _trace_calculus, trace
+from .algebra import (
+    AlgebraElement,
+    TracedAlgebra,
+    _calculus,
+    _first_nan,
+    _svd_blocks,
+    _trace_calculus,
+    trace,
+)
 from .errors import DomainError, NumericError, StructuralError, UnboundedNormError
 from .orlicz import OrliczFunction, conjugate, cosh_minus_one
 from .quadrature import integrate_sentinel
@@ -30,13 +38,18 @@ from .rearrangement import (
     _interval_masses,
     singular_values,
 )
-from .solve import bisect, bracket, minimize
+from .solve import bisect, bisect_rows, bracket, bracket_rows, minimize
 
 INF = math.inf
 DEFAULT_TOL = 1e-9
 MODULAR_SLACK = 1e-9  # absolute slack at the modular <= 1 boundary
 BRACKET_LIMIT = 200
 AMEMIYA_K_CAP = 1e9
+# Rows solved together at most: a corpus solve's temporaries (Amemiya's first
+# pass is rows x 231 scalings x pieces) stay within about a megabyte.
+ROWS_PER_SOLVE = 32
+# The Amemiya search's first pass: s = K_CAP / k = 2^0, ..., 2^(30 + BRACKET_LIMIT)
+_AMEMIYA_S = 2.0 ** np.arange(math.ceil(math.log2(AMEMIYA_K_CAP)) + BRACKET_LIMIT + 1)
 
 
 def _live_pieces(mu: StepForm, ctx: Optional[WeightedContext]) -> tuple[np.ndarray, np.ndarray]:
@@ -54,17 +67,101 @@ def _live_pieces(mu: StepForm, ctx: Optional[WeightedContext]) -> tuple[np.ndarr
 
 def _step_modular(values: np.ndarray, masses: np.ndarray, phi: OrliczFunction,
                   inv_scales: np.ndarray) -> np.ndarray:
-    """The modular at each scaling: one pass of phi over scalings x pieces.
+    """The modular of each row of step data at each of its row's scalings.
 
-    NaN from the gauge raises NumericError.
+    ``values`` and ``masses`` hold one row of live pieces per problem and
+    ``inv_scales`` one row of scalings: one pass of phi over rows x scalings
+    x pieces.  A NaN from the gauge gives a NaN modular (phi >= 0 and
+    masses > 0: nothing else does), which the caller reports.
     """
+    fv = phi.eval_many(inv_scales[:, :, None] * values[:, None, :])
+    return np.matmul(fv, masses[:, :, None])[..., 0]
+
+
+def _nan_error(phi: OrliczFunction, values: np.ndarray, inv_scales: np.ndarray) -> NumericError:
+    """The error for the first argument, in evaluation order, where phi gives NaN."""
     args = inv_scales[:, None] * values
-    fv = phi.eval_many(args)
-    out = fv @ masses  # phi >= 0 and masses > 0: only a NaN value makes a NaN sum
-    if math.isnan(out.sum()):
-        bad = float(args[np.isnan(fv)][0])
-        raise NumericError(f"gauge {phi.describe()} returned NaN at {bad:.6g}")
-    return out
+    bad = float(args[np.isnan(phi.eval_many(args))][0])
+    return NumericError(f"gauge {phi.describe()} returned NaN at {bad:.6g}")
+
+
+def _grouped(keys, size: int) -> list[list[int]]:
+    """Input positions grouped by key, at most ``size`` to a group, in input order."""
+    open_groups: dict = {}
+    groups = []
+    for i, key in enumerate(keys):
+        group = open_groups.get(key)
+        if group is None or len(group) == size:
+            group = open_groups[key] = []
+            groups.append(group)
+        group.append(i)
+    return groups
+
+
+def _step_rows(mus: Sequence[StepForm], ctx: Optional[WeightedContext]):
+    """The nonzero step forms grouped by live piece count, zero-padding none.
+
+    Yields (input indices, values, masses) with one row per form and at most
+    ROWS_PER_SOLVE rows.  Rows of one group share a shape, so every row is
+    evaluated by exactly the numpy calls of its one-form solve, and its
+    value is bit for bit the same.
+    """
+    pieces = {}
+    for i, mu in enumerate(mus):
+        if not isinstance(mu, StepForm):
+            raise DomainError("a many-form solve needs step data")
+        if not mu.is_zero:
+            pieces[i] = _live_pieces(mu, ctx)
+    live = list(pieces)
+    for group in _grouped((pieces[i][0].size for i in live), ROWS_PER_SOLVE):
+        idx = [live[g] for g in group]
+        yield (np.array(idx), np.array([pieces[i][0] for i in idx]),
+               np.array([pieces[i][1] for i in idx]))
+
+
+def _step_rows_modular(values: np.ndarray, masses: np.ndarray, phi: OrliczFunction,
+                       idx: np.ndarray, errors: dict):
+    """``modular(rows, inv_scales)`` over one group of ``_step_rows``, NaN rows recorded."""
+
+    def modular_at(rows, inv_scales):
+        if rows.size == len(values):
+            return _step_modular(values, masses, phi, inv_scales)
+        return _step_modular(values[rows], masses[rows], phi, inv_scales)
+
+    return _recorded(modular_at, idx, errors, lambda r, inv: _nan_error(phi, values[r], inv))
+
+
+def _recorded(modular_at, idx: np.ndarray, errors: dict, nan_error):
+    """``modular_at(rows, inv_scales)`` with NaN rows recorded and read as +inf.
+
+    The first NaN of a row, in evaluation order, is the one its one-form
+    solve raises: ``nan_error(row, inv_scales)`` builds that error, kept
+    under the row's input index.  As +inf the row reads as infeasible and
+    runs its course without holding up the others.
+    """
+
+    def at(rows, inv_scales):
+        m = modular_at(rows, inv_scales)
+        if math.isnan(np.add.reduce(m, axis=None)):
+            for r in np.isnan(m).any(axis=1).nonzero()[0]:
+                errors.setdefault(idx[rows[r]], nan_error(rows[r], inv_scales[r]))
+                m[r] = INF
+        return m
+
+    return at
+
+
+def _raise_first(errors: dict, unbounded: np.ndarray, message: str) -> None:
+    """Raise the error of the first problem, in input order, that has one.
+
+    A many-form solve keeps solving the other rows when one fails, then
+    raises what the one-form loop would have raised first.  ``unbounded``
+    marks the rows whose solve found no finite value.
+    """
+    for i in unbounded.nonzero()[0]:
+        errors.setdefault(i, UnboundedNormError(message))
+    if errors:
+        raise errors[min(errors)]
 
 
 def _weighted_integral(h, mu: ParametricForm,
@@ -124,49 +221,110 @@ def modular(mu: RearrangementFunction, phi: OrliczFunction, inv_scale,
     scalings and the result is the array of modulars; parametric inputs go
     through sentinel quadrature, one scaling at a time.  Pieces of zero
     weight mass contribute nothing even where the gauge is infinite (the
-    norm only sees weight-a.e. classes).
+    norm only sees weight-a.e. classes).  NaN from the gauge raises
+    NumericError.
     """
     scales = np.asarray(inv_scale, dtype=float)
     if not scales.min(initial=INF) > 0:
         raise DomainError(f"inv_scale must be positive, got {inv_scale}")
     if isinstance(mu, StepForm):
-        out = _step_modular(*_live_pieces(mu, ctx), phi, scales.reshape(-1))
+        values, masses = _live_pieces(mu, ctx)
+        flat = scales.reshape(1, -1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _step_modular(values[None], masses[None], phi, flat)[0]
+            if math.isnan(out.sum()):
+                raise _nan_error(phi, values, flat[0])
         return out.reshape(scales.shape) if scales.ndim else float(out[0])
     if scales.ndim:
         raise DomainError("an array of scalings needs step data")
     k = float(inv_scale)
-    return _weighted_integral(lambda v: float(phi.eval_many(np.array([v * k]))[0]),
-                              mu, None if ctx is None else ctx.weight)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _weighted_integral(lambda v: float(phi.eval_many(np.array([v * k]))[0]),
+                                  mu, None if ctx is None else ctx.weight)
 
 
-def _norm_bisect(modular_at, seed: float, tol: float, batched: bool = False) -> float:
+def _norm_bisect(modular_at, seed: float, tol: float) -> float:
     """inf{lam > 0 : modular_at(lam) <= 1}, bracketed from ``seed``.
 
-    A ``batched`` ``modular_at`` takes an array of scalings and returns the
-    array of modulars.
+    The one-point search of parametric data, where each modular is a
+    quadrature.
     """
 
     def feasible(lam):
         return modular_at(lam) <= 1.0 + MODULAR_SLACK
 
-    def infeasible(lam):
-        return np.logical_not(feasible(lam))
-
     lam = seed if 0.0 < seed < INF else 1.0
-    # batches probe scalings far from the norm, where the modular overflows
+    down = bracket(feasible, lam, 0.5, BRACKET_LIMIT + 1)
+    if down is None:
+        return 0.0  # feasible at arbitrarily small scalings
+    yes, no = down
+    if yes is None:  # lam itself is infeasible: walk up
+        up = bracket(lambda x: not feasible(x), lam * 2.0, 2.0, BRACKET_LIMIT)
+        if up is None:
+            raise UnboundedNormError("no finite scaling brings the modular below one")
+        last, yes = up
+        no = lam if last is None else last
+    return bisect(feasible, yes, no, rtol=tol)
+
+
+def _norm_bisect_rows(modular_at, seeds: np.ndarray, tol: float) -> np.ndarray:
+    """inf{lam > 0 : modular <= 1} for each row, bracketed from its seed.
+
+    ``modular_at(rows, inv_scales)`` gives the modulars of the rows numbered
+    ``rows`` at the matching rows of scalings.  Each row walks down from its
+    seed BATCH scalings at a time, walks up when the seed is infeasible,
+    then bisects: the steps of the one-point search, with every row's
+    numbers its own.  NaN marks a row that no finite scaling brings below
+    one.
+    """
+
+    def feasible(rows, lams):
+        return modular_at(rows, 1.0 / lams) <= 1.0 + MODULAR_SLACK
+
+    def on(subset):
+        if subset.size == seeds.size:
+            return feasible
+        return lambda rows, lams: feasible(subset[rows], lams)
+
+    lam = np.where((seeds > 0.0) & (seeds < INF), seeds, 1.0)
+    # walks probe scalings far from the norm, where the modular overflows
     # to +inf: a value, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        down = bracket(feasible, lam, 0.5, BRACKET_LIMIT + 1, batched=batched)
-        if down is None:
-            return 0.0  # feasible at arbitrarily small scalings
-        yes, no = down
-        if yes is None:  # lam itself is infeasible: walk up
-            up = bracket(infeasible, lam * 2.0, 2.0, BRACKET_LIMIT, batched=batched)
-            if up is None:
-                raise UnboundedNormError("no finite scaling brings the modular below one")
-            last, yes = up
-            no = lam if last is None else last
-        return bisect(feasible, yes, no, rtol=tol, batched=batched)
+        yes, no = bracket_rows(feasible, lam, 0.5, BRACKET_LIMIT + 1)
+        up = (np.isnan(yes) & ~np.isnan(no)).nonzero()[0]  # the seed is infeasible
+        if up.size:
+            infeasible = on(up)
+            last, yes[up] = bracket_rows(lambda rows, lams: ~infeasible(rows, lams),
+                                         lam[up] * 2.0, 2.0, BRACKET_LIMIT)
+            no[up] = np.where(np.isnan(last), lam[up], last)
+        # a down walk that never failed: feasible at arbitrarily small scalings
+        out = np.where(np.isnan(no), 0.0, np.nan)
+        todo = (~np.isnan(yes + no)).nonzero()[0]
+        if todo.size:
+            out[todo] = bisect_rows(on(todo), yes[todo], no[todo], rtol=tol)
+    return out
+
+
+def _check_tol(tol: float) -> None:
+    if not 0 < tol <= 1e-3:
+        raise DomainError("tol must lie in (0, 1e-3]")
+
+
+def luxemburg_norms(mus: Sequence[StepForm], phi: OrliczFunction,
+                    ctx: Optional[WeightedContext] = None,
+                    tol: float = DEFAULT_TOL) -> np.ndarray:
+    """``luxemburg_norm`` of many step forms: one solve per group of ``_step_rows``.
+
+    Each value is bit for bit the one-form value.  When solves fail, raises
+    the error that the first failing form, in input order, raises alone.
+    """
+    _check_tol(tol)
+    out, errors = np.zeros(len(mus)), {}
+    for idx, values, masses in _step_rows(mus, ctx):
+        modular_at = _step_rows_modular(values, masses, phi, idx, errors)
+        out[idx] = _norm_bisect_rows(modular_at, np.array([mus[i].sup_value for i in idx]), tol)
+    _raise_first(errors, np.isnan(out), "no finite scaling brings the modular below one")
+    return out
 
 
 def luxemburg_norm(mu: RearrangementFunction, phi: OrliczFunction,
@@ -174,19 +332,69 @@ def luxemburg_norm(mu: RearrangementFunction, phi: OrliczFunction,
                    tol: float = DEFAULT_TOL) -> float:
     """inf{lam > 0 : modular(mu, phi, 1/lam, ctx) <= 1}; 0 for vanishing mu.
 
-    Step data are solved in batches of scalings against piece masses
-    computed once per solve.
+    Step data are the one-row case of ``luxemburg_norms``; parametric data
+    are bisected one quadrature at a time.
     """
-    if not 0 < tol <= 1e-3:
-        raise DomainError("tol must lie in (0, 1e-3]")
+    if isinstance(mu, StepForm):
+        return float(luxemburg_norms([mu], phi, ctx, tol)[0])
+    _check_tol(tol)
     if mu.is_zero:
         return 0.0
-    seed = mu.sup_value
-    if isinstance(mu, StepForm):
-        values, masses = _live_pieces(mu, ctx)
-        return _norm_bisect(lambda lams: _step_modular(values, masses, phi, 1.0 / lams),
-                            seed, tol, batched=True)
-    return _norm_bisect(lambda lam: modular(mu, phi, 1.0 / lam, ctx), seed, tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _norm_bisect(lambda lam: modular(mu, phi, 1.0 / lam, ctx), mu.sup_value, tol)
+
+
+def kunze_norms(elements: Sequence[AlgebraElement], phi: OrliczFunction,
+                tol: float = DEFAULT_TOL) -> np.ndarray:
+    """``kunze_norm`` of many elements: one solve per algebra and ROWS_PER_SOLVE elements.
+
+    The blocks of the elements of one algebra are decomposed by one stacked
+    SVD, and every probe traces phi over rows x scalings in one
+    ``_trace_calculus`` call.  Each value is bit for bit the one-form value;
+    failures raise what the first failing element, in input order, raises
+    alone.
+    """
+    _check_tol(tol)
+    out, errors = np.zeros(len(elements)), {}
+    for members in _grouped((a.algebra for a in elements), ROWS_PER_SOLVE):
+        alg = elements[members[0]].algebra
+        try:
+            svd = _svd_blocks([elements[i] for i in members])
+        except NumericError:
+            # keep the elements whose decomposition fails apart, solve the rest
+            for i in members:
+                try:
+                    _svd_blocks([elements[i]])
+                except NumericError as exc:
+                    errors[i] = exc
+            members = [i for i in members if i not in errors]
+            if not members:
+                continue
+            svd = _svd_blocks([elements[i] for i in members])
+        seeds = np.max([s[:, 0] for s, _, _ in svd], axis=0)
+        live = seeds > 0.0
+        if not live.all():
+            members, seeds = np.array(members)[live], seeds[live]
+            svd = [tuple(x[live] for x in block) for block in svd]
+        if not seeds.size:
+            continue
+        idx = np.array(members)
+
+        def trace_modular(rows, inv_scales, svd=svd, alg=alg):
+            if rows.size == len(svd[0][0]):
+                return _trace_calculus(alg, phi, svd, inv_scales)
+            return _trace_calculus(alg, phi, [tuple(x[rows] for x in block) for block in svd],
+                                   inv_scales)
+
+        def nan_error(r, inv_scales, svd=svd):
+            _, args, vals, _ = _calculus(phi, [tuple(x[r:r + 1] for x in block) for block in svd],
+                                         inv_scales[None])
+            return _first_nan(phi, args, vals)
+
+        out[idx] = _norm_bisect_rows(_recorded(trace_modular, idx, errors, nan_error),
+                                     seeds, tol)
+    _raise_first(errors, np.isnan(out), "no finite scaling brings the modular below one")
+    return out
 
 
 def kunze_norm(alg: TracedAlgebra, a: AlgebraElement, phi: OrliczFunction,
@@ -197,18 +405,34 @@ def kunze_norm(alg: TracedAlgebra, a: AlgebraElement, phi: OrliczFunction,
     decomposed once, and each probed scaling rebuilds phi(|a|/lam) as a
     matrix and traces it, treating inadmissible functional calculus as a
     modular value of +inf.  The two routes agree; the ``norm`` command and
-    the verification suite compare them.
+    the verification suite compare them.  The one-element case of
+    ``kunze_norms``.
     """
-    if not 0 < tol <= 1e-3:
-        raise DomainError("tol must lie in (0, 1e-3]")
+    _check_tol(tol)
     if a.algebra != alg:
         raise StructuralError("element does not belong to the given algebra")
-    svd = _svd_blocks(a)
-    seed = max((float(s[0]) for _, s, _ in svd if s.size), default=0.0)
-    if seed == 0.0:
-        return 0.0
-    return _norm_bisect(lambda lams: _trace_calculus(alg, phi, svd, 1.0 / lams),
-                        seed, tol, batched=True)
+    return float(kunze_norms([a], phi, tol)[0])
+
+
+def amemiya_norms(mus: Sequence[StepForm], phi: OrliczFunction,
+                  ctx: Optional[WeightedContext] = None,
+                  tol: float = DEFAULT_TOL) -> np.ndarray:
+    """``amemiya_norm`` of many step forms: one convex search per group of ``_step_rows``.
+
+    Each value is bit for bit the one-form value; failures raise what the
+    first failing form, in input order, raises alone.
+    """
+    out, errors = np.zeros(len(mus)), {}
+    for idx, values, masses in _step_rows(mus, ctx):
+        modular_at = _step_rows_modular(values, masses, phi, idx, errors)
+
+        def objective(rows, s, modular_at=modular_at):
+            k = AMEMIYA_K_CAP / s
+            return (1.0 + modular_at(rows, k)) / k
+
+        out[idx] = minimize(objective, _AMEMIYA_S[None].repeat(len(idx), axis=0), 1e-3 * tol)[0]
+    _raise_first(errors, np.isinf(out), "Amemiya objective infinite for all probed k")
+    return out
 
 
 def amemiya_norm(mu: RearrangementFunction, phi: OrliczFunction,
@@ -221,23 +445,11 @@ def amemiya_norm(mu: RearrangementFunction, phi: OrliczFunction,
     most 1e-3 * tol (relative) above the minimum, so comparisons at ``tol``
     see the Luxemburg bisection's error, not this one.  A minimum at s = 1 is
     reported at the k-cap; an objective infinite for all probed k raises
-    UnboundedNormError.
+    UnboundedNormError.  The one-row case of ``amemiya_norms``.
     """
     if not isinstance(mu, StepForm):
         raise DomainError("the Amemiya norm needs step data")
-    if mu.is_zero:
-        return 0.0
-    values, masses = _live_pieces(mu, ctx)
-
-    def objective(_, s: np.ndarray) -> np.ndarray:
-        k = AMEMIYA_K_CAP / s
-        return (1.0 + _step_modular(values, masses, phi, k.reshape(-1)).reshape(k.shape)) / k
-
-    s = 2.0 ** np.arange(math.ceil(math.log2(AMEMIYA_K_CAP)) + BRACKET_LIMIT + 1)
-    least = float(minimize(objective, s[None, :], 1e-3 * tol)[0][0])
-    if math.isinf(least):
-        raise UnboundedNormError("Amemiya objective infinite for all probed k")
-    return least
+    return float(amemiya_norms([mu], phi, ctx, tol)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +499,33 @@ class HolderReport:
     sampled_sup_ok: bool
 
 
+def holder_checks(triples: Sequence[tuple[TracedAlgebra, AlgebraElement, AlgebraElement]],
+                  gauges: Sequence[OrliczFunction],
+                  tol: float = 1e-8) -> list[list[HolderReport]]:
+    """``holder_check`` without probes over many (alg, f, g) and gauges.
+
+    The singular values of each f and g are computed once, and each gauge
+    takes one Amemiya and one Luxemburg solve over all the triples.  Returns
+    one list of reports per gauge, in the order of ``triples``.
+    """
+    lhs = [abs(trace(alg, f @ g)) for alg, f, g in triples]
+    mu_f = [singular_values(alg, f) for alg, f, _ in triples]
+    mu_g = [singular_values(alg, g) for alg, _, g in triples]
+    reports = []
+    for phi in gauges:
+        duals = amemiya_norms(mu_f, conjugate(phi)).tolist()
+        primals = luxemburg_norms(mu_g, phi).tolist()
+        row = []
+        for left, dual, primal in zip(lhs, duals, primals):
+            rhs = dual * primal
+            passed = left <= rhs + tol * (1.0 + rhs) if not math.isinf(rhs) else True
+            row.append(HolderReport(lhs=float(left), rhs=float(rhs), dual_norm=dual,
+                                    primal_norm=primal, slack=float(rhs - left),
+                                    passed=passed, sampled_sup=None, sampled_sup_ok=True))
+        reports.append(row)
+    return reports
+
+
 def holder_check(alg: TracedAlgebra, f: AlgebraElement, g: AlgebraElement,
                  phi: OrliczFunction, tol: float = 1e-8,
                  probes: Sequence[AlgebraElement] = ()) -> HolderReport:
@@ -297,27 +536,18 @@ def holder_check(alg: TracedAlgebra, f: AlgebraElement, g: AlgebraElement,
     are given, that sup is also estimated over them, each scaled to gauge
     norm one; the estimate can falsify but not certify the bound.
     """
-    lhs = abs(trace(alg, f @ g))
-    dual = amemiya_norm(singular_values(alg, f), conjugate(phi))
-    primal = luxemburg_norm(singular_values(alg, g), phi)
-    rhs = dual * primal
-    passed = lhs <= rhs + tol * (1.0 + rhs) if not math.isinf(rhs) else True
-
-    sampled, sampled_ok = None, True
-    if probes:
-        best = 0.0
-        for gp in probes:
-            nrm = luxemburg_norm(singular_values(alg, gp), phi)
-            if nrm == 0.0:
-                continue
-            prod = f @ (gp * (1.0 / nrm))
-            best = max(best, singular_values(alg, prod).total_integral())
-        sampled = best
-        sampled_ok = best <= dual + tol * (1.0 + dual)
-
-    return HolderReport(lhs=float(lhs), rhs=float(rhs), dual_norm=dual,
-                        primal_norm=primal, slack=float(rhs - lhs), passed=passed,
-                        sampled_sup=sampled, sampled_sup_ok=sampled_ok)
+    rep = holder_checks([(alg, f, g)], [phi], tol)[0][0]
+    if not probes:
+        return rep
+    best = 0.0
+    for gp in probes:
+        nrm = luxemburg_norm(singular_values(alg, gp), phi)
+        if nrm == 0.0:
+            continue
+        prod = f @ (gp * (1.0 / nrm))
+        best = max(best, singular_values(alg, prod).total_integral())
+    return replace(rep, sampled_sup=best,
+                   sampled_sup_ok=best <= rep.dual_norm + tol * (1.0 + rep.dual_norm))
 
 
 # ---------------------------------------------------------------------------

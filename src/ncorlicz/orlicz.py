@@ -61,10 +61,13 @@ class OrliczFunction:
         return eval_gauge(self, u)
 
     def eval_many(self, u: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation; assumes nonnegative input."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = self._vector(np.asarray(u, dtype=float))
-        return np.asarray(out, dtype=float)
+        """Vectorized evaluation; assumes nonnegative input.
+
+        Overflow to +inf is a value, and a caller that makes it on purpose
+        silences numpy's warning around its own loop (``np.errstate``), once
+        per solve rather than once per call.
+        """
+        return np.asarray(self._vector(np.asarray(u, dtype=float)), dtype=float)
 
     def conjugate(self) -> "OrliczFunction":
         return conjugate(self)
@@ -314,8 +317,8 @@ def eval_gauge(phi: OrliczFunction, u: float) -> float:
         return INF
     if u == phi.b_phi and phi.b_phi < INF:
         return phi.value_at_b
-    out = float(phi.eval_many(np.array([u]))[0])
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(phi.eval_many(np.array([u]))[0])
 
 
 def conjugate(phi: OrliczFunction) -> OrliczFunction:
@@ -482,8 +485,9 @@ def delta2_probe(phi: OrliczFunction, grid_decades: int = 6) -> Delta2Report:
     if grid_decades < 1:
         raise DomainError("grid_decades must be >= 1")
     grid = np.logspace(-grid_decades / 2.0, grid_decades / 2.0, 24 * grid_decades)
-    fu = phi.eval_many(grid)
-    f2u = phi.eval_many(2.0 * grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fu = phi.eval_many(grid)
+        f2u = phi.eval_many(2.0 * grid)
     witness = np.isinf(f2u) & np.isfinite(fu) & (fu > 0)
     if np.any(witness):
         if phi.delta2_all_t is not None:
@@ -505,8 +509,9 @@ def convexity_gap(phi: OrliczFunction, grid: np.ndarray) -> float:
     u, v = np.meshgrid(grid, grid)
     keep = u < v
     u, v = u[keep], v[keep]
-    fm = phi.eval_many(0.5 * (u + v))
-    fu, fv = phi.eval_many(u), phi.eval_many(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fm = phi.eval_many(0.5 * (u + v))
+        fu, fv = phi.eval_many(u), phi.eval_many(v)
     ok = np.isfinite(fu) & np.isfinite(fv) & np.isfinite(fm)
     gap = fm[ok] - 0.5 * (fu[ok] + fv[ok]) - 1e-12 * (1.0 + fv[ok])
     return float(np.max(gap)) if gap.size else 0.0

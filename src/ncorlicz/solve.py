@@ -8,12 +8,15 @@ exponential-moment membership walk and the regularity walk.
 ``bisect`` narrows a (holds, fails) pair to the caller's tolerance.  Callers
 keep their own tolerances and their own answer to a walk that never ends.
 
-A ``batched`` search hands the predicate BATCH points at once, as an array,
-and reads back a boolean array: the norm solves evaluate one scaling or
-BATCH scalings in a single numpy pass at nearly the same cost.  A batched
-walk tries the points of the one-point walk BATCH at a time and returns the
-same pair; a batched bisection cuts the pair into BATCH + 1 equal parts per
-round instead of two.
+The rows forms ``bracket_rows`` and ``bisect_rows`` solve many independent
+problems at once, one per row: the predicate gets BATCH points of every
+unfinished problem as one array and answers with a boolean array, so the
+norm solves of a whole corpus share each numpy pass.  Each row keeps its
+own walk, its own bracket and its own stopping rule, so a row's answer is
+bit for bit the answer of its one-row call.  A rows walk tries the points
+of the one-point walk BATCH at a time and returns the same pair; a rows
+bisection cuts each pair into BATCH + 1 equal parts per round instead of
+two.
 
 ``minimize`` finds and certifies the least values of many convex functions
 at once: the Amemiya norm and the values of a numeric conjugate.
@@ -21,6 +24,7 @@ at once: the Amemiya norm and the values of a numeric conjugate.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,61 +38,141 @@ _NEIGHBOURS = np.clip(np.arange(GRID), 1, GRID - 2)[:, None] + _TRIPLE
 _KNOWN = np.array([0, GRID // 2, GRID - 1])  # a kept least point and its neighbours
 _INTERIOR = np.arange(1, GRID - 1)
 _NEW = np.setdiff1d(_INTERIOR, _KNOWN)
+_STEPS = np.arange(1, BATCH + 1)  # a bisection round's points, in steps from ``yes``
+_ONE_ROW = np.arange(1)
 
 
-def _first_failure(holds, points: list[float], batched: bool) -> Optional[int]:
-    """Index of the first point where ``holds`` fails, or None."""
-    if not batched:
-        return None if holds(points[0]) else 0
-    fails = ~np.asarray(holds(np.array(points)), dtype=bool)
-    return int(np.argmax(fails)) if fails.any() else None
-
-
-def bracket(holds: Predicate, x: float, factor: float, limit: int,
-            *, batched: bool = False) -> Optional[tuple[Optional[float], float]]:
+def bracket(holds: Predicate, x: float, factor: float,
+            limit: int) -> Optional[tuple[Optional[float], float]]:
     """Multiply x by ``factor`` while ``holds(x)``.
 
-    ``holds`` is tried at x * factor**i for i = 0, ..., limit, in order; a
-    batched predicate gets the next BATCH of those points per call.  Returns
-    (the last point that held, or None when x itself failed; the first point
-    that failed), or None when every tried point held.
+    ``holds`` is tried at x * factor**i for i = 0, ..., limit, in order.
+    Returns (the last point that held, or None when x itself failed; the
+    first point that failed), or None when every tried point held.
     """
     last = None
-    left = limit + 1
-    while left > 0:
-        points = []
-        for _ in range(min(BATCH if batched else 1, left)):
-            points.append(x)
-            x *= factor
-        left -= len(points)
-        i = _first_failure(holds, points, batched)
-        if i is not None:
-            return (points[i - 1] if i else last), points[i]
-        last = points[-1]
+    for _ in range(limit + 1):
+        if not holds(x):
+            return last, x
+        last = x
+        x *= factor
     return None
 
 
 def bisect(holds: Predicate, yes: float, no: float, rtol: float,
-           atol: float = 0.0, *, batched: bool = False) -> float:
+           atol: float = 0.0) -> float:
     """Boundary of ``holds`` between ``yes`` (holds) and ``no`` (fails).
 
-    Narrows the pair, keeping ``holds(yes)`` true and ``holds(no)`` false,
+    Halves the pair, keeping ``holds(yes)`` true and ``holds(no)`` false,
     until |no - yes| <= atol + rtol * max(|yes|, |no|); returns ``yes``.
-    One-point calls halve the pair; a batched predicate gets BATCH evenly
-    spaced interior points, and the new pair is the first failing point and
-    the point before it.
     """
     while abs(no - yes) > atol + rtol * max(abs(yes), abs(no)):
-        if batched:
-            step = (no - yes) / (BATCH + 1)
-            points = [yes + j * step for j in range(1, BATCH + 1)]
+        mid = 0.5 * (yes + no)
+        if holds(mid):
+            yes = mid
         else:
-            points = [0.5 * (yes + no)]
-        i = _first_failure(holds, points, batched)
-        if i is None:
-            yes = points[-1]
-        else:
+            no = mid
+    return yes
+
+
+def bracket_rows(holds, x: np.ndarray, factor: float,
+                 limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The walk of ``bracket`` for independent problems, one per entry of x.
+
+    ``holds(rows, points)`` answers, for the problems numbered ``rows``,
+    whether each holds at the matching row of ``points``.  Each round gives
+    every problem still walking the next BATCH points of its walk
+    x * factor**i, i = 0, ..., limit, each point the previous one times
+    ``factor``.  Returns per problem the last point that held (NaN when x
+    itself failed) and the first point that failed (NaN when every tried
+    point held).
+    """
+    x = np.array(x, dtype=float)
+    if x.size == 1:
+        return _bracket_one_row(holds, float(x[0]), factor, limit)
+    last, first = np.full(x.size, np.nan), np.full(x.size, np.nan)
+    rows, held = np.arange(x.size), last.copy()
+    left = limit + 1
+    while left > 0 and rows.size:
+        points = np.empty((rows.size, min(BATCH, left)))
+        points[:, 0], points[:, 1:] = x, factor
+        np.multiply.accumulate(points, axis=1, out=points)
+        left -= points.shape[1]
+        fails = ~holds(rows, points)
+        i = fails.argmax(axis=1)
+        r = np.arange(rows.size)
+        found, before = points[r, i], np.where(i > 0, points[r, i - 1], held)
+        hit = fails.any(axis=1)
+        last[rows[hit]], first[rows[hit]] = before[hit], found[hit]
+        rows, held = rows[~hit], points[~hit, -1]
+        x = held * factor
+    last[rows] = held
+    return last, first
+
+
+def bisect_rows(holds, yes: np.ndarray, no: np.ndarray, rtol: float,
+                atol: float = 0.0) -> np.ndarray:
+    """The boundaries of independent problems, one per entry of ``yes``.
+
+    Each problem keeps its own pair, its own grid and the stopping rule of
+    ``bisect``.  A round gives ``holds(rows, points)`` BATCH evenly spaced
+    interior points of each unfinished pair; the new pair is the first
+    failing point and the point before it.  A finished problem is not
+    evaluated again.  Returns the ``yes`` ends.
+    """
+    out = np.array(yes, dtype=float)
+    if out.size == 1:
+        return np.array([_bisect_one_row(holds, float(out[0]), float(no[0]), rtol, atol)])
+    rows, y, n = np.arange(out.size), out.copy(), np.array(no, dtype=float)
+    while rows.size:
+        going = np.abs(n - y) > atol + rtol * np.maximum(np.abs(y), np.abs(n))
+        if not np.logical_and.reduce(going):
+            out[rows] = y
+            rows, y, n = rows[going], y[going], n[going]
+            continue
+        # each row's grid: yes, its BATCH interior points, no
+        grid = np.empty((rows.size, BATCH + 2))
+        grid[:, 0], grid[:, -1] = y, n
+        np.add(y[:, None], _STEPS * ((n - y) / (BATCH + 1))[:, None], out=grid[:, 1:-1])
+        fails = np.ones((rows.size, BATCH + 1), dtype=bool)
+        np.logical_not(holds(rows, grid[:, 1:-1]), out=fails[:, :-1])
+        # the first failing point, counted from yes; BATCH + 1 (no) when none failed
+        at = fails.argmax(axis=1) + np.arange(0, grid.size, BATCH + 2)
+        y, n = grid.take(at), grid.take(at + 1)
+    return out
+
+
+# One problem alone: the same points and pairs as its row in a many-row
+# call, kept in Python floats.  A numpy operation on a one-element array
+# costs as much as on a hundred, and the rows bookkeeping takes about twenty
+# of them per round, more than a one-row solve spends in its predicate.
+
+def _bracket_one_row(holds, x: float, factor: float, limit: int):
+    last, left = math.nan, limit + 1
+    while left > 0:
+        points = [x]
+        for _ in range(min(BATCH, left) - 1):
+            points.append(points[-1] * factor)
+        left -= len(points)
+        fails = ~holds(_ONE_ROW, np.array([points]))[0]
+        i = int(fails.argmax())
+        if fails[i]:
+            return np.array([points[i - 1] if i else last]), np.array([points[i]])
+        last = points[-1]
+        x = last * factor
+    return np.array([last]), np.array([math.nan])
+
+
+def _bisect_one_row(holds, yes: float, no: float, rtol: float, atol: float) -> float:
+    while abs(no - yes) > atol + rtol * max(abs(yes), abs(no)):
+        step = (no - yes) / (BATCH + 1)
+        points = [yes + j * step for j in range(1, BATCH + 1)]
+        fails = ~holds(_ONE_ROW, np.array([points]))[0]
+        i = int(fails.argmax())
+        if fails[i]:
             yes, no = (points[i - 1] if i else yes), points[i]
+        else:
+            yes = points[-1]
     return yes
 
 

@@ -15,6 +15,7 @@ from ncorlicz import (
     UnboundedNormError,
     WeightedContext,
     amemiya_norm,
+    amemiya_norms,
     apply_function,
     conjugate,
     constant,
@@ -23,11 +24,14 @@ from ncorlicz import (
     exp_decay,
     exp_minus_one,
     holder_check,
+    holder_checks,
     kunze_norm,
+    kunze_norms,
     laplace_probe,
     linear_until_cap,
     log_reciprocal,
     luxemburg_norm,
+    luxemburg_norms,
     modular,
     moment_bound_check,
     pairing_integral,
@@ -251,7 +255,7 @@ class TestAmemiya:
         assert amemiya_norm(mu, power(2.0)) == pytest.approx(3.0, rel=1e-12)
         # one pass over k = K_CAP / 2^j, then 7 rounds of the convex search
         assert [k.size for k in passes] == [231, 15] + [14] * 6
-        ks = np.concatenate(passes)
+        ks = np.concatenate([k.ravel() for k in passes])
         assert len(set(ks.tolist())) == len(ks)
 
     def test_kinked_gauges_exact(self):
@@ -292,6 +296,150 @@ class TestAmemiya:
         mu = StepForm.from_raw([1.0, 2.0], [3.0, 1.0])
         got = amemiya_norm(mu, conjugate(power(1.0)))
         assert got == pytest.approx(3.0, rel=1e-8)
+
+
+def _many_gauges():
+    return _norm_gauges() + [zero_then_linear(0.5)]
+
+
+@st.composite
+def _step_batches(draw):
+    """Step forms of mixed piece counts, with zero forms and walk-up forms.
+
+    A walk-up form has so much mass that the modular at its sup value
+    exceeds one, so its norm lies above the seed of the down walk.
+    """
+    forms = []
+    for kind in draw(st.lists(st.sampled_from(["step", "zero", "walk_up"]),
+                              min_size=1, max_size=10)):
+        if kind == "zero":
+            forms.append(StepForm.from_raw([], []))
+            continue
+        mu = draw(_steps())
+        if kind == "walk_up":
+            mu = StepForm.from_raw(mu.durations * draw(st.floats(20.0, 1e4)), mu.values)
+        forms.append(mu)
+    return forms
+
+
+def _contexts():
+    return st.sampled_from(["none", "step", "exp_decay"]).flatmap(
+        lambda kind: st.just(None) if kind == "none" else
+        st.just(WeightedContext(exp_decay())) if kind == "exp_decay" else
+        st.integers(0, 2 ** 32 - 1).map(
+            lambda seed: WeightedContext(random_weight_step(np.random.default_rng(seed)))))
+
+
+def _first_error(solve_one, items):
+    """The error the one-form loop over ``items`` raises first, or None."""
+    for item in items:
+        try:
+            solve_one(item)
+        except Exception as exc:  # noqa: BLE001 - compared by class and message
+            return exc
+    return None
+
+
+def _raises_like(solve_many, want):
+    with pytest.raises(type(want)) as got:
+        solve_many()
+    assert str(got.value) == str(want)
+
+
+def _nan_above_a_million():
+    """t^2 below 1e6 and NaN from there on: a NaN that only a long walk meets."""
+    return custom(lambda u: u * u if u < 1e6 else math.nan, name="nan_above_a_million")
+
+
+class TestManyForms:
+    """The many-form solves equal the one-form loop bit for bit, errors included."""
+
+    @given(_step_batches(), st.sampled_from(_many_gauges()), _contexts())
+    @settings(max_examples=80, deadline=None)
+    def test_luxemburg_many_is_the_one_form_loop(self, mus, phi, ctx):
+        got = luxemburg_norms(mus, phi, ctx).tolist()
+        assert got == [luxemburg_norm(mu, phi, ctx) for mu in mus]
+
+    @given(_step_batches(), st.sampled_from(_many_gauges()), _contexts())
+    @settings(max_examples=60, deadline=None)
+    def test_amemiya_many_is_the_one_form_loop(self, mus, phi, ctx):
+        got = amemiya_norms(mus, phi, ctx).tolist()
+        assert got == [amemiya_norm(mu, phi, ctx) for mu in mus]
+
+    def test_seeded_corpus_is_the_one_form_loop(self):
+        # a corpus of every piece count from 1 to 10, walk-up forms among them
+        rng = np.random.default_rng(8)
+        mus = [random_decreasing_step(rng, max_pieces=10).scaled(float(rng.choice([0.1, 1.0])))
+               for _ in range(150)]
+        for ctx in (None, WeightedContext(random_weight_step(rng)), WeightedContext(exp_decay())):
+            for phi in _many_gauges():
+                assert luxemburg_norms(mus, phi, ctx).tolist() == \
+                    [luxemburg_norm(mu, phi, ctx) for mu in mus]
+                assert amemiya_norms(mus, phi, ctx).tolist() == \
+                    [amemiya_norm(mu, phi, ctx) for mu in mus]
+
+    @given(st.integers(0, 2 ** 32 - 1), st.lists(st.sampled_from([0.0, 0.05, 1.0, 30.0]),
+                                                 min_size=1, max_size=12),
+           st.sampled_from(_many_gauges()))
+    @settings(max_examples=60, deadline=None)
+    def test_kunze_many_is_the_one_form_loop(self, seed, scales, phi):
+        rng = np.random.default_rng(seed)
+        shapes = algebra_shapes()
+        algs = [shapes[int(rng.integers(len(shapes)))] for _ in scales]
+        elements = [random_element(alg, rng) * c for alg, c in zip(algs, scales)]
+        got = kunze_norms(elements, phi).tolist()
+        assert got == [kunze_norm(alg, a, phi) for alg, a in zip(algs, elements)]
+
+    def test_holder_many_is_the_one_form_loop(self):
+        rng = np.random.default_rng(4)
+        triples = [(alg, random_element(alg, rng), random_element(alg, rng))
+                   for alg in algebra_shapes() * 2]
+        gauges = [power(2.0), cosh_minus_one(), exp_minus_one()]
+        reports = holder_checks(triples, gauges)
+        for phi, row in zip(gauges, reports):
+            assert row == [holder_check(alg, f, g, phi) for alg, f, g in triples]
+
+    def test_errors_follow_the_input_order(self):
+        phi = _nan_above_a_million()
+        fine = StepForm.from_raw([1.0, 0.5], [2.0, 1.0])
+        unbounded = StepForm.from_raw([1e130], [1.0])  # needs lam >= 1e65 > 2^201
+        nan = StepForm.from_raw([1e-14], [1.0])  # its down walk meets 2^20 >= 1e6
+        for mus in ([fine, nan, unbounded], [fine, unbounded, nan, fine],
+                    [unbounded, nan], [nan, unbounded, fine]):
+            want = _first_error(lambda mu: luxemburg_norm(mu, phi), mus)
+            assert type(want) in (NumericError, UnboundedNormError)
+            _raises_like(lambda: luxemburg_norms(mus, phi), want)
+        assert isinstance(_first_error(lambda mu: luxemburg_norm(mu, phi), [unbounded]),
+                          UnboundedNormError)
+
+        # Amemiya: the first pass meets NaN at k = K_CAP times the top value
+        nans = [StepForm.from_raw([], [])] + [StepForm.from_raw([1.0], [v])
+                                              for v in (0.25, 3.0, 0.5)]
+        want = _first_error(lambda mu: amemiya_norm(mu, phi), nans)
+        assert "2.5e+08" in str(want)
+        _raises_like(lambda: amemiya_norms(nans, phi), want)
+        cap = linear_until_cap(1.0)
+        for mus in ([fine, StepForm.from_raw([1.0], [1e70])],
+                    [StepForm.from_raw([1.0], [1e70]), fine]):
+            want = _first_error(lambda mu: amemiya_norm(mu, cap), mus)
+            assert isinstance(want, UnboundedNormError)
+            _raises_like(lambda: amemiya_norms(mus, cap), want)
+
+    def test_kunze_errors_follow_the_input_order(self):
+        phi = _nan_above_a_million()
+        heavy, light = TracedAlgebra((1,), (1e130,)), TracedAlgebra((1,), (1e-14,))
+        plain = TracedAlgebra((2,), (1.0,))
+        elements = [plain.diagonal([[2.0, 1.0]]), light.diagonal([[1.0]]),
+                    heavy.diagonal([[1.0]]), plain.diagonal([[1.0, 0.5]]),
+                    plain.element([np.array([[math.nan, 0.0], [0.0, 1.0]])])]
+        for order in ([0, 2, 1, 3], [0, 1, 2], [3, 1, 0, 2], [0, 4, 1], [3, 2, 4], [4, 0]):
+            items = [elements[i] for i in order]
+            want = _first_error(lambda a: kunze_norm(a.algebra, a, phi), items)
+            _raises_like(lambda: kunze_norms(items, phi), want)
+
+    def test_parametric_data_rejected(self):
+        with pytest.raises(DomainError):
+            luxemburg_norms([StepForm.from_raw([1.0], [1.0]), exp_decay()], power(2.0))
 
 
 class TestHolder:

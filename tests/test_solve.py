@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ncorlicz.solve import BATCH, bisect, bracket, minimize
+from ncorlicz.solve import BATCH, bisect, bisect_rows, bracket, bracket_rows, minimize
 
 
 class TestBracket:
@@ -59,73 +59,147 @@ class TestBisect:
         assert calls == []
 
 
-def _batched(predicate, calls=None):
-    """A batched predicate from a scalar one, recording each batch it gets."""
+def _rows(predicate, calls=None):
+    """A rows predicate from a scalar one, recording the points of each call."""
 
-    def holds(xs):
+    def holds(rows, xs):
         if calls is not None:
-            calls.append(list(xs))
-        return np.array([predicate(float(x)) for x in xs], dtype=bool)
+            calls.append(xs.copy())
+        return np.vectorize(predicate, otypes=[bool])(xs)
 
     return holds
 
 
+def _one_row_bracket(predicate, x, factor, limit, calls=None):
+    """``bracket_rows`` on one problem, answered the way ``bracket`` answers."""
+    last, first = bracket_rows(_rows(predicate, calls), np.array([x]), factor, limit)
+    if math.isnan(first[0]):
+        return None
+    return (None if math.isnan(last[0]) else float(last[0])), float(first[0])
+
+
+def _one_row_bisect(predicate, yes, no, calls=None, **tols):
+    return float(bisect_rows(_rows(predicate, calls), np.array([yes]), np.array([no]),
+                             **tols)[0])
+
+
 class TestBatchedBracket:
     def test_first_point_fails(self):
-        assert bracket(_batched(lambda x: x < 1.0), 4.0, 2.0, 10, batched=True) == (None, 4.0)
+        assert _one_row_bracket(lambda x: x < 1.0, 4.0, 2.0, 10) == (None, 4.0)
 
     def test_same_pair_as_one_point_walk(self):
         for holds, x, factor in ((lambda x: x < 10.0, 1.0, 2.0),
                                  (lambda x: x > 0.1, 1.0, 0.5),
                                  (lambda x: x < 1e6, 1.0, 2.0)):
-            want = bracket(holds, x, factor, 40)
-            assert bracket(_batched(holds), x, factor, 40, batched=True) == want
+            assert _one_row_bracket(holds, x, factor, 40) == bracket(holds, x, factor, 40)
 
     def test_limit_counts_multiplications(self):
         calls = []
-        assert bracket(_batched(lambda x: True, calls), 1.0, 2.0, 20, batched=True) is None
+        assert _one_row_bracket(lambda x: True, 1.0, 2.0, 20, calls) is None
         # 21 points in consecutive batches: a full batch, then the rest
-        assert [len(c) for c in calls] == [BATCH, 21 - BATCH]
-        assert sum(calls, []) == [2.0 ** i for i in range(21)]
+        assert [c.shape for c in calls] == [(1, BATCH), (1, 21 - BATCH)]
+        assert np.concatenate(calls, axis=1)[0].tolist() == [2.0 ** i for i in range(21)]
         # the last allowed point may still fail
-        got = bracket(_batched(lambda x: x < 2.0 ** 20), 1.0, 2.0, 20, batched=True)
+        got = _one_row_bracket(lambda x: x < 2.0 ** 20, 1.0, 2.0, 20)
         assert got == (2.0 ** 19, 2.0 ** 20)
 
 
 class TestBatchedBisect:
     def test_relative_rule(self):
-        got = bisect(_batched(lambda x: x * x >= 2.0), 2.0, 1.0, rtol=1e-12, batched=True)
+        got = _one_row_bisect(lambda x: x * x >= 2.0, 2.0, 1.0, rtol=1e-12)
         assert got >= math.sqrt(2.0)
         assert got == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
     def test_absolute_rule_at_zero(self):
-        got = bisect(_batched(lambda x: x <= 0.0), 0.0, 1.0, rtol=1e-10, atol=1e-10,
-                     batched=True)
-        assert got == 0.0
+        assert _one_row_bisect(lambda x: x <= 0.0, 0.0, 1.0, rtol=1e-10, atol=1e-10) == 0.0
 
     def test_keeps_the_holding_side(self):
         boundary = 0.3
-        below = bisect(_batched(lambda x: x <= boundary), 0.0, 1.0, rtol=1e-12,
-                       atol=1e-12, batched=True)
-        above = bisect(_batched(lambda x: x >= boundary), 1.0, 0.0, rtol=1e-12,
-                       atol=1e-12, batched=True)
+        below = _one_row_bisect(lambda x: x <= boundary, 0.0, 1.0, rtol=1e-12, atol=1e-12)
+        above = _one_row_bisect(lambda x: x >= boundary, 1.0, 0.0, rtol=1e-12, atol=1e-12)
         assert below <= boundary <= above
         assert above - below <= 3e-12
 
     def test_batches_are_interior_and_even(self):
         calls = []
-        bisect(_batched(lambda x: x <= 0.3, calls), 0.0, 1.0, rtol=1e-3, atol=1e-3,
-               batched=True)
-        first = np.array(calls[0])
-        assert first.size == BATCH
-        np.testing.assert_allclose(first, np.arange(1, BATCH + 1) / (BATCH + 1))
+        _one_row_bisect(lambda x: x <= 0.3, 0.0, 1.0, calls, rtol=1e-3, atol=1e-3)
+        assert calls[0].shape == (1, BATCH)
+        np.testing.assert_allclose(calls[0][0], np.arange(1, BATCH + 1) / (BATCH + 1))
         assert len(calls) == 3  # each round cuts the pair BATCH + 1 ways
 
     def test_already_within_tolerance(self):
         calls = []
-        assert bisect(_batched(lambda x: True, calls), 1.0, 1.0 + 1e-13, rtol=1e-12,
-                      batched=True) == 1.0
+        assert _one_row_bisect(lambda x: True, 1.0, 1.0 + 1e-13, calls, rtol=1e-12) == 1.0
         assert calls == []
+
+
+def _thresholds(rows, xs, edges):
+    """Row r holds below edges[r]: independent problems with known boundaries."""
+    return xs < edges[rows, None]
+
+
+class TestRows:
+    EDGES = np.array([0.3, 7.0, 1e-3, 250.0, 2.0 ** 30, 1.0])
+
+    def test_bracket_rows_equal_their_one_row_calls(self):
+        for factor, limit in ((2.0, 40), (0.5, 40), (3.0, 25)):
+            start = np.array([1.0, 0.1, 5.0, 1.0, 1.0, 1.0])
+            last, first = bracket_rows(lambda rows, xs: _thresholds(rows, xs, self.EDGES),
+                                       start, factor, limit)
+            for r, edge in enumerate(self.EDGES):
+                one = _one_row_bracket(lambda x: x < edge, start[r], factor, limit)
+                got = None if math.isnan(first[r]) else (
+                    None if math.isnan(last[r]) else float(last[r]), float(first[r]))
+                assert got == one
+
+    def test_a_walk_that_never_fails_is_reported_per_row(self):
+        # rows 1 and 3 never reach their edge within 10 doublings
+        edges = np.array([4.0, 1e9, 0.5, np.inf])
+        last, first = bracket_rows(lambda rows, xs: _thresholds(rows, xs, edges),
+                                   np.ones(4), 2.0, 10)
+        assert first.tolist()[::2] == [4.0, 1.0]
+        assert np.isnan(first[1]) and np.isnan(first[3])
+        assert last[1] == last[3] == 2.0 ** 10
+        assert last[0] == 2.0 and np.isnan(last[2])
+
+    def test_bisect_rows_equal_their_one_row_calls(self):
+        yes = np.array([0.0, 1.0, 0.0, 100.0, 1.0, 0.5])
+        no = np.array([1.0, 10.0, 1.0, 1e3, 2.0 ** 31, 1.5])
+        got = bisect_rows(lambda rows, xs: _thresholds(rows, xs, self.EDGES), yes, no,
+                          rtol=1e-13, atol=1e-15)
+        for r, edge in enumerate(self.EDGES):
+            assert got[r] == _one_row_bisect(lambda x: x < edge, yes[r], no[r],
+                                             rtol=1e-13, atol=1e-15)
+            assert got[r] < edge
+
+    def test_no_rows(self):
+        def never(rows, xs):
+            raise AssertionError("no row to evaluate")
+
+        last, first = bracket_rows(never, np.array([]), 2.0, 10)
+        assert last.shape == first.shape == (0,)
+        assert bisect_rows(never, np.array([]), np.array([]), rtol=1e-9).shape == (0,)
+
+    def test_a_converged_row_is_never_evaluated_again(self):
+        seen = []
+
+        def holds(rows, xs):
+            seen.append(rows.copy())
+            return xs <= np.array([0.3, 0.7])[rows, None]
+
+        # row 0 starts within a loose tolerance of its boundary, row 1 far from it
+        yes, no = np.array([0.29, 0.0]), np.array([0.31, 1.0])
+        got = bisect_rows(holds, yes, no, rtol=0.0, atol=0.05)
+        assert got[0] == 0.29  # finished before the first round: never moved
+        assert all(r.tolist() == [1] for r in seen)
+        # rows that finish in different rounds drop out as they finish
+        seen.clear()
+        got = bisect_rows(holds, np.zeros(2), np.array([0.5, 1e6]), rtol=0.0, atol=1e-3)
+        sets = [r.tolist() for r in seen]
+        assert sets[0] == [0, 1] and sets[-1] == [1]
+        assert sets == sorted(sets, key=len, reverse=True)  # once gone, never back
+        assert got[0] <= 0.3 <= got[0] + 1e-3 and got[1] <= 0.7 <= got[1] + 1e-3
+        assert got[0] == _one_row_bisect(lambda x: x <= 0.3, 0.0, 0.5, rtol=0.0, atol=1e-3)
 
 
 def _recorded(fn, calls):
