@@ -11,6 +11,7 @@ from .algebra import (
     TracedAlgebra,
     abs_value,
     apply_function,
+    apply_function_many,
     is_projection,
     projection_trace_norm,
     trace,
@@ -37,6 +38,7 @@ from .morphisms import (
     composition_bound_check,
     interpolation_contraction_check,
     modular_chain_check,
+    modular_chain_checks,
     purity_check,
     radon_nikodym,
 )
@@ -52,6 +54,7 @@ from .norms import (
     luxemburg_norms,
     modular,
     moment_bound_check,
+    moment_bound_checks,
     pairing_integral,
     pistone_sempi_equivalence,
     quant_membership,
@@ -86,6 +89,7 @@ from .rearrangement import (
     rearrange_step,
     reciprocal,
     singular_values,
+    singular_values_many,
     submajorizes,
     weighted_rearrangement,
 )

@@ -113,16 +113,39 @@ class AlgebraElement:
         return all(np.allclose(b, b.conj().T, atol=tol) for b in self.blocks)
 
     def is_positive(self, tol: float = 1e-10) -> bool:
-        if not self.is_selfadjoint(tol):
-            return False
-        scale = max(self.sup_norm(), 1.0)
-        return all(
-            np.linalg.eigvalsh(0.5 * (b + b.conj().T)).min() >= -tol * scale
-            for b in self.blocks
-        )
+        return bool(_positive_rows([b[None] for b in self.blocks], tol)[0])
 
     def matrix_power(self, n: int) -> "AlgebraElement":
         return self._wrap(np.linalg.matrix_power(b, n) for b in self.blocks)
+
+
+def _positive_rows(stacks: Sequence[np.ndarray], tol: float) -> np.ndarray:
+    """``is_positive`` for each row of the per-block stacks of (rows, n, n) matrices.
+
+    A row is positive when it is self-adjoint within ``tol`` and the least
+    eigenvalue of each block is at least -tol * max(operator norm, 1).  The
+    stacked LAPACK calls give each matrix the values it gets alone, so each
+    verdict is the one-element verdict.
+    """
+    rows = np.logical_and.reduce([np.isclose(s, s.conj().swapaxes(-1, -2), atol=tol).all(axis=(1, 2))
+                                  for s in stacks])
+    live = rows.nonzero()[0]
+    if live.size:
+        stacks = [s[live] for s in stacks]
+        sup = np.max([np.linalg.svd(s, compute_uv=False).max(axis=-1) for s in stacks], axis=0)
+        floor = -tol * np.maximum(sup, 1.0)
+        rows[live] = np.logical_and.reduce([
+            np.linalg.eigvalsh(0.5 * (s + s.conj().swapaxes(-1, -2))).min(axis=-1) >= floor
+            for s in stacks])
+    return rows
+
+
+def _are_positive(elements: Sequence[AlgebraElement], tol: float = 1e-10) -> np.ndarray:
+    """``is_positive`` of many elements; one stacked call per block when they share an algebra."""
+    if len({a.algebra for a in elements}) != 1:
+        return np.array([a.is_positive(tol) for a in elements], dtype=bool)
+    return _positive_rows([np.array([a.blocks[k] for a in elements])
+                           for k in range(elements[0].algebra.n_blocks)], tol)
 
 
 def _same_algebra(a: AlgebraElement, b: AlgebraElement) -> None:
@@ -196,30 +219,68 @@ def _first_nan(phi: OrliczFunction, args: np.ndarray, vals: np.ndarray) -> Numer
     return NumericError(f"gauge {phi.describe()} returned NaN at spectral value {bad:.6g}")
 
 
+def apply_function_many(phi: OrliczFunction, elements: Sequence[AlgebraElement],
+                        scale: float = 1.0) -> list[AlgebraElement]:
+    """``apply_function`` of many elements: one stacked SVD per block.
+
+    Each result is bit for bit the one-element result.  When the stack fails
+    (elements of different algebras, no convergence, a gauge infinite or NaN
+    on some spectrum), the one-element loop runs and raises what it raises
+    first.
+    """
+    if scale <= 0:
+        raise DomainError(f"scale must be positive, got {scale}")
+    if not elements:
+        return []
+    try:
+        if any(a.algebra != elements[0].algebra for a in elements):
+            raise StructuralError("elements belong to different algebras")
+        return _functions_of(phi, elements, _svd_blocks(elements), scale)
+    except (NumericError, NotMeasurableError, StructuralError):
+        if len(elements) == 1:
+            raise
+        return [apply_function_many(phi, [a], scale)[0] for a in elements]
+
+
+def _functions_of(phi: OrliczFunction, elements: Sequence[AlgebraElement], svd,
+                  scales) -> list[AlgebraElement]:
+    """phi(scale * |a|) for each element, from its stacked decompositions ``svd``.
+
+    ``scales`` is one scale for all elements or one per element.  Raises
+    like ``apply_function``, for the first element with a NaN if any has
+    one, else for the first with an infinite value.
+    """
+    rows = np.empty((len(elements), 1))
+    rows[:, 0] = scales
+    mats, args, vals, _ = _calculus(phi, svd, rows)
+    if np.isnan(vals).any():
+        raise _first_nan(phi, args, vals)
+    out = []
+    for r, a in enumerate(elements):
+        blocks, start = [], 0
+        for k, m in enumerate(mats):
+            n = m.shape[-1]
+            infinite = np.isinf(vals[r, 0, start:start + n])
+            if infinite.any():
+                ev = float(args[r, 0, start:start + n][infinite][0])
+                raise NotMeasurableError(
+                    f"gauge is infinite at spectral value {ev:.6g} in block {k}",
+                    eigenvalue=ev, block=k)
+            start += n
+            blocks.append(m[r, 0])
+        out.append(AlgebraElement(a.algebra, tuple(blocks)))
+    return out
+
+
 def apply_function(phi: OrliczFunction, a: AlgebraElement, scale: float = 1.0) -> AlgebraElement:
     """Functional calculus phi(scale * |a|).
 
     Raises NotMeasurableError carrying the offending spectral value when any
     phi(scale * s) is infinite; such an operator has no finite representative.
-    NaN from the gauge raises NumericError.
+    NaN from the gauge raises NumericError.  The one-element case of
+    ``apply_function_many``.
     """
-    if scale <= 0:
-        raise DomainError(f"scale must be positive, got {scale}")
-    mats, args, vals, _ = _calculus(phi, _svd_blocks([a]), np.array([[scale]], dtype=float))
-    if np.isnan(vals).any():
-        raise _first_nan(phi, args, vals)
-    blocks, start = [], 0
-    for k, m in enumerate(mats):
-        n = m.shape[-1]
-        infinite = np.isinf(vals[0, 0, start:start + n])
-        if infinite.any():
-            ev = float(args[0, 0, start:start + n][infinite][0])
-            raise NotMeasurableError(
-                f"gauge is infinite at spectral value {ev:.6g} in block {k}",
-                eigenvalue=ev, block=k)
-        start += n
-        blocks.append(m[0, 0])
-    return AlgebraElement(a.algebra, tuple(blocks))
+    return apply_function_many(phi, [a], scale)[0]
 
 
 def _trace_calculus(alg: TracedAlgebra, phi: OrliczFunction, svd,

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .algebra import (
     AlgebraElement,
@@ -23,10 +22,10 @@ from .algebra import (
     apply_function,
     trace,
 )
-from .errors import DomainError, NotMeasurableError, StructuralError
+from .errors import DomainError, NcorliczError, NotMeasurableError, StructuralError
 from .orlicz import OrliczFunction, compose_orlicz, conjugate
-from .norms import amemiya_norm, luxemburg_norm
-from .rearrangement import singular_values, submajorizes
+from .norms import amemiya_norm, luxemburg_norm, luxemburg_norms
+from .rearrangement import singular_values, singular_values_many, submajorizes
 
 INF = math.inf
 FLAVORS = ("homo", "anti")
@@ -124,16 +123,17 @@ def apply_jordan(J: JordanMorphism, a: AlgebraElement) -> AlgebraElement:
     out = []
     for k, spec in enumerate(J.blocks):
         m = J.target.dims[k]
+        d = np.zeros((m, m), dtype=complex)  # the zero padding stays
         if spec is None:
-            out.append(np.zeros((m, m), dtype=complex))
+            out.append(d)
             continue
-        pieces = []
+        start = 0
         for asg in spec.assignments:
             piece = a.blocks[asg.src] if asg.flavor == "homo" else a.blocks[asg.src].T
-            pieces.extend([piece] * asg.copies)
-        if spec.pad:
-            pieces.append(np.zeros((spec.pad, spec.pad), dtype=complex))
-        d = block_diag(*pieces).astype(complex)
+            n = piece.shape[0]
+            for _ in range(asg.copies):
+                d[start:start + n, start:start + n] = piece
+                start += n
         if spec.unitary is not None:
             d = spec.unitary @ d @ spec.unitary.conj().T
         out.append(d)
@@ -240,23 +240,31 @@ def composition_bound_check(J: JordanMorphism, psi: OrliczFunction,
     Rescales each self-adjoint probe a into the open unit ball of the composed
     gauge, and checks the target-space gauge norm of J(a) against
     max(1, dual-gauge norm of the trace density).  Zero probes are skipped.
+    The probes take one Luxemburg solve in each gauge; when one fails, the
+    probes run one at a time, which raises what the probe-by-probe order
+    raises first.
     """
     phi1 = compose_orlicz(psi, phi2)
     f = radon_nikodym(J)
     bound = max(1.0, _density_dual_norm(J, f, psi))
-    max_ratio, used = 0.0, 0
-    for a in probes:
-        nrm = luxemburg_norm(singular_values(J.source, a), phi1)
-        if nrm == 0.0:
-            continue
-        a = a * (0.9 / nrm)
-        image = apply_jordan(J, a)
-        r = luxemburg_norm(singular_values(J.target, image), phi2)
+    try:
+        ratios = _unit_ball_image_norms(J, phi1, phi2, probes)
+    except (NcorliczError, np.linalg.LinAlgError):
+        ratios = [r for a in probes for r in _unit_ball_image_norms(J, phi1, phi2, [a])]
+    max_ratio = 0.0
+    for r in ratios:
         max_ratio = max(max_ratio, r)
-        used += 1
-    return CompositionBoundReport(bound=bound, max_ratio=max_ratio, samples=used,
+    return CompositionBoundReport(bound=bound, max_ratio=max_ratio, samples=len(ratios),
                                   passed=max_ratio <= bound + tol * max(1.0, bound),
                                   density=f)
+
+
+def _unit_ball_image_norms(J: JordanMorphism, phi1: OrliczFunction, phi2: OrliczFunction,
+                           probes: Sequence[AlgebraElement]) -> list[float]:
+    """phi2-norms of J(0.9 a / phi1-norm of a) over the nonzero probes a, in order."""
+    norms = luxemburg_norms(singular_values_many(J.source, probes), phi1).tolist()
+    images = [apply_jordan(J, a * (0.9 / nrm)) for a, nrm in zip(probes, norms) if nrm != 0.0]
+    return luxemburg_norms(singular_values_many(J.target, images), phi2).tolist()
 
 
 @dataclass(frozen=True)
@@ -270,6 +278,76 @@ class ModularChainReport:
     passed: bool
 
 
+def modular_chain_checks(J: JordanMorphism, psi: OrliczFunction, phi2: OrliczFunction,
+                         elements: Sequence[AlgebraElement],
+                         tol: float = 1e-9) -> list[ModularChainReport]:
+    """``modular_chain_check`` of many elements, one report each.
+
+    The density and its dual-gauge norm are computed once, and the source
+    and inner norms take one Luxemburg solve each.  Each report is bit for
+    bit the one-element report; when a solve fails, the elements run one at
+    a time, which raises what the one-element loop raises first.
+    """
+    try:
+        return _chain_reports(J, psi, phi2, elements, tol)
+    except (NcorliczError, np.linalg.LinAlgError):
+        if len(elements) <= 1:
+            raise
+        return [modular_chain_checks(J, psi, phi2, [a], tol)[0] for a in elements]
+
+
+def _chain_reports(J: JordanMorphism, psi: OrliczFunction, phi2: OrliczFunction,
+                   elements: Sequence[AlgebraElement], tol: float) -> list[ModularChainReport]:
+    """The reports of ``modular_chain_checks``, every solve taken over all the elements."""
+    phi1 = compose_orlicz(psi, phi2)
+    source_norms = luxemburg_norms(singular_values_many(J.source, elements), phi1).tolist()
+    f = froot = None
+    routes = []  # the four route values and phi2(|a|) per element, None off the hypotheses
+    for a, source_norm in zip(elements, source_norms):
+        if not source_norm < 1.0 or not a.is_selfadjoint():
+            routes.append(None)
+            continue
+        try:
+            image = apply_jordan(J, a)
+            q1 = trace(J.target, apply_function(phi2, image)).real
+            abs_a = abs_value(a)
+            q2 = trace(J.target, apply_function(phi2, apply_jordan(J, abs_a))).real
+            gauged = apply_function(phi2, a)
+            q3 = trace(J.target, apply_jordan(J, gauged)).real
+            if f is None:
+                f = radon_nikodym(J)
+                froot = J.source.element([np.sqrt(b.real.clip(min=0.0)).astype(complex)
+                                          for b in f.blocks])
+            q4 = trace(J.source, froot @ gauged @ froot).real
+        except NotMeasurableError:
+            routes.append(None)
+            continue
+        routes.append(((q1, q2, q3, q4), gauged))
+    live = [route for route in routes if route is not None]
+    # the chain needs the bare norm; the reported bound is dual_gauge_bound's max with 1
+    bare_dual = _density_dual_norm(J, f, psi) if live else math.nan
+    inners = iter(luxemburg_norms(singular_values_many(J.source, [g for _, g in live]),
+                                  psi).tolist())
+    reports = []
+    for route, source_norm in zip(routes, source_norms):
+        if route is None:
+            reports.append(ModularChainReport((math.nan,) * 4, math.nan, math.nan, math.nan,
+                                              source_norm, hypothesis_ok=False, passed=False))
+            continue
+        vals = route[0]
+        inner = next(inners)
+        scale = max(1.0, *(abs(v) for v in vals))
+        gap = max(abs(x - y) for x in vals for y in vals)
+        chain_ok = (vals[0] <= bare_dual * inner + tol * scale
+                    and bare_dual * inner
+                    <= bare_dual * source_norm + tol * scale * max(1.0, bare_dual))
+        reports.append(ModularChainReport(values=vals, max_pairwise_gap=gap,
+                                          dual_bound=max(1.0, bare_dual), inner_norm=inner,
+                                          source_norm=source_norm, hypothesis_ok=True,
+                                          passed=gap <= tol * scale and chain_ok))
+    return reports
+
+
 def modular_chain_check(J: JordanMorphism, psi: OrliczFunction, phi2: OrliczFunction,
                         a: AlgebraElement, tol: float = 1e-9) -> ModularChainReport:
     """Four evaluation routes of the image modular must agree, then obey duality.
@@ -279,42 +357,9 @@ def modular_chain_check(J: JordanMorphism, psi: OrliczFunction, phi2: OrliczFunc
     (dual-gauge norm of density) * (gauge norm of phi2(|a|)), itself dominated
     by the same factor times the composed-gauge norm of a.
     Inputs violating the unit-ball or finiteness hypotheses are reported, not
-    failed.
+    failed.  The one-element case of ``modular_chain_checks``.
     """
-    phi1 = compose_orlicz(psi, phi2)
-    source_norm = luxemburg_norm(singular_values(J.source, a), phi1)
-    if not source_norm < 1.0 or not a.is_selfadjoint():
-        return ModularChainReport((math.nan,) * 4, math.nan, math.nan, math.nan,
-                                  source_norm, hypothesis_ok=False, passed=False)
-    try:
-        image = apply_jordan(J, a)
-        q1 = trace(J.target, apply_function(phi2, image)).real
-        abs_a = abs_value(a)
-        q2 = trace(J.target, apply_function(phi2, apply_jordan(J, abs_a))).real
-        gauged = apply_function(phi2, a)
-        q3 = trace(J.target, apply_jordan(J, gauged)).real
-        f = radon_nikodym(J)
-        froot = J.source.element([np.sqrt(b.real.clip(min=0.0)).astype(complex)
-                                  for b in f.blocks])
-        q4 = trace(J.source, froot @ gauged @ froot).real
-    except NotMeasurableError:
-        return ModularChainReport((math.nan,) * 4, math.nan, math.nan, math.nan,
-                                  source_norm, hypothesis_ok=False, passed=False)
-
-    vals = (q1, q2, q3, q4)
-    scale = max(1.0, *(abs(v) for v in vals))
-    gap = max(abs(x - y) for x in vals for y in vals)
-    # the chain needs the bare norm; the reported bound is dual_gauge_bound's max with 1
-    bare_dual = _density_dual_norm(J, f, psi)
-    dual = max(1.0, bare_dual)
-    inner = luxemburg_norm(singular_values(J.source, gauged), psi)
-    chain_ok = (q1 <= bare_dual * inner + tol * scale
-                and bare_dual * inner
-                <= bare_dual * source_norm + tol * scale * max(1.0, bare_dual))
-    return ModularChainReport(values=vals, max_pairwise_gap=gap, dual_bound=dual,
-                              inner_norm=inner, source_norm=source_norm,
-                              hypothesis_ok=True,
-                              passed=gap <= tol * scale and chain_ok)
+    return modular_chain_checks(J, psi, phi2, [a], tol)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .algebra import (
     TracedAlgebra,
     _calculus,
     _first_nan,
+    _are_positive,
     _svd_blocks,
     _trace_calculus,
     trace,
@@ -37,6 +38,7 @@ from .rearrangement import (
     WeightedContext,
     _interval_masses,
     singular_values,
+    singular_values_many,
 )
 from .solve import bisect, bisect_rows, bracket, bracket_rows, minimize
 
@@ -469,8 +471,7 @@ def pairing_integral(mu_a: RearrangementFunction, mu_b: RearrangementFunction,
             return 0.0
         edges = np.unique(np.concatenate([[0.0], mu_a.breakpoints, mu_b.breakpoints]))
         mids = 0.5 * (edges[:-1] + edges[1:])
-        va = np.array([mu_a.evaluate(float(t)) for t in mids])
-        vb = np.array([mu_b.evaluate(float(t)) for t in mids])
+        va, vb = mu_a.evaluate_many(mids), mu_b.evaluate_many(mids)
         return float(np.dot(va ** power * vb, np.diff(edges)))
 
     if isinstance(mu_a, StepForm):
@@ -626,23 +627,47 @@ class MomentReport:
     passed: bool
 
 
+def moment_bound_checks(alg: TracedAlgebra, xs: Sequence[AlgebraElement],
+                        ys: Sequence[AlgebraElement], orders: Sequence[int],
+                        tol: float = 1e-9, factor: float = 2.0) -> list[list[MomentReport]]:
+    """``moment_bound_check`` of many pairs (x, y) at many orders n.
+
+    Validates each input once, by one stacked positivity test per block,
+    and decomposes each once, by one ``singular_values_many`` call.
+    Returns one list of reports per pair, one report per order.  Each report
+    is bit for bit the one-form report; invalid inputs raise what the loop
+    over the pairs raises first.
+    """
+    if any(n < 1 for n in orders):
+        raise DomainError("moment order must be >= 1")
+    positive = _are_positive([*xs, *ys]).tolist()
+    lhs = []
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        if not (positive[i] and positive[len(xs) + i]):
+            raise DomainError("moment bound requires positive inputs")
+        tx = trace(alg, x).real
+        if abs(tx - 1.0) > 1e-8:
+            raise DomainError(f"x must have unit trace, got {tx}")
+        lhs.append([trace(alg, x @ y.matrix_power(n)).real for n in orders])
+    mus = singular_values_many(alg, [*xs, *ys])
+    reports = []
+    for row, mu_x, mu_y in zip(lhs, mus, mus[len(xs):]):
+        reports.append([])
+        for n, left in zip(orders, row):
+            rhs = factor * n * pairing_integral(mu_y, mu_x, power=n)
+            reports[-1].append(MomentReport(lhs=float(left), rhs=float(rhs),
+                                            slack=float(rhs - left),
+                                            passed=left <= rhs + tol * (1.0 + abs(rhs))))
+    return reports
+
+
 def moment_bound_check(alg: TracedAlgebra, x: AlgebraElement, y: AlgebraElement,
                        n: int, tol: float = 1e-9,
                        factor: float = 2.0) -> MomentReport:
     """tr(x y^n) <= 2n * integral of mu(y)^n mu(x).
 
     ``factor`` scales the 2n constant and exists so the verification suite can
-    demonstrate that a weakened constant is caught; leave it at 2.0.
+    demonstrate that a weakened constant is caught; leave it at 2.0.  The
+    one-pair, one-order case of ``moment_bound_checks``.
     """
-    if n < 1:
-        raise DomainError("moment order must be >= 1")
-    if not x.is_positive() or not y.is_positive():
-        raise DomainError("moment bound requires positive inputs")
-    tx = trace(alg, x).real
-    if abs(tx - 1.0) > 1e-8:
-        raise DomainError(f"x must have unit trace, got {tx}")
-    lhs = trace(alg, x @ y.matrix_power(n)).real
-    rhs = factor * n * pairing_integral(singular_values(alg, y),
-                                        singular_values(alg, x), power=n)
-    return MomentReport(lhs=float(lhs), rhs=float(rhs), slack=float(rhs - lhs),
-                        passed=lhs <= rhs + tol * (1.0 + abs(rhs)))
+    return moment_bound_checks(alg, [x], [y], [n], tol, factor)[0][0]

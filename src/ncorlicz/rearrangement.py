@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .solve import bisect, bracket
 
 INF = math.inf
 SUBMAJOR_SLACK = 1e-10
+_ZERO = np.zeros(1)  # the value past the support
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,23 +40,27 @@ class StepForm:
         v = np.asarray(self.values, dtype=float)
         if d.shape != v.shape or d.ndim != 1:
             raise StructuralError("durations and values must be 1-d arrays of equal length")
-        if np.any(d < 0) or np.any(v < 0):
-            raise DomainError("durations and values must be nonnegative")
         keep = (d > 0) & (v > 0)
-        d, v = d[keep], v[keep]
-        if np.any(np.diff(v) > 1e-12 * (1.0 + np.abs(v[:-1]))):
-            raise DomainError("step values must be nonincreasing")
-        # merge exactly-equal adjacent values
-        if v.size:
-            groups = np.concatenate([[0], np.cumsum(v[1:] != v[:-1])])
-            merged_v = v[np.concatenate([[True], v[1:] != v[:-1]])]
-            merged_d = np.bincount(groups, weights=d)
-            d, v = merged_d, merged_v
+        if keep.all():  # fresh arrays either way: the caller's stay writable and unshared
+            d, v = d.copy(), v.copy()
+        else:
+            if (d < 0).any() or (v < 0).any():
+                raise DomainError("durations and values must be nonnegative")
+            d, v = d[keep], v[keep]
+        # strictly decreasing values, the usual case, need neither check below
+        if v.size > 1 and (v[1:] >= v[:-1]).any():
+            if ((v[1:] - v[:-1]) > 1e-12 * (1.0 + v[:-1])).any():
+                raise DomainError("step values must be nonincreasing")
+            # merge exactly-equal adjacent values
+            same = v[1:] == v[:-1]
+            if same.any():
+                d = np.bincount(np.concatenate([[0], np.cumsum(~same)]), weights=d)
+                v = v[np.concatenate([[True], ~same])]
         object.__setattr__(self, "durations", d)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "breakpoints", np.cumsum(d))
-        self.durations.setflags(write=False)
-        self.values.setflags(write=False)
+        d.setflags(write=False)
+        v.setflags(write=False)
         self.breakpoints.setflags(write=False)
 
     @classmethod
@@ -79,6 +84,13 @@ class StepForm:
             raise DomainError(f"rearrangement argument must be nonnegative, got {t}")
         idx = int(np.searchsorted(self.breakpoints, t, side="right"))
         return float(self.values[idx]) if idx < self.values.size else 0.0
+
+    def evaluate_many(self, ts: np.ndarray) -> np.ndarray:
+        """``evaluate`` at each of the points ``ts``: one ``searchsorted``."""
+        if (ts < 0).any():
+            raise DomainError("rearrangement arguments must be nonnegative")
+        idx = np.searchsorted(self.breakpoints, ts, side="right")
+        return np.concatenate((self.values, _ZERO))[idx]
 
     def head_integral(self, alpha: float) -> float:
         if alpha < 0:
@@ -243,19 +255,37 @@ def constant(level: float, support: float = INF) -> ParametricForm:
 # Singular values and evaluation
 # ---------------------------------------------------------------------------
 
+def singular_values_many(alg: TracedAlgebra, elements: Sequence[AlgebraElement]) -> list[StepForm]:
+    """``singular_values`` of many elements of ``alg``: one stacked SVD per block.
+
+    ``np.linalg.svd(..., compute_uv=False)`` gives each matrix of a stack
+    the values it gives that matrix alone, bit for bit, so each form is the
+    one-element form.  When a stack fails (a foreign element, no
+    convergence), the one-element loop runs and raises what it raises first.
+    """
+    if not elements:
+        return []
+    try:
+        if any(a.algebra != alg for a in elements):
+            raise StructuralError("element does not belong to the given algebra")
+        values = np.concatenate([np.linalg.svd(np.array([a.blocks[k] for a in elements]),
+                                               compute_uv=False)
+                                 for k in range(alg.n_blocks)], axis=1)
+    except (StructuralError, np.linalg.LinAlgError):
+        if len(elements) == 1:
+            raise
+        return [singular_values_many(alg, [a])[0] for a in elements]
+    durations = np.concatenate([np.full(n, w) for n, w in zip(alg.dims, alg.weights)])
+    order = np.argsort(-values, axis=1, kind="stable")
+    return [StepForm(durations[o], v[o]) for o, v in zip(order, values)]
+
+
 def singular_values(alg: TracedAlgebra, a: AlgebraElement) -> StepForm:
-    """Decreasing singular-value step function; durations are block weights."""
-    if a.algebra != alg:
-        raise StructuralError("element does not belong to the given algebra")
-    vals, durs = [], []
-    for w, block in zip(alg.weights, a.blocks):
-        s = np.linalg.svd(block, compute_uv=False)
-        vals.append(s)
-        durs.append(np.full(s.shape, w))
-    v = np.concatenate(vals)
-    d = np.concatenate(durs)
-    order = np.argsort(-v, kind="stable")
-    return StepForm(d[order], v[order])
+    """Decreasing singular-value step function; durations are block weights.
+
+    The one-element case of ``singular_values_many``.
+    """
+    return singular_values_many(alg, [a])[0]
 
 
 def submajorizes(x_mu: RearrangementFunction, y_mu: RearrangementFunction,

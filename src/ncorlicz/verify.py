@@ -23,8 +23,8 @@ import numpy as np
 from . import orlicz as og
 from . import rearrangement as rg
 from . import sampling as smp
-from .algebra import TracedAlgebra, abs_value, apply_function, is_projection, \
-    projection_trace_norm, trace
+from .algebra import TracedAlgebra, _functions_of, _svd_blocks, abs_value, \
+    apply_function, apply_function_many, is_projection, projection_trace_norm, trace
 from .errors import NotMeasurableError, UnboundedNormError
 from .morphisms import (
     absolute_continuity_check,
@@ -32,7 +32,7 @@ from .morphisms import (
     build_tau_T,
     composition_bound_check,
     interpolation_contraction_check,
-    modular_chain_check,
+    modular_chain_checks,
     purity_check,
     radon_nikodym,
 )
@@ -44,7 +44,7 @@ from .norms import (
     luxemburg_norm,
     luxemburg_norms,
     modular,
-    moment_bound_check,
+    moment_bound_checks,
     pistone_sempi_equivalence,
     tau_x,
 )
@@ -54,6 +54,7 @@ from .rearrangement import (
     fack_kosaki_checks,
     rearrange_step,
     singular_values,
+    singular_values_many,
     weighted_rearrangement,
 )
 
@@ -128,6 +129,20 @@ def _corpus(cfg: SuiteConfig, base: int) -> list[TracedAlgebra]:
     return [shapes[i % len(shapes)] for i in range(cfg.count(base))]
 
 
+def _by_algebra(corpus: list[TracedAlgebra], solve, *columns) -> list:
+    """``solve(alg, *columns)`` once per algebra, on the rows of the corpus in it.
+
+    ``columns`` are lists that run along the corpus, and ``solve`` returns
+    one result per row it is given; the results come back in corpus order.
+    """
+    out = [None] * len(corpus)
+    for alg in dict.fromkeys(corpus):
+        rows = [i for i, member in enumerate(corpus) if member == alg]
+        for i, result in zip(rows, solve(alg, *([col[i] for i in rows] for col in columns))):
+            out[i] = result
+    return out
+
+
 def _norm_gauges() -> list[og.OrliczFunction]:
     return [og.power(1.0), og.power(2.0), og.power(3.0), og.cosh_minus_one(),
             og.linear_until_cap(1.0)]
@@ -159,29 +174,42 @@ def check_kunze_luxemburg_equivalence(cfg: SuiteConfig, rng):
 def check_rearrangement_exchange(cfg: SuiteConfig, rng):
     """Gauge and rearrangement commute: mu(phi(|a|)) = phi(mu(a)) pointwise."""
     corpus = _corpus(cfg, 200)
-    cap = og.linear_until_cap(1.0)
-    gauges = [og.power(2.0), og.cosh_minus_one(), og.zero_then_linear(0.5)]
+    elements = [smp.random_element(alg, rng) for alg in corpus]
     worst = 0.0
-    for alg in corpus:
-        a = smp.random_element(alg, rng)
-        mu = singular_values(alg, a)
-        if mu.sup_value > 0:  # cap gauge on elements with spectrum below the cap
-            a_small = a * (0.9 / mu.sup_value)
-            worst = max(worst, _exchange_gap(alg, a_small, cap))
-        for phi in gauges:
-            worst = max(worst, _exchange_gap(alg, a, phi))
+    for gap in _by_algebra(corpus, _exchange_gaps, elements):
+        worst = max(worst, gap)
     return len(corpus) * 4, worst, worst <= cfg.tolerances.exchange
 
 
-def _exchange_gap(alg, a, phi) -> float:
-    mu = singular_values(alg, a)
-    left = singular_values(alg, apply_function(phi, a))
-    right = StepForm(mu.durations.copy(), phi.eval_many(mu.values)) if not mu.is_zero \
-        else StepForm(np.array([]), np.array([]))
-    pts = np.concatenate([[0.0], left.breakpoints, right.breakpoints])
-    pts = np.unique(np.concatenate([pts, 0.5 * (pts[1:] + pts[:-1]),
-                                    [max(left.support, right.support) + 1.0]]))
-    return max(abs(left.evaluate(float(t)) - right.evaluate(float(t))) for t in pts)
+def _exchange_gaps(alg, elements) -> list[float]:
+    """The largest exchange gap of each element over the four gauges."""
+    cap = og.linear_until_cap(1.0)
+    gauges = [og.power(2.0), og.cosh_minus_one(), og.zero_then_linear(0.5)]
+    mus = singular_values_many(alg, elements)
+    gaps = [0.0] * len(elements)
+    # the cap gauge on the elements rescaled to a spectrum below the cap
+    rows = [i for i, mu in enumerate(mus) if mu.sup_value > 0]
+    small = [elements[i] * (0.9 / mus[i].sup_value) for i in rows]
+    for i, gap in zip(rows, _gaps_under(cap, alg, small, singular_values_many(alg, small))):
+        gaps[i] = max(gaps[i], gap)
+    for phi in gauges:
+        for i, gap in enumerate(_gaps_under(phi, alg, elements, mus)):
+            gaps[i] = max(gaps[i], gap)
+    return gaps
+
+
+def _gaps_under(phi, alg, elements, mus) -> list[float]:
+    """max |mu(phi(|a|)) - phi(mu(a))| over the breakpoints of both, their midpoints
+    and a point past both supports, for each element a with singular values mu."""
+    lefts = singular_values_many(alg, apply_function_many(phi, elements))
+    gaps = []
+    for left, mu in zip(lefts, mus):
+        right = StepForm(mu.durations, phi.eval_many(mu.values))
+        pts = np.concatenate([[0.0], left.breakpoints, right.breakpoints])
+        pts = np.unique(np.concatenate([pts, 0.5 * (pts[1:] + pts[:-1]),
+                                        [max(left.support, right.support) + 1.0]]))
+        gaps.append(float(np.max(np.abs(left.evaluate_many(pts) - right.evaluate_many(pts)))))
+    return gaps
 
 
 @_check("|tr(fg)| <= (Amemiya norm of f in the conjugate gauge) * "
@@ -308,47 +336,71 @@ def check_pistone_sempi_catalog(cfg: SuiteConfig, rng):
 def check_quasi_trace_suite(cfg: SuiteConfig, rng):
     """The rearrangement pairing behaves like a finite faithful normal trace."""
     corpus = _corpus(cfg, 200)
-    worst = 0.0
-    exact_gap = 0.0
+    draws = []
     for alg in corpus:
         x = smp.random_state(alg, rng)
-        ctx = WeightedContext(singular_values(alg, x))
         a = smp.random_positive(alg, rng)
         b = smp.random_positive(alg, rng)
-        mu_a = singular_values(alg, a)
-        mu_b = singular_values(alg, b)
+        alpha = float(rng.uniform(0.1, 4.0))
+        draws.append((x, a, b, alpha, smp.random_element(alg, rng)))
+    worst = 0.0
+    exact_gap = 0.0
+    for (_, _, _, alpha, _), forms in zip(draws, _by_algebra(corpus, _quasi_trace_forms, draws)):
+        mu_x, mu_a, mu_b, mu_ab, mu_cc, mu_cc_adj, mu_one, mu_capped = forms
+        ctx = WeightedContext(mu_x)
         t_a = tau_x(mu_a, ctx)
         t_b = tau_x(mu_b, ctx)
-        t_ab = tau_x(singular_values(alg, a + b), ctx)
+        t_ab = tau_x(mu_ab, ctx)
         worst = max(worst, t_ab - (t_a + t_b))  # subadditivity
-        alpha = float(rng.uniform(0.1, 4.0))
         worst = max(worst, abs(tau_x(mu_a.scaled(alpha), ctx) - alpha * t_a))
-        c = smp.random_element(alg, rng)
-        worst = max(worst, abs(tau_x(singular_values(alg, c.adjoint() @ c), ctx)
-                               - tau_x(singular_values(alg, c @ c.adjoint()), ctx)))
+        worst = max(worst, abs(tau_x(mu_cc, ctx) - tau_x(mu_cc_adj, ctx)))
         if t_a <= 0:  # faithfulness on nonzero positives
             worst = max(worst, 1.0)
         # monotone continuity along spectral caps increasing to a
-        sup_a = mu_a.sup_value
-        caps = [sup_a * k / 6.0 for k in range(1, 6)] + [sup_a * 2.0]
         prev = -INF
-        for cpv in caps:
-            capped = alg.element([
-                _clip_spectrum(blk, cpv) for blk in a.blocks])
-            v = tau_x(singular_values(alg, capped), ctx)
+        for mu in mu_capped:
+            v = tau_x(mu, ctx)
             worst = max(worst, prev - v - 1e-12)  # must be nondecreasing
             prev = v
         worst = max(worst, abs(prev - t_a))
         # pairing against the identity gives back the weight mass exactly
-        one = alg.identity()
-        exact_gap = max(exact_gap, abs(tau_x(singular_values(alg, one), ctx) - ctx.mass))
+        exact_gap = max(exact_gap, abs(tau_x(mu_one, ctx) - ctx.mass))
     return (len(corpus), max(worst, exact_gap),
             worst <= cfg.tolerances.slack and exact_gap <= 1e-12)
 
 
-def _clip_spectrum(block: np.ndarray, cap: float) -> np.ndarray:
-    w, v = np.linalg.eigh(0.5 * (block + block.conj().T))
-    return v @ np.diag(np.minimum(w, cap)) @ v.conj().T
+def _quasi_trace_forms(alg, draws) -> list[tuple]:
+    """Per draw (x, a, b, alpha, c): the singular values of x, a, b, a + b, c*c,
+    cc* and the identity, and of a with its spectrum capped at sup(a) k/6 for
+    k = 1..5 and at 2 sup(a)."""
+    xs, as_, bs, _, cs = zip(*draws)
+    m = len(draws)
+    mus = singular_values_many(alg, [*xs, *as_, *bs, *(a + b for a, b in zip(as_, bs)),
+                                     *(c.adjoint() @ c for c in cs),
+                                     *(c @ c.adjoint() for c in cs), alg.identity()])
+    caps = np.array([[mu.sup_value * k / 6.0 for k in range(1, 6)] + [mu.sup_value * 2.0]
+                     for mu in mus[m:2 * m]])
+    capped = singular_values_many(alg, _clip_spectra(alg, as_, caps))
+    per = caps.shape[1]
+    return [(*(mus[j * m + i] for j in range(6)), mus[-1], capped[i * per:(i + 1) * per])
+            for i in range(m)]
+
+
+def _clip_spectra(alg, elements, caps: np.ndarray) -> list:
+    """Each element with its spectrum capped at each cap of its row, in row order.
+
+    One ``eigh`` per block decomposes all the elements; each capped block is
+    v diag(min(w, cap)) v*.
+    """
+    blocks = []
+    for k, n in enumerate(alg.dims):
+        stack = np.array([a.blocks[k] for a in elements])
+        w, v = np.linalg.eigh(0.5 * (stack + stack.conj().swapaxes(-1, -2)))
+        diag = np.zeros(caps.shape + (n, n))
+        diag[..., range(n), range(n)] = np.minimum(w[:, None, :], caps[:, :, None])
+        blocks.append(v[:, None] @ diag @ v.conj().swapaxes(-1, -2)[:, None])
+    return [alg.element([blk[i, j] for blk in blocks])
+            for i in range(len(elements)) for j in range(caps.shape[1])]
 
 
 @_check("moments of a positive variable against a state are dominated by "
@@ -357,12 +409,17 @@ def check_moment_chain(cfg: SuiteConfig, rng):
     """tr(x y^n) <= 2n * integral mu(y)^n mu(x) for unit-trace positive x."""
     corpus = _corpus(cfg, 200)
     orders = (1, 2, 3, 5)
-    worst = -INF
+    xs, ys = [], []
     for alg in corpus:
-        x = smp.random_state(alg, rng)
-        y = smp.random_positive(alg, rng)
-        for order in orders:
-            rep = moment_bound_check(alg, x, y, order, factor=cfg.moment_factor)
+        xs.append(smp.random_state(alg, rng))
+        ys.append(smp.random_positive(alg, rng))
+
+    def solve(alg, states, positives):
+        return moment_bound_checks(alg, states, positives, orders, factor=cfg.moment_factor)
+
+    worst = -INF
+    for row in _by_algebra(corpus, solve, xs, ys):
+        for rep in row:
             worst = max(worst, rep.lhs - rep.rhs)
     return len(corpus) * len(orders), worst, worst <= cfg.tolerances.slack
 
@@ -384,15 +441,27 @@ def check_gauge_threshold_bounds(cfg: SuiteConfig, rng):
     mus = [mu for _, _, mu, _ in kept]
     lows = luxemburg_norms(mus, low).tolist()
     caps = luxemburg_norms(mus, cap).tolist()
+
+    def shrink_gaps(alg, elements, betas):
+        """tr phi(beta |a|) - beta tr phi(|a|) per element and scaler: one decomposition each."""
+        svd = _svd_blocks(elements)
+        gaps = [[] for _ in elements]
+        for phi in scalers:
+            at_beta = _functions_of(phi, elements, svd, betas)
+            at_one = _functions_of(phi, elements, svd, 1.0)
+            for row, beta, fb, f1 in zip(gaps, betas, at_beta, at_one):
+                row.append(trace(alg, fb).real - beta * trace(alg, f1).real)
+        return gaps
+
+    gaps = _by_algebra([alg for alg, _, _, _ in kept], shrink_gaps,
+                       [a for _, a, _, _ in kept], [beta for _, _, _, beta in kept])
     worst = 0.0
-    for (alg, a, mu, beta), n_low, n_cap in zip(kept, lows, caps):
+    for (_, _, mu, _), n_low, n_cap, row in zip(kept, lows, caps, gaps):
         sup = mu.sup_value
         worst = max(worst, low.a_phi * n_low - sup)
         worst = max(worst, sup - cap.b_phi * n_cap)
-        for phi in scalers:
-            lhs = trace(alg, apply_function(phi, a, beta)).real
-            rhs = beta * trace(alg, apply_function(phi, a, 1.0)).real
-            worst = max(worst, lhs - rhs)
+        for gap in row:
+            worst = max(worst, gap)
     return len(corpus), worst, worst <= cfg.tolerances.slack
 
 
@@ -431,28 +500,27 @@ def check_composition_bound(cfg: SuiteConfig, rng):
     morphs = smp.morphism_catalog(rng)
     pairs = _psi_phi2_pairs()
     samples_per = max(2, cfg.count(6))
-    worst = -INF
-    chain_worst = 0.0
-    total = 0
+    draws = []
     for _, J in morphs:
         for _, psi, phi2 in pairs:
             probes = [smp.random_self_adjoint(J.source, rng) for _ in range(samples_per)]
-            rep = composition_bound_check(J, psi, phi2, probes,
-                                          tol=cfg.tolerances.bound_slack)
-            worst = max(worst, rep.max_ratio - rep.bound)
-            total += rep.samples
-            for _ in range(2):
-                a = smp.random_self_adjoint(J.source, rng)
-                phi1 = og.compose_orlicz(psi, phi2)
-                nrm = luxemburg_norm(singular_values(J.source, a), phi1)
-                if nrm == 0:
-                    continue
-                chain = modular_chain_check(J, psi, phi2, a * (0.9 / nrm),
-                                            tol=cfg.tolerances.chain)
-                if chain.hypothesis_ok:
-                    chain_worst = max(chain_worst, chain.max_pairwise_gap)
-                    if not chain.passed:
-                        worst = max(worst, 1.0)
+            chain = [smp.random_self_adjoint(J.source, rng) for _ in range(2)]
+            draws.append((J, psi, phi2, probes, chain))
+    worst = -INF
+    chain_worst = 0.0
+    total = 0
+    for J, psi, phi2, probes, chain in draws:
+        rep = composition_bound_check(J, psi, phi2, probes, tol=cfg.tolerances.bound_slack)
+        worst = max(worst, rep.max_ratio - rep.bound)
+        total += rep.samples
+        phi1 = og.compose_orlicz(psi, phi2)
+        norms = luxemburg_norms(singular_values_many(J.source, chain), phi1).tolist()
+        unit = [a * (0.9 / nrm) for a, nrm in zip(chain, norms) if nrm != 0]
+        for link in modular_chain_checks(J, psi, phi2, unit, tol=cfg.tolerances.chain):
+            if link.hypothesis_ok:
+                chain_worst = max(chain_worst, link.max_pairwise_gap)
+                if not link.passed:
+                    worst = max(worst, 1.0)
     passed = worst <= cfg.tolerances.bound_slack and chain_worst <= 1e-6
     return total, max(worst, 0.0), passed, {"max_chain_gap": chain_worst}
 

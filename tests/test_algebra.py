@@ -13,6 +13,7 @@ from ncorlicz import (
     TracedAlgebra,
     abs_value,
     apply_function,
+    apply_function_many,
     cosh_minus_one,
     custom,
     exp_minus_one,
@@ -23,7 +24,7 @@ from ncorlicz import (
     singular_values,
     trace,
 )
-from ncorlicz.sampling import random_element, random_positive
+from ncorlicz.sampling import algebra_shapes, random_element, random_positive
 
 
 def test_trace_of_identity():
@@ -189,3 +190,33 @@ def test_adjoint_is_involution_and_abs_is_positive():
         a = random_element(alg, rng)
         assert (a.adjoint().adjoint() - a).sup_norm() == 0.0
         assert abs_value(a).is_positive()
+
+
+def _blocks(elements):
+    return [[b.tolist() for b in a.blocks] for a in elements]
+
+
+def test_apply_function_many_is_the_one_element_loop():
+    rng = np.random.default_rng(17)
+    for alg in algebra_shapes():
+        elements = [random_element(alg, rng) * c for c in (1.0, 0.3, 2.0, 0.0, 1.0)]
+        for phi, scale in ((power(2.0), 1.0), (cosh_minus_one(), 0.7), (exp_minus_one(), 1.0)):
+            got = apply_function_many(phi, elements, scale)
+            assert _blocks(got) == _blocks([apply_function(phi, a, scale) for a in elements])
+            assert all(g.algebra == alg for g in got)
+    assert apply_function_many(power(2.0), []) == []
+
+
+def test_apply_function_many_raises_what_the_loop_raises_first():
+    alg, other = TracedAlgebra((2,), (1.0,)), TracedAlgebra((1, 1), (1.0, 1.0))
+    phi = custom(lambda u: u * u if u < 3.0 else (math.nan if u < 5.0 else math.inf))
+    fine, nan, inf = (alg.diagonal([[1.0, v]]) for v in (2.0, 4.0, 6.0))
+    mixed = [fine, other.diagonal([[1.0], [2.0]])]
+    assert _blocks(apply_function_many(phi, mixed)) == _blocks([apply_function(phi, a)
+                                                                for a in mixed])
+    for elements, error in (([fine, inf, nan], NotMeasurableError),
+                            ([fine, nan, inf], NumericError)):
+        with pytest.raises(error):
+            apply_function_many(phi, elements)
+    with pytest.raises(DomainError):
+        apply_function_many(phi, [fine], 0.0)

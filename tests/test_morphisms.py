@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 
+import ncorlicz.morphisms as morphisms
+
 from ncorlicz import (
     Assignment,
     BlockImage,
     DomainError,
     JordanMorphism,
+    NumericError,
     StructuralError,
     TracedAlgebra,
     absolute_continuity_check,
@@ -20,10 +23,13 @@ from ncorlicz import (
     composition_bound_check,
     compose_orlicz,
     cosh_minus_one,
+    custom,
     interpolation_contraction_check,
     is_projection,
     luxemburg_norm,
+    linear_until_cap,
     modular_chain_check,
+    modular_chain_checks,
     power,
     power_over_p,
     purity_check,
@@ -246,7 +252,6 @@ class TestModularChain:
         assert rep.passed
 
     def test_density_computed_once(self, monkeypatch):
-        import ncorlicz.morphisms as morphisms
         J = doubling_morphism(2)
         rng = np.random.default_rng(11)
         a = random_self_adjoint(J.source, rng)
@@ -267,6 +272,108 @@ class TestModularChain:
         big = J.source.diagonal([[50.0, 40.0]])  # far outside the unit ball
         rep = modular_chain_check(J, power(1.0), power(2.0), big)
         assert not rep.hypothesis_ok and not rep.passed
+
+
+def _probe_by_probe(J, psi, phi2, probes, tol=1e-7):
+    """composition_bound_check as it ran before batching: two solves per probe."""
+    phi1 = compose_orlicz(psi, phi2)
+    bound = max(1.0, morphisms.dual_gauge_bound(J, psi))
+    max_ratio, used = 0.0, 0
+    for a in probes:
+        nrm = luxemburg_norm(singular_values(J.source, a), phi1)
+        if nrm == 0.0:
+            continue
+        image = apply_jordan(J, a * (0.9 / nrm))
+        max_ratio = max(max_ratio, luxemburg_norm(singular_values(J.target, image), phi2))
+        used += 1
+    return bound, max_ratio, used, max_ratio <= bound + tol * max(1.0, bound)
+
+
+def _first_error(run, items):
+    for item in items:
+        try:
+            run(item)
+        except Exception as exc:  # noqa: BLE001 - compared by class and message
+            return exc
+    return None
+
+
+def _nan_above_a_million():
+    return custom(lambda u: u * u if u < 1e6 else math.nan, name="nan_above_a_million")
+
+
+class TestBatchedChecks:
+    """The batched composition and chain checks equal their one-form loops bit for bit."""
+
+    _PAIRS = [(power(1.0), power(2.0)), (power_over_p(2.0), cosh_minus_one()),
+              (power(2.0), linear_until_cap(1.0))]
+
+    def test_composition_bound_is_the_probe_loop(self):
+        rng = np.random.default_rng(15)
+        for _, J in morphism_catalog(rng):
+            for psi, phi2 in self._PAIRS:
+                probes = [random_self_adjoint(J.source, rng) for _ in range(4)]
+                probes.insert(2, J.source.zero())
+                rep = composition_bound_check(J, psi, phi2, probes)
+                assert (rep.bound, rep.max_ratio, rep.samples, rep.passed) == \
+                    _probe_by_probe(J, psi, phi2, probes)
+
+    def test_modular_chain_is_the_element_loop(self):
+        rng = np.random.default_rng(16)
+        for _, J in morphism_catalog(rng):
+            for psi, phi2 in self._PAIRS:
+                phi1 = compose_orlicz(psi, phi2)
+                elements = []
+                for scale in (0.9, 0.5, 3.0, 0.0):  # 3.0 leaves the unit ball
+                    a = random_self_adjoint(J.source, rng)
+                    nrm = luxemburg_norm(singular_values(J.source, a), phi1)
+                    elements.append(a * (scale / nrm))
+                elements.append(random_element(J.source, rng) * 1e-3)  # not self-adjoint
+                got = modular_chain_checks(J, psi, phi2, elements)
+                # reports holding NaN compare by repr, which keeps every bit of a float
+                assert [repr(r) for r in got] == \
+                    [repr(modular_chain_check(J, psi, phi2, a)) for a in elements]
+                assert modular_chain_checks(J, psi, phi2, []) == []
+
+    def test_composition_bound_errors_follow_the_probe_order(self):
+        # probe `image_nan` meets NaN in its image solve (target weight 1e-14
+        # sends the walk past 1e6), probe `unbounded` fails its source solve
+        # (source weight 1e130); a batch of source solves would meet the
+        # second first
+        source = TracedAlgebra((1, 1), (1.0, 1e130))
+        target = TracedAlgebra((1, 1), (1e-14, 1.0))
+        J = JordanMorphism(source, target, (BlockImage((Assignment(0),)),
+                                            BlockImage((Assignment(1),))))
+        image_nan = source.diagonal([[1.0], [0.0]])
+        unbounded = source.diagonal([[0.0], [1.0]])
+        psi, phi2 = power(1.0), _nan_above_a_million()
+        for probes in ([image_nan, unbounded], [unbounded, image_nan],
+                       [source.zero(), image_nan, unbounded]):
+            want = _first_error(lambda a: _probe_by_probe(J, psi, phi2, [a]), probes)
+            with pytest.raises(type(want)) as got:
+                composition_bound_check(J, psi, phi2, probes)
+            assert str(got.value) == str(want)
+        assert isinstance(_first_error(lambda a: _probe_by_probe(J, psi, phi2, [a]),
+                                       [image_nan]), NumericError)
+
+    def test_modular_chain_errors_follow_the_element_order(self):
+        # the density 1e70 on source block 0 has no finite conjugate Amemiya
+        # norm, which the chain of `dual_fails` reaches after its routes; the
+        # source solve of `unbounded` (weight 1e130) fails before any route
+        source = TracedAlgebra((1, 1), (1e-70, 1e130))
+        target = TracedAlgebra((1, 1), (1.0, 1.0))
+        J = JordanMorphism(source, target, (BlockImage((Assignment(0),)),
+                                            BlockImage((Assignment(1),))))
+        dual_fails = source.diagonal([[1e34], [0.0]])  # composed-gauge norm 0.1
+        unbounded = source.diagonal([[0.0], [1.0]])
+        psi, phi2 = power(1.0), power(2.0)
+        for elements in ([dual_fails, unbounded], [unbounded, dual_fails]):
+            want = _first_error(lambda a: modular_chain_check(J, psi, phi2, a), elements)
+            with pytest.raises(type(want)) as got:
+                modular_chain_checks(J, psi, phi2, elements)
+            assert str(got.value) == str(want)
+        assert "Amemiya" in str(_first_error(lambda a: modular_chain_check(J, psi, phi2, a),
+                                             [dual_fails, unbounded]))
 
 
 class TestTauT:

@@ -11,6 +11,7 @@ from ncorlicz import (
     DomainError,
     NumericError,
     StepForm,
+    StructuralError,
     TracedAlgebra,
     UnboundedNormError,
     WeightedContext,
@@ -34,6 +35,7 @@ from ncorlicz import (
     luxemburg_norms,
     modular,
     moment_bound_check,
+    moment_bound_checks,
     pairing_integral,
     pistone_sempi_equivalence,
     power,
@@ -612,6 +614,40 @@ class TestMomentBound:
         with pytest.raises(DomainError):
             moment_bound_check(alg, random_positive(alg, rng) * 5.0,
                                random_positive(alg, rng), 1)
+
+
+class TestMomentBoundMany:
+    """Many pairs and orders at once equal the one-form loop, errors included."""
+
+    def test_pairs_and_orders_are_the_one_form_loop(self):
+        rng = np.random.default_rng(13)
+        orders = (1, 2, 3, 5)
+        for alg in algebra_shapes():
+            xs = [random_state(alg, rng) for _ in range(7)]
+            ys = [random_positive(alg, rng) for _ in range(6)] + [alg.identity()]
+            got = moment_bound_checks(alg, xs, ys, orders, factor=1.5)
+            assert got == [[moment_bound_check(alg, x, y, n, factor=1.5) for n in orders]
+                           for x, y in zip(xs, ys)]
+
+    def test_errors_follow_the_input_order(self):
+        alg = TracedAlgebra((2,), (1.0,))
+        rng = np.random.default_rng(14)
+        state, positive = random_state(alg, rng), random_positive(alg, rng)
+        heavy = state * 3.0  # positive, trace three
+        indefinite = alg.diagonal([[1.0, -1.0]])
+        other = TracedAlgebra((2,), (0.5,)).identity() * 2.0  # unit trace elsewhere
+        cases = [[(state, positive), (heavy, positive), (state, indefinite)],
+                 [(state, positive), (state, indefinite), (heavy, positive)],
+                 [(state, other), (heavy, positive)],
+                 [(other, positive), (state, indefinite)]]
+        for pairs in cases:
+            want = _first_error(lambda p: [moment_bound_check(alg, p[0], p[1], n)
+                                           for n in (1, 2)], pairs)
+            assert isinstance(want, (DomainError, StructuralError))
+            xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+            _raises_like(lambda: moment_bound_checks(alg, xs, ys, (1, 2)), want)
+        with pytest.raises(DomainError, match="order"):
+            moment_bound_checks(alg, [heavy], [indefinite], (2, 0))
 
 
 class TestGaugeThresholdNormBounds:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ncorlicz import (
     DomainError,
     StepForm,
+    StructuralError,
     TracedAlgebra,
     WeightedContext,
     abs_value,
@@ -19,14 +20,18 @@ from ncorlicz import (
     power_decay,
     rearrange_step,
     singular_values,
+    singular_values_many,
     submajorizes,
     trace,
     weighted_rearrangement,
 )
 from ncorlicz.quadrature import integrate_sentinel
 from ncorlicz.sampling import (
+    algebra_shapes,
     random_decreasing_step,
     random_element,
+    random_positive,
+    random_projection,
     random_weight_step,
 )
 from ncorlicz.verify import SuiteConfig, run_suite
@@ -83,6 +88,134 @@ class TestSingularValues:
             np.testing.assert_allclose(mu.durations, mu2.durations, atol=1e-12)
 
 
+def _one_block_at_a_time(alg, a):
+    """The singular values as they were computed before stacking: one 2-d SVD per block."""
+    vals, durs = [], []
+    for w, block in zip(alg.weights, a.blocks):
+        s = np.linalg.svd(block, compute_uv=False)
+        vals.append(s)
+        durs.append(np.full(s.shape, w))
+    v, d = np.concatenate(vals), np.concatenate(durs)
+    order = np.argsort(-v, kind="stable")
+    return StepForm(d[order], v[order])
+
+
+def _catalog_element(kind, alg, rng):
+    if kind == "zero":
+        return alg.zero()
+    if kind == "identity":  # every value repeated: the merge path
+        return alg.identity() * float(rng.choice([1.0, 2.5]))
+    if kind == "projection":
+        return random_projection(alg, rng)
+    if kind == "positive":
+        return random_positive(alg, rng)
+    return random_element(alg, rng)
+
+
+class TestSingularValuesMany:
+    """One stacked SVD per block gives the one-block-at-a-time forms bit for bit."""
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(range(len(algebra_shapes()))),
+           st.lists(st.sampled_from(["random", "zero", "identity", "projection", "positive"]),
+                    min_size=1, max_size=12))
+    @settings(max_examples=80, deadline=None)
+    def test_stack_is_the_block_loop(self, seed, shape, kinds):
+        # the catalog holds 1x1 blocks, mixed block sizes and repeated shapes
+        rng = np.random.default_rng(seed)
+        alg = algebra_shapes()[shape]
+        elements = [_catalog_element(kind, alg, rng) for kind in kinds]
+        assert singular_values_many(alg, elements) == \
+            [_one_block_at_a_time(alg, a) for a in elements]
+
+    def test_one_by_one_blocks(self):
+        alg = TracedAlgebra((1, 1, 1), (0.5, 2.0, 1.0))
+        elements = [alg.diagonal([[3.0], [-1.0], [1.0]]), alg.diagonal([[0.0], [2j], [0.0]])]
+        assert singular_values_many(alg, elements) == \
+            [_one_block_at_a_time(alg, a) for a in elements]
+
+    def test_empty_and_one_row(self):
+        alg = algebra_shapes()[2]
+        a = random_element(alg, np.random.default_rng(3))
+        assert singular_values_many(alg, []) == []
+        assert singular_values(alg, a) == _one_block_at_a_time(alg, a)
+
+    def test_failures_raise_what_the_loop_raises_first(self):
+        alg, other = TracedAlgebra((2,), (1.0,)), TracedAlgebra((2,), (2.0,))
+        fine = alg.diagonal([[1.0, 2.0]])
+        nan = alg.element([np.array([[math.nan, 0.0], [0.0, 1.0]])])
+        with pytest.raises(np.linalg.LinAlgError):
+            singular_values_many(alg, [fine, nan, other.identity()])
+        with pytest.raises(StructuralError):
+            singular_values_many(alg, [fine, other.identity(), nan])
+
+
+def _old_canonical_form(durations, values):
+    """StepForm's canonicalization before its fast paths, as (durations, values)."""
+    d = np.asarray(durations, dtype=float)
+    v = np.asarray(values, dtype=float)
+    if d.shape != v.shape or d.ndim != 1:
+        raise StructuralError("durations and values must be 1-d arrays of equal length")
+    if np.any(d < 0) or np.any(v < 0):
+        raise DomainError("durations and values must be nonnegative")
+    keep = (d > 0) & (v > 0)
+    d, v = d[keep], v[keep]
+    if np.any(np.diff(v) > 1e-12 * (1.0 + np.abs(v[:-1]))):
+        raise DomainError("step values must be nonincreasing")
+    if v.size:
+        groups = np.concatenate([[0], np.cumsum(v[1:] != v[:-1])])
+        merged_v = v[np.concatenate([[True], v[1:] != v[:-1]])]
+        d, v = np.bincount(groups, weights=d), merged_v
+    return d, v
+
+
+@st.composite
+def _raw_steps(draw):
+    """Durations and values with zeros, equal neighbours, ties within the
+    monotonicity slack, and now and then an increase or a negative entry."""
+    m = draw(st.integers(0, 8))
+    pool = [0.0, 0.5, 1.0, 1.0 + 1e-13, 2.0, 3.25, -1.0]
+    values = draw(st.lists(st.sampled_from(pool) | st.floats(0.0, 5.0), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        values = sorted(values, reverse=True)
+    durations = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, -0.5]) | st.floats(0.0, 3.0),
+                              min_size=m, max_size=m))
+    return np.array(durations), np.array(values)
+
+
+class TestCanonicalizationFastPaths:
+    """The canonicalization equals the old one bit for bit, errors included."""
+
+    @given(_raw_steps())
+    @settings(max_examples=300, deadline=None)
+    def test_same_form_as_before(self, raw):
+        d, v = raw
+        d_before, v_before = d.copy(), v.copy()
+        try:
+            want = _old_canonical_form(d, v)
+        except (DomainError, StructuralError) as exc:
+            with pytest.raises(type(exc), match=str(exc)):
+                StepForm(d, v)
+            return
+        mu = StepForm(d, v)
+        assert np.array_equal(mu.durations, want[0]) and np.array_equal(mu.values, want[1])
+        assert np.array_equal(mu.breakpoints, np.cumsum(want[0]))
+        # the caller's arrays are neither frozen, shared nor changed
+        assert d.flags.writeable and v.flags.writeable
+        assert not np.shares_memory(mu.durations, d) and not np.shares_memory(mu.values, v)
+        assert np.array_equal(d, d_before) and np.array_equal(v, v_before)
+        assert not (mu.durations.flags.writeable or mu.values.flags.writeable)
+
+    def test_strictly_decreasing_input_is_copied(self):
+        d, v = np.array([1.0, 2.0]), np.array([3.0, 1.0])
+        mu = StepForm(d, v)
+        d[0] = 5.0
+        assert mu.durations.tolist() == [1.0, 2.0] and mu.support == 3.0
+
+    def test_shape_mismatch(self):
+        with pytest.raises(StructuralError):
+            StepForm(np.ones(2), np.ones(3))
+
+
 class TestEvaluateAndHead:
     def test_parametric_at_zero(self):
         assert exp_decay().evaluate(0.0) == 1.0
@@ -100,6 +233,14 @@ class TestEvaluateAndHead:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             exp_decay().evaluate(-1.0)
+
+    def test_evaluate_many_is_evaluate(self):
+        mu = StepForm.from_raw([1.0, 0.5, 2.0], [3.0, 2.0, 1.0])
+        ts = np.array([0.0, 0.5, 1.0, 1.25, 1.5, 3.4, 3.5, 9.0])
+        assert mu.evaluate_many(ts).tolist() == [mu.evaluate(float(t)) for t in ts]
+        assert StepForm.from_raw([], []).evaluate_many(ts).tolist() == [0.0] * ts.size
+        with pytest.raises(DomainError):
+            mu.evaluate_many(np.array([1.0, -0.5]))
 
     def test_total_equals_trace_of_abs(self):
         alg = TracedAlgebra((2, 1), (1.0, 3.0))
