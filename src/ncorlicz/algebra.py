@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NotMeasurableError, NumericError, StructuralError
+from .errors import DomainError, NotMeasurableError, NumericError, StructuralError, batch_or_loop
 from .orlicz import OrliczFunction
 
 PROJECTION_TOL = 1e-10
@@ -223,23 +223,21 @@ def apply_function_many(phi: OrliczFunction, elements: Sequence[AlgebraElement],
                         scale: float = 1.0) -> list[AlgebraElement]:
     """``apply_function`` of many elements: one stacked SVD per block.
 
-    Each result is bit for bit the one-element result.  When the stack fails
-    (elements of different algebras, no convergence, a gauge infinite or NaN
-    on some spectrum), the one-element loop runs and raises what it raises
-    first.
+    Each result is bit for bit the one-element result.  Errors (elements of
+    different algebras, no convergence, a gauge infinite or NaN on some
+    spectrum) follow ``batch_or_loop``.
     """
     if scale <= 0:
         raise DomainError(f"scale must be positive, got {scale}")
     if not elements:
         return []
-    try:
-        if any(a.algebra != elements[0].algebra for a in elements):
+
+    def functions_of(items):
+        if any(a.algebra != items[0].algebra for a in items):
             raise StructuralError("elements belong to different algebras")
-        return _functions_of(phi, elements, _svd_blocks(elements), scale)
-    except (NumericError, NotMeasurableError, StructuralError):
-        if len(elements) == 1:
-            raise
-        return [apply_function_many(phi, [a], scale)[0] for a in elements]
+        return _functions_of(phi, items, _svd_blocks(items), scale)
+
+    return batch_or_loop(functions_of, elements)
 
 
 def _functions_of(phi: OrliczFunction, elements: Sequence[AlgebraElement], svd,
@@ -289,15 +287,17 @@ def _trace_calculus(alg: TracedAlgebra, phi: OrliczFunction, svd,
 
     Each value rebuilds the operator and traces it; a scale at which phi is
     infinite on the spectrum gets +inf, the value of a non-measurable
-    modular, and one at which phi gives NaN gets NaN.
+    modular.  A NaN from phi raises NumericError for the first, in
+    evaluation order.
     """
-    mats, _, vals, finite = _calculus(phi, svd, scales)
+    mats, args, vals, finite = _calculus(phi, svd, scales)
     total = np.zeros(scales.shape)
     for w, m in zip(alg.weights, mats):
         total += w * np.trace(m, axis1=-2, axis2=-1).real
     if not np.logical_and.reduce(finite, axis=None):
+        if np.isnan(vals).any():
+            raise _first_nan(phi, args, vals)
         total[np.isinf(vals).any(axis=-1)] = np.inf
-        total[np.isnan(vals).any(axis=-1)] = np.nan
     return total
 
 

@@ -2,9 +2,12 @@
 
 Every failure mode callers are expected to branch on has its own class;
 plain ValueError/RuntimeError is never raised from public functions.
+``batch_or_loop`` decides what a many-form call raises when an item fails.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class NcorliczError(Exception):
@@ -57,3 +60,23 @@ class SpecError(NcorliczError, ValueError):
             message = f"{message} (at {location})"
         super().__init__(message)
         self.location = location
+
+
+def batch_or_loop(solve, items):
+    """``solve(items)``; when that fails, ``solve([item])`` for each item in order.
+
+    The one error rule of the many-form calls.  A batch that raises
+    NcorliczError or LinAlgError is run again one item at a time, in input
+    order, so the error raised is the one the one-item loop raises first.
+    When no item fails alone, their results are concatenated (an item may
+    give none).  A failure costs one batch plus the loop.
+    """
+    try:
+        return solve(items)
+    except (NcorliczError, np.linalg.LinAlgError):
+        if len(items) <= 1:
+            raise
+    parts = [solve([item]) for item in items]
+    if isinstance(parts[0], np.ndarray):
+        return np.concatenate(parts)
+    return [out for part in parts for out in part]

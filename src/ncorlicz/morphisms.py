@@ -22,9 +22,9 @@ from .algebra import (
     apply_function,
     trace,
 )
-from .errors import DomainError, NcorliczError, NotMeasurableError, StructuralError
+from .errors import DomainError, NotMeasurableError, StructuralError, batch_or_loop
 from .orlicz import OrliczFunction, compose_orlicz, conjugate
-from .norms import amemiya_norm, luxemburg_norm, luxemburg_norms
+from .norms import amemiya_norm, luxemburg_norms
 from .rearrangement import singular_values, singular_values_many, submajorizes
 
 INF = math.inf
@@ -240,17 +240,13 @@ def composition_bound_check(J: JordanMorphism, psi: OrliczFunction,
     Rescales each self-adjoint probe a into the open unit ball of the composed
     gauge, and checks the target-space gauge norm of J(a) against
     max(1, dual-gauge norm of the trace density).  Zero probes are skipped.
-    The probes take one Luxemburg solve in each gauge; when one fails, the
-    probes run one at a time, which raises what the probe-by-probe order
-    raises first.
+    The probes take one Luxemburg solve in each gauge; errors follow
+    ``batch_or_loop`` over the probes.
     """
     phi1 = compose_orlicz(psi, phi2)
     f = radon_nikodym(J)
     bound = max(1.0, _density_dual_norm(J, f, psi))
-    try:
-        ratios = _unit_ball_image_norms(J, phi1, phi2, probes)
-    except (NcorliczError, np.linalg.LinAlgError):
-        ratios = [r for a in probes for r in _unit_ball_image_norms(J, phi1, phi2, [a])]
+    ratios = batch_or_loop(lambda ps: _unit_ball_image_norms(J, phi1, phi2, ps), probes)
     max_ratio = 0.0
     for r in ratios:
         max_ratio = max(max_ratio, r)
@@ -285,15 +281,9 @@ def modular_chain_checks(J: JordanMorphism, psi: OrliczFunction, phi2: OrliczFun
 
     The density and its dual-gauge norm are computed once, and the source
     and inner norms take one Luxemburg solve each.  Each report is bit for
-    bit the one-element report; when a solve fails, the elements run one at
-    a time, which raises what the one-element loop raises first.
+    bit the one-element report; errors follow ``batch_or_loop``.
     """
-    try:
-        return _chain_reports(J, psi, phi2, elements, tol)
-    except (NcorliczError, np.linalg.LinAlgError):
-        if len(elements) <= 1:
-            raise
-        return [modular_chain_checks(J, psi, phi2, [a], tol)[0] for a in elements]
+    return batch_or_loop(lambda items: _chain_reports(J, psi, phi2, items, tol), elements)
 
 
 def _chain_reports(J: JordanMorphism, psi: OrliczFunction, phi2: OrliczFunction,
@@ -519,7 +509,8 @@ def interpolation_contraction_check(T: PositiveMap, phi: OrliczFunction,
     adjoint applied to the identity); N is the image of the identity.  T must
     keep each of ``positives`` positive.  For each self-adjoint probe a:
     mu(T(a) / max(C, N)) is submajorized by mu(a), and the gauge norm of T(a)
-    is at most max(C, N) times that of a.
+    is at most max(C, N) times that of a.  The probes take one Luxemburg
+    solve; errors follow ``batch_or_loop`` over the probes.
     """
     c = T.adjoint_apply(T.target.identity()).sup_norm()
     n = T.apply(T.source.identity()).sup_norm()
@@ -527,17 +518,17 @@ def interpolation_contraction_check(T: PositiveMap, phi: OrliczFunction,
 
     positivity_ok = all(T.apply(p).is_positive(1e-9) for p in positives)
 
-    worst_excess = -INF
-    sub_ok = True
-    for a in probes:
-        mu_a = singular_values(T.source, a)
-        image = T.apply(a)
-        mu_img = singular_values(T.target, image)
-        if bound > 0:
-            sub_ok = sub_ok and submajorizes(mu_a, mu_img.scaled(1.0 / bound))
-        lhs = luxemburg_norm(mu_img, phi)
-        rhs = bound * luxemburg_norm(mu_a, phi)
-        worst_excess = max(worst_excess, lhs - rhs)
+    def excesses(items):
+        """(submajorized, norm excess) per probe."""
+        mu_a = singular_values_many(T.source, items)
+        mu_img = singular_values_many(T.target, [T.apply(a) for a in items])
+        nrms = luxemburg_norms([*mu_img, *mu_a], phi).tolist()
+        return [(bound <= 0 or submajorizes(x, y.scaled(1.0 / bound)), lhs - bound * rhs)
+                for x, y, lhs, rhs in zip(mu_a, mu_img, nrms, nrms[len(items):])]
+
+    pairs = batch_or_loop(excesses, probes)
+    sub_ok = all(ok for ok, _ in pairs)
+    worst_excess = max([-INF, *(excess for _, excess in pairs)])
     passed = positivity_ok and sub_ok and worst_excess <= tol * max(1.0, bound)
     return InterpolationReport(trace_constant=float(c), unital_constant=float(n),
                                bound=float(bound), max_norm_excess=float(worst_excess),

@@ -12,6 +12,7 @@ and the Amemiya minimum through ``solve.minimize``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -21,14 +22,13 @@ import numpy as np
 from .algebra import (
     AlgebraElement,
     TracedAlgebra,
-    _calculus,
-    _first_nan,
     _are_positive,
     _svd_blocks,
     _trace_calculus,
     trace,
 )
-from .errors import DomainError, NumericError, StructuralError, UnboundedNormError
+from .errors import (DomainError, NumericError, StructuralError, UnboundedNormError,
+                     batch_or_loop)
 from .orlicz import OrliczFunction, conjugate, cosh_minus_one
 from .quadrature import integrate_sentinel
 from .rearrangement import (
@@ -52,6 +52,7 @@ AMEMIYA_K_CAP = 1e9
 ROWS_PER_SOLVE = 32
 # The Amemiya search's first pass: s = K_CAP / k = 2^0, ..., 2^(30 + BRACKET_LIMIT)
 _AMEMIYA_S = 2.0 ** np.arange(math.ceil(math.log2(AMEMIYA_K_CAP)) + BRACKET_LIMIT + 1)
+_NO_SCALING = "no finite scaling brings the modular below one"
 
 
 def _live_pieces(mu: StepForm, ctx: Optional[WeightedContext]) -> tuple[np.ndarray, np.ndarray]:
@@ -121,49 +122,22 @@ def _step_rows(mus: Sequence[StepForm], ctx: Optional[WeightedContext]):
                np.array([pieces[i][1] for i in idx]))
 
 
-def _step_rows_modular(values: np.ndarray, masses: np.ndarray, phi: OrliczFunction,
-                       idx: np.ndarray, errors: dict):
-    """``modular(rows, inv_scales)`` over one group of ``_step_rows``, NaN rows recorded."""
+def _step_rows_modular(values: np.ndarray, masses: np.ndarray, phi: OrliczFunction):
+    """``modular(rows, inv_scales)`` over one group of ``_step_rows``.
+
+    A NaN raises at once the error of its row's first NaN: in a one-row
+    solve, the error of the one-form solve.
+    """
 
     def modular_at(rows, inv_scales):
-        if rows.size == len(values):
-            return _step_modular(values, masses, phi, inv_scales)
-        return _step_modular(values[rows], masses[rows], phi, inv_scales)
-
-    return _recorded(modular_at, idx, errors, lambda r, inv: _nan_error(phi, values[r], inv))
-
-
-def _recorded(modular_at, idx: np.ndarray, errors: dict, nan_error):
-    """``modular_at(rows, inv_scales)`` with NaN rows recorded and read as +inf.
-
-    The first NaN of a row, in evaluation order, is the one its one-form
-    solve raises: ``nan_error(row, inv_scales)`` builds that error, kept
-    under the row's input index.  As +inf the row reads as infeasible and
-    runs its course without holding up the others.
-    """
-
-    def at(rows, inv_scales):
-        m = modular_at(rows, inv_scales)
+        v, w = (values, masses) if rows.size == len(values) else (values[rows], masses[rows])
+        m = _step_modular(v, w, phi, inv_scales)
         if math.isnan(np.add.reduce(m, axis=None)):
-            for r in np.isnan(m).any(axis=1).nonzero()[0]:
-                errors.setdefault(idx[rows[r]], nan_error(rows[r], inv_scales[r]))
-                m[r] = INF
+            r = np.isnan(m).any(axis=1).argmax()
+            raise _nan_error(phi, v[r], inv_scales[r])
         return m
 
-    return at
-
-
-def _raise_first(errors: dict, unbounded: np.ndarray, message: str) -> None:
-    """Raise the error of the first problem, in input order, that has one.
-
-    A many-form solve keeps solving the other rows when one fails, then
-    raises what the one-form loop would have raised first.  ``unbounded``
-    marks the rows whose solve found no finite value.
-    """
-    for i in unbounded.nonzero()[0]:
-        errors.setdefault(i, UnboundedNormError(message))
-    if errors:
-        raise errors[min(errors)]
+    return modular_at
 
 
 def _weighted_integral(h, mu: ParametricForm,
@@ -263,7 +237,7 @@ def _norm_bisect(modular_at, seed: float, tol: float) -> float:
     if yes is None:  # lam itself is infeasible: walk up
         up = bracket(lambda x: not feasible(x), lam * 2.0, 2.0, BRACKET_LIMIT)
         if up is None:
-            raise UnboundedNormError("no finite scaling brings the modular below one")
+            raise UnboundedNormError(_NO_SCALING)
         last, yes = up
         no = lam if last is None else last
     return bisect(feasible, yes, no, rtol=tol)
@@ -317,16 +291,21 @@ def luxemburg_norms(mus: Sequence[StepForm], phi: OrliczFunction,
                     tol: float = DEFAULT_TOL) -> np.ndarray:
     """``luxemburg_norm`` of many step forms: one solve per group of ``_step_rows``.
 
-    Each value is bit for bit the one-form value.  When solves fail, raises
-    the error that the first failing form, in input order, raises alone.
+    Each value is bit for bit the one-form value; errors follow
+    ``batch_or_loop``.
     """
     _check_tol(tol)
-    out, errors = np.zeros(len(mus)), {}
-    for idx, values, masses in _step_rows(mus, ctx):
-        modular_at = _step_rows_modular(values, masses, phi, idx, errors)
-        out[idx] = _norm_bisect_rows(modular_at, np.array([mus[i].sup_value for i in idx]), tol)
-    _raise_first(errors, np.isnan(out), "no finite scaling brings the modular below one")
-    return out
+
+    def solve(forms):
+        out = np.zeros(len(forms))
+        for idx, values, masses in _step_rows(forms, ctx):
+            out[idx] = _norm_bisect_rows(_step_rows_modular(values, masses, phi),
+                                         np.array([forms[i].sup_value for i in idx]), tol)
+        if np.isnan(out).any():
+            raise UnboundedNormError(_NO_SCALING)
+        return out
+
+    return batch_or_loop(solve, mus)
 
 
 def luxemburg_norm(mu: RearrangementFunction, phi: OrliczFunction,
@@ -353,50 +332,35 @@ def kunze_norms(elements: Sequence[AlgebraElement], phi: OrliczFunction,
     The blocks of the elements of one algebra are decomposed by one stacked
     SVD, and every probe traces phi over rows x scalings in one
     ``_trace_calculus`` call.  Each value is bit for bit the one-form value;
-    failures raise what the first failing element, in input order, raises
-    alone.
+    errors follow ``batch_or_loop``.
     """
     _check_tol(tol)
-    out, errors = np.zeros(len(elements)), {}
-    for members in _grouped((a.algebra for a in elements), ROWS_PER_SOLVE):
-        alg = elements[members[0]].algebra
-        try:
-            svd = _svd_blocks([elements[i] for i in members])
-        except NumericError:
-            # keep the elements whose decomposition fails apart, solve the rest
-            for i in members:
-                try:
-                    _svd_blocks([elements[i]])
-                except NumericError as exc:
-                    errors[i] = exc
-            members = [i for i in members if i not in errors]
-            if not members:
+
+    def solve(items):
+        out = np.zeros(len(items))
+        for members in _grouped((a.algebra for a in items), ROWS_PER_SOLVE):
+            alg = items[members[0]].algebra
+            svd = _svd_blocks([items[i] for i in members])
+            seeds = np.max([s[:, 0] for s, _, _ in svd], axis=0)
+            live = seeds > 0.0
+            if not live.all():
+                members, seeds = np.array(members)[live], seeds[live]
+                svd = [tuple(x[live] for x in block) for block in svd]
+            if not seeds.size:
                 continue
-            svd = _svd_blocks([elements[i] for i in members])
-        seeds = np.max([s[:, 0] for s, _, _ in svd], axis=0)
-        live = seeds > 0.0
-        if not live.all():
-            members, seeds = np.array(members)[live], seeds[live]
-            svd = [tuple(x[live] for x in block) for block in svd]
-        if not seeds.size:
-            continue
-        idx = np.array(members)
 
-        def trace_modular(rows, inv_scales, svd=svd, alg=alg):
-            if rows.size == len(svd[0][0]):
-                return _trace_calculus(alg, phi, svd, inv_scales)
-            return _trace_calculus(alg, phi, [tuple(x[rows] for x in block) for block in svd],
-                                   inv_scales)
+            def trace_modular(rows, inv_scales, svd=svd, alg=alg):
+                if rows.size == len(svd[0][0]):
+                    return _trace_calculus(alg, phi, svd, inv_scales)
+                return _trace_calculus(alg, phi, [tuple(x[rows] for x in block) for block in svd],
+                                       inv_scales)
 
-        def nan_error(r, inv_scales, svd=svd):
-            _, args, vals, _ = _calculus(phi, [tuple(x[r:r + 1] for x in block) for block in svd],
-                                         inv_scales[None])
-            return _first_nan(phi, args, vals)
+            out[members] = _norm_bisect_rows(trace_modular, seeds, tol)
+        if np.isnan(out).any():
+            raise UnboundedNormError(_NO_SCALING)
+        return out
 
-        out[idx] = _norm_bisect_rows(_recorded(trace_modular, idx, errors, nan_error),
-                                     seeds, tol)
-    _raise_first(errors, np.isnan(out), "no finite scaling brings the modular below one")
-    return out
+    return batch_or_loop(solve, elements)
 
 
 def kunze_norm(alg: TracedAlgebra, a: AlgebraElement, phi: OrliczFunction,
@@ -421,20 +385,26 @@ def amemiya_norms(mus: Sequence[StepForm], phi: OrliczFunction,
                   tol: float = DEFAULT_TOL) -> np.ndarray:
     """``amemiya_norm`` of many step forms: one convex search per group of ``_step_rows``.
 
-    Each value is bit for bit the one-form value; failures raise what the
-    first failing form, in input order, raises alone.
+    Each value is bit for bit the one-form value; errors follow
+    ``batch_or_loop``.
     """
-    out, errors = np.zeros(len(mus)), {}
-    for idx, values, masses in _step_rows(mus, ctx):
-        modular_at = _step_rows_modular(values, masses, phi, idx, errors)
 
-        def objective(rows, s, modular_at=modular_at):
-            k = AMEMIYA_K_CAP / s
-            return (1.0 + modular_at(rows, k)) / k
+    def solve(forms):
+        out = np.zeros(len(forms))
+        for idx, values, masses in _step_rows(forms, ctx):
+            modular_at = _step_rows_modular(values, masses, phi)
 
-        out[idx] = minimize(objective, _AMEMIYA_S[None].repeat(len(idx), axis=0), 1e-3 * tol)[0]
-    _raise_first(errors, np.isinf(out), "Amemiya objective infinite for all probed k")
-    return out
+            def objective(rows, s, modular_at=modular_at):
+                k = AMEMIYA_K_CAP / s
+                return (1.0 + modular_at(rows, k)) / k
+
+            out[idx] = minimize(objective, _AMEMIYA_S[None].repeat(len(idx), axis=0),
+                                1e-3 * tol)[0]
+        if np.isinf(out).any():
+            raise UnboundedNormError("Amemiya objective infinite for all probed k")
+        return out
+
+    return batch_or_loop(solve, mus)
 
 
 def amemiya_norm(mu: RearrangementFunction, phi: OrliczFunction,
@@ -505,26 +475,32 @@ def holder_checks(triples: Sequence[tuple[TracedAlgebra, AlgebraElement, Algebra
                   tol: float = 1e-8) -> list[list[HolderReport]]:
     """``holder_check`` without probes over many (alg, f, g) and gauges.
 
-    The singular values of each f and g are computed once, and each gauge
-    takes one Amemiya and one Luxemburg solve over all the triples.  Returns
-    one list of reports per gauge, in the order of ``triples``.
+    |tr(fg)| and the singular values of f and g are computed once per
+    triple, and each gauge takes one Amemiya and one Luxemburg solve over
+    all the triples.  Errors follow ``batch_or_loop``, one gauge at a time.
+    Returns one list of reports per gauge, in the order of ``triples``.
     """
-    lhs = [abs(trace(alg, f @ g)) for alg, f, g in triples]
-    mu_f = [singular_values(alg, f) for alg, f, _ in triples]
-    mu_g = [singular_values(alg, g) for alg, _, g in triples]
-    reports = []
-    for phi in gauges:
-        duals = amemiya_norms(mu_f, conjugate(phi)).tolist()
-        primals = luxemburg_norms(mu_g, phi).tolist()
+
+    @functools.cache
+    def parts(i):
+        alg, f, g = triples[i]
+        return abs(trace(alg, f @ g)), singular_values(alg, f), singular_values(alg, g)
+
+    def solve(phi, rows):
+        got = [parts(i) for i in rows]
+        duals = amemiya_norms([mu_f for _, mu_f, _ in got], conjugate(phi)).tolist()
+        primals = luxemburg_norms([mu_g for _, _, mu_g in got], phi).tolist()
         row = []
-        for left, dual, primal in zip(lhs, duals, primals):
+        for (left, _, _), dual, primal in zip(got, duals, primals):
             rhs = dual * primal
             passed = left <= rhs + tol * (1.0 + rhs) if not math.isinf(rhs) else True
             row.append(HolderReport(lhs=float(left), rhs=float(rhs), dual_norm=dual,
                                     primal_norm=primal, slack=float(rhs - left),
                                     passed=passed, sampled_sup=None, sampled_sup_ok=True))
-        reports.append(row)
-    return reports
+        return row
+
+    return [batch_or_loop(lambda rows: solve(phi, rows), range(len(triples)))
+            for phi in gauges]
 
 
 def holder_check(alg: TracedAlgebra, f: AlgebraElement, g: AlgebraElement,
@@ -540,13 +516,13 @@ def holder_check(alg: TracedAlgebra, f: AlgebraElement, g: AlgebraElement,
     rep = holder_checks([(alg, f, g)], [phi], tol)[0][0]
     if not probes:
         return rep
-    best = 0.0
-    for gp in probes:
-        nrm = luxemburg_norm(singular_values(alg, gp), phi)
-        if nrm == 0.0:
-            continue
-        prod = f @ (gp * (1.0 / nrm))
-        best = max(best, singular_values(alg, prod).total_integral())
+
+    def pairings(gs):
+        nrms = luxemburg_norms(singular_values_many(alg, gs), phi).tolist()
+        prods = [f @ (gp * (1.0 / nrm)) for gp, nrm in zip(gs, nrms) if nrm != 0.0]
+        return [mu.total_integral() for mu in singular_values_many(alg, prods)]
+
+    best = max([0.0, *batch_or_loop(pairings, probes)])
     return replace(rep, sampled_sup=best,
                    sampled_sup_ok=best <= rep.dual_norm + tol * (1.0 + rep.dual_norm))
 
@@ -635,30 +611,34 @@ def moment_bound_checks(alg: TracedAlgebra, xs: Sequence[AlgebraElement],
     Validates each input once, by one stacked positivity test per block,
     and decomposes each once, by one ``singular_values_many`` call.
     Returns one list of reports per pair, one report per order.  Each report
-    is bit for bit the one-form report; invalid inputs raise what the loop
-    over the pairs raises first.
+    is bit for bit the one-form report; errors follow ``batch_or_loop`` over
+    the pairs.
     """
     if any(n < 1 for n in orders):
         raise DomainError("moment order must be >= 1")
-    positive = _are_positive([*xs, *ys]).tolist()
-    lhs = []
-    for i, (x, y) in enumerate(zip(xs, ys)):
-        if not (positive[i] and positive[len(xs) + i]):
+
+    def solve(pairs):
+        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+        if not _are_positive([*xs, *ys]).all():
             raise DomainError("moment bound requires positive inputs")
-        tx = trace(alg, x).real
-        if abs(tx - 1.0) > 1e-8:
-            raise DomainError(f"x must have unit trace, got {tx}")
-        lhs.append([trace(alg, x @ y.matrix_power(n)).real for n in orders])
-    mus = singular_values_many(alg, [*xs, *ys])
-    reports = []
-    for row, mu_x, mu_y in zip(lhs, mus, mus[len(xs):]):
-        reports.append([])
-        for n, left in zip(orders, row):
-            rhs = factor * n * pairing_integral(mu_y, mu_x, power=n)
-            reports[-1].append(MomentReport(lhs=float(left), rhs=float(rhs),
-                                            slack=float(rhs - left),
-                                            passed=left <= rhs + tol * (1.0 + abs(rhs))))
-    return reports
+        lhs = []
+        for x, y in pairs:
+            tx = trace(alg, x).real
+            if abs(tx - 1.0) > 1e-8:
+                raise DomainError(f"x must have unit trace, got {tx}")
+            lhs.append([trace(alg, x @ y.matrix_power(n)).real for n in orders])
+        mus = singular_values_many(alg, [*xs, *ys])
+        reports = []
+        for row, mu_x, mu_y in zip(lhs, mus, mus[len(xs):]):
+            reports.append([])
+            for n, left in zip(orders, row):
+                rhs = factor * n * pairing_integral(mu_y, mu_x, power=n)
+                reports[-1].append(MomentReport(lhs=float(left), rhs=float(rhs),
+                                                slack=float(rhs - left),
+                                                passed=left <= rhs + tol * (1.0 + abs(rhs))))
+        return reports
+
+    return batch_or_loop(solve, list(zip(xs, ys)))
 
 
 def moment_bound_check(alg: TracedAlgebra, x: AlgebraElement, y: AlgebraElement,

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 from scipy import integrate
 
-from .errors import NumericError
+from .errors import NcorliczError, NumericError
 
 DIVERGENCE_CAP = 1e12
 ABS_TOL = 1e-10
@@ -61,7 +61,9 @@ def integrate_sentinel(f, a: float, b: float, *, abs_tol: float = ABS_TOL,
     """Integrate f over [a, b] (b may be inf); returns +inf on divergence.
 
     Raises NumericError carrying the achieved error estimate when the
-    quadrature neither converges nor looks divergent.
+    quadrature neither converges nor looks divergent, and NumericError when
+    it fails outright.  An error of the package raised by f propagates
+    unchanged.
     """
     if b <= a:
         return 0.0
@@ -81,9 +83,11 @@ def integrate_sentinel(f, a: float, b: float, *, abs_tol: float = ABS_TOL,
                 else:
                     result, err = integrate.quad(f, a, b, limit=200,
                                                  epsabs=abs_tol, epsrel=rel_tol)
-            except Exception as exc:  # pragma: no cover - scipy internal failures
-                if singular_at_zero and a == 0.0:
-                    return math.inf
+            except NcorliczError:
+                raise  # the integrand's own error (DomainError is also a ValueError)
+            except (ValueError, ArithmeticError) as exc:
+                # scipy rejects its input with ValueError; numpy and math fail with
+                # ArithmeticError: a failure, never a divergence
                 raise NumericError(f"quadrature failed: {exc}") from exc
 
     if math.isnan(result) or result > cap:

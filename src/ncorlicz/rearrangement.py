@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .algebra import AlgebraElement, TracedAlgebra
-from .errors import DomainError, NumericError, StructuralError
+from .errors import DomainError, NumericError, StructuralError, batch_or_loop
 from .quadrature import integrate_sentinel
 from .solve import bisect, bracket
 
@@ -260,24 +260,23 @@ def singular_values_many(alg: TracedAlgebra, elements: Sequence[AlgebraElement])
 
     ``np.linalg.svd(..., compute_uv=False)`` gives each matrix of a stack
     the values it gives that matrix alone, bit for bit, so each form is the
-    one-element form.  When a stack fails (a foreign element, no
-    convergence), the one-element loop runs and raises what it raises first.
+    one-element form.  Errors (a foreign element, no convergence) follow
+    ``batch_or_loop``.
     """
     if not elements:
         return []
-    try:
-        if any(a.algebra != alg for a in elements):
+    durations = np.concatenate([np.full(n, w) for n, w in zip(alg.dims, alg.weights)])
+
+    def decompose(items):
+        if any(a.algebra != alg for a in items):
             raise StructuralError("element does not belong to the given algebra")
-        values = np.concatenate([np.linalg.svd(np.array([a.blocks[k] for a in elements]),
+        values = np.concatenate([np.linalg.svd(np.array([a.blocks[k] for a in items]),
                                                compute_uv=False)
                                  for k in range(alg.n_blocks)], axis=1)
-    except (StructuralError, np.linalg.LinAlgError):
-        if len(elements) == 1:
-            raise
-        return [singular_values_many(alg, [a])[0] for a in elements]
-    durations = np.concatenate([np.full(n, w) for n, w in zip(alg.dims, alg.weights)])
-    order = np.argsort(-values, axis=1, kind="stable")
-    return [StepForm(durations[o], v[o]) for o, v in zip(order, values)]
+        order = np.argsort(-values, axis=1, kind="stable")
+        return [StepForm(durations[o], v[o]) for o, v in zip(order, values)]
+
+    return batch_or_loop(decompose, elements)
 
 
 def singular_values(alg: TracedAlgebra, a: AlgebraElement) -> StepForm:

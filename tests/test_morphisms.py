@@ -12,9 +12,12 @@ from ncorlicz import (
     BlockImage,
     DomainError,
     JordanMorphism,
+    KrausGroup,
     NumericError,
+    PositiveMap,
     StructuralError,
     TracedAlgebra,
+    UnboundedNormError,
     absolute_continuity_check,
     abs_value,
     apply_function,
@@ -47,6 +50,7 @@ from ncorlicz.sampling import (
     mixed_unitary_map,
     morphism_catalog,
     padded_morphism,
+    positive_map_catalog,
     pinching_map,
     random_element,
     random_positive,
@@ -289,6 +293,20 @@ def _probe_by_probe(J, psi, phi2, probes, tol=1e-7):
     return bound, max_ratio, used, max_ratio <= bound + tol * max(1.0, bound)
 
 
+def _excess_probe_by_probe(T, phi, probes):
+    """The contraction check's norm excess and submajorization, one probe at a time."""
+    bound = max(T.adjoint_apply(T.target.identity()).sup_norm(),
+                T.apply(T.source.identity()).sup_norm())
+    worst, sub_ok = -math.inf, True
+    for a in probes:
+        mu_a = singular_values(T.source, a)
+        mu_img = singular_values(T.target, T.apply(a))
+        if bound > 0:
+            sub_ok = sub_ok and submajorizes(mu_a, mu_img.scaled(1.0 / bound))
+        worst = max(worst, luxemburg_norm(mu_img, phi) - bound * luxemburg_norm(mu_a, phi))
+    return worst, sub_ok
+
+
 def _first_error(run, items):
     for item in items:
         try:
@@ -374,6 +392,36 @@ class TestBatchedChecks:
             assert str(got.value) == str(want)
         assert "Amemiya" in str(_first_error(lambda a: modular_chain_check(J, psi, phi2, a),
                                              [dual_fails, unbounded]))
+
+    def test_interpolation_contraction_is_the_probe_loop(self):
+        rng = np.random.default_rng(17)
+        for _, T in positive_map_catalog(rng):
+            for phi in (power(2.0), cosh_minus_one(), linear_until_cap(1.0)):
+                probes = [random_self_adjoint(T.source, rng) for _ in range(4)]
+                probes.insert(1, T.source.zero())
+                rep = interpolation_contraction_check(T, phi, [], probes)
+                assert (rep.max_norm_excess, rep.submajorization_ok) == \
+                    _excess_probe_by_probe(T, phi, probes)
+
+    def test_interpolation_errors_follow_the_probe_order(self):
+        # probe `image_nan` meets NaN in its image solve (target weight 1e-14),
+        # probe `unbounded` fails its source solve (source weight 1e130); one
+        # solve over all images, then all sources, would meet the first first
+        source = TracedAlgebra((1, 1), (1.0, 1e130))
+        target = TracedAlgebra((1, 1), (1e-14, 1.0))
+        T = PositiveMap(source, target, (KrausGroup(0, 0, (np.eye(1),)),
+                                         KrausGroup(1, 1, (np.eye(1),))))
+        image_nan = source.diagonal([[1.0], [0.0]])
+        unbounded = source.diagonal([[0.0], [1.0]])
+        phi = _nan_above_a_million()
+        for probes in ([image_nan, unbounded], [unbounded, image_nan],
+                       [source.zero(), unbounded, image_nan]):
+            want = _first_error(lambda a: _excess_probe_by_probe(T, phi, [a]), probes)
+            with pytest.raises(type(want)) as got:
+                interpolation_contraction_check(T, phi, [], probes)
+            assert str(got.value) == str(want)
+        assert isinstance(_first_error(lambda a: _excess_probe_by_probe(T, phi, [a]),
+                                       [unbounded, image_nan]), UnboundedNormError)
 
 
 class TestTauT:
@@ -476,7 +524,6 @@ class TestTransposeRoute:
     """A positive map that is not completely positive: a -> a^T."""
 
     def _map(self):
-        from ncorlicz import KrausGroup, PositiveMap
         alg = TracedAlgebra((2,), (1.0,))
         group = KrausGroup(0, 0, (np.eye(2, dtype=complex),), transpose=True)
         return PositiveMap(alg, alg, (group,), cp=False)

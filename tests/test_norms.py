@@ -401,6 +401,14 @@ class TestManyForms:
         for phi, row in zip(gauges, reports):
             assert row == [holder_check(alg, f, g, phi) for alg, f, g in triples]
 
+    @given(_steps(), st.sampled_from(_many_gauges()), _contexts(),
+           st.floats(1e-3, 1e3))
+    @settings(max_examples=80, deadline=None)
+    def test_luxemburg_is_homogeneous(self, mu, phi, ctx, c):
+        tol = 1e-9
+        got = luxemburg_norms([mu.scaled(c)], phi, ctx, tol)[0]
+        assert got == pytest.approx(c * luxemburg_norm(mu, phi, ctx, tol), rel=2 * tol)
+
     def test_errors_follow_the_input_order(self):
         phi = _nan_above_a_million()
         fine = StepForm.from_raw([1.0, 0.5], [2.0, 1.0])
@@ -439,6 +447,20 @@ class TestManyForms:
             want = _first_error(lambda a: kunze_norm(a.algebra, a, phi), items)
             _raises_like(lambda: kunze_norms(items, phi), want)
 
+    def test_holder_errors_follow_the_triple_order(self):
+        # triple 0 fails its Luxemburg solve (weight 1e130), triple 1 its dual
+        # (1e70 has no finite Amemiya norm in the conjugate of power(1)); one
+        # dual solve over both triples would meet the second first
+        heavy, plain = TracedAlgebra((1,), (1e130,)), TracedAlgebra((1,), (1.0,))
+        triples = [(heavy, heavy.zero(), heavy.diagonal([[1.0]])),
+                   (plain, plain.diagonal([[1e70]]), plain.diagonal([[1.0]]))]
+        phi = power(1.0)
+        for items in (triples, triples[::-1]):
+            want = _first_error(lambda t: holder_check(*t, phi), items)
+            _raises_like(lambda: holder_checks(items, [phi]), want)
+        assert isinstance(_first_error(lambda t: holder_check(*t, phi), triples),
+                          UnboundedNormError)
+
     def test_parametric_data_rejected(self):
         with pytest.raises(DomainError):
             luxemburg_norms([StepForm.from_raw([1.0], [1.0]), exp_decay()], power(2.0))
@@ -471,6 +493,21 @@ class TestHolder:
         rep = holder_check(alg, f, g, cosh_minus_one(), probes=probes)
         assert rep.passed and rep.sampled_sup_ok
         assert rep.sampled_sup <= rep.dual_norm + 1e-7
+
+    def test_sampled_sup_is_the_probe_loop(self):
+        rng = np.random.default_rng(17)
+        for alg in algebra_shapes():
+            f, g = random_element(alg, rng), random_element(alg, rng)
+            probes = [random_element(alg, rng) for _ in range(4)]
+            probes.insert(1, alg.zero())
+            for phi in (cosh_minus_one(), linear_until_cap(1.0)):
+                best = 0.0
+                for gp in probes:
+                    nrm = luxemburg_norm(singular_values(alg, gp), phi)
+                    if nrm != 0.0:
+                        prod = f @ (gp * (1.0 / nrm))
+                        best = max(best, singular_values(alg, prod).total_integral())
+                assert holder_check(alg, f, g, phi, probes=probes).sampled_sup == best
 
 
 class TestTauX:

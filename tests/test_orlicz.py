@@ -281,7 +281,37 @@ class TestDelta2:
             delta2_probe(power(2.0), grid_decades=0)
 
 
+# Gauges with a finite cap b_phi, and conjugates: eval_gauge decides at and
+# beyond the cap itself, eval_many through each gauge's own formula
+_CAPPED_AND_CONJUGATE = [
+    linear_until_cap(1.0), linear_until_cap(2.5), conjugate(power(1.0)),
+    conjugate(zero_then_linear(0.5)), conjugate(zero_then_linear(2.0)),
+    conjugate(linear_until_cap(1.0)), compose_orlicz(power(2.0), linear_until_cap(1.0)),
+    compose_orlicz(linear_until_cap(1.0), power(2.0)), conjugate(power(2.0)),
+    conjugate(power_over_p(3.0)), conjugate(cosh_minus_one()), conjugate(exp_minus_one()),
+    conjugate(t_log1p()),
+]
+
+
+@st.composite
+def _around_the_cap(draw):
+    """A capped or conjugate gauge and a point: its cap (20 when it has none), an ulp
+    either side, or a point below four times that."""
+    phi = draw(st.sampled_from(_CAPPED_AND_CONJUGATE))
+    b = phi.b_phi if phi.b_phi < INF else 20.0
+    near = [b, math.nextafter(b, 0.0), math.nextafter(b, INF)]
+    return phi, draw(st.one_of(st.sampled_from(near), st.floats(0.0, 4.0 * b)))
+
+
 class TestGaugeLaws:
+    @given(_around_the_cap())
+    @settings(max_examples=150, deadline=None)
+    def test_eval_gauge_is_eval_many(self, case):
+        phi, u = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            many = phi.eval_many(np.array([u]))[0]
+        assert eval_gauge(phi, u) == many
+
     @pytest.mark.parametrize("phi", [power(1.0), power(2.0), cosh_minus_one(),
                                      exp_minus_one(), t_log1p(),
                                      zero_then_linear(1.0), linear_until_cap(1.0)],

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ncorlicz import (
     DomainError,
+    NumericError,
     StepForm,
     StructuralError,
     TracedAlgebra,
@@ -289,6 +290,27 @@ class TestSubmajorization:
         for al in alphas:
             assert mu_ab.head_integral(float(al)) <= (
                 mu_a.head_integral(float(al)) + mu_b.head_integral(float(al)) + 1e-10)
+
+
+class TestIntegrateSentinel:
+    """A quadrature failure is an error, never +inf; the integrand's own errors pass through."""
+
+    @pytest.mark.parametrize("singular_at_zero", [False, True])
+    def test_integrand_errors_propagate_unchanged(self, singular_at_zero):
+        # DomainError is also a ValueError, which scipy's own failures raise
+        def f(t):
+            if t > 0.5:
+                raise DomainError("outside the integrand's domain")
+            return 1.0
+
+        with pytest.raises(DomainError, match="outside the integrand's domain"):
+            integrate_sentinel(f, 0.0, 1.0, singular_at_zero=singular_at_zero)
+
+    def test_a_failed_quadrature_is_not_a_divergence(self):
+        # math.exp overflows above t = 0.71; the dyadic head test near 0 sees a
+        # bounded integrand
+        with pytest.raises(NumericError, match="quadrature failed"):
+            integrate_sentinel(lambda t: math.exp(1e3 * t), 0.0, 1.0, singular_at_zero=True)
 
 
 class TestWeightedContext:
