@@ -42,10 +42,6 @@ class TracedAlgebra:
     def n_blocks(self) -> int:
         return len(self.dims)
 
-    @property
-    def trace_of_identity(self) -> float:
-        return float(sum(w * n for n, w in zip(self.dims, self.weights)))
-
     def element(self, blocks: Sequence[np.ndarray]) -> "AlgebraElement":
         return AlgebraElement(self, tuple(np.array(b, dtype=complex) for b in blocks))
 

@@ -6,8 +6,9 @@ The Luxemburg norm is inf{lam > 0 : modular(mu, phi, 1/lam) <= 1}; the
 Amemiya norm is inf_k (1 + modular(mu, phi, k)) / k.  The Luxemburg norm
 coincides with the trace-modular route through functional calculus, which
 ``kunze_norm`` computes independently; callers compare the two routes.
-Every boundary search goes through ``solve.bracket`` and ``solve.bisect``,
-and the Amemiya minimum through ``solve.minimize``.
+Step-data norms are solved in rows (``solve.bracket_rows`` and
+``solve.bisect_rows``), parametric ones by the one-point ``solve.bracket``
+and ``solve.bisect``, and the Amemiya minimum by ``solve.minimize``.
 """
 
 from __future__ import annotations
@@ -161,10 +162,6 @@ def _weighted_integral(h, mu: ParametricForm,
     def h_of_mu(t: float) -> float:
         return h(mu.evaluate(t))
 
-    # infinite values of h on a set of positive measure force +inf
-    if math.isinf(h_of_mu(min(1e-8, mu.support / 2))):
-        return INF
-
     top = mu.support
     if weight is None:
         return integrate_sentinel(h_of_mu, 0.0, top, singular_at_zero=mu.singular_at_zero)
@@ -195,10 +192,11 @@ def modular(mu: RearrangementFunction, phi: OrliczFunction, inv_scale,
 
     Exact for step-by-step data, where ``inv_scale`` may also be an array of
     scalings and the result is the array of modulars; parametric inputs go
-    through sentinel quadrature, one scaling at a time.  Pieces of zero
-    weight mass contribute nothing even where the gauge is infinite (the
-    norm only sees weight-a.e. classes).  NaN from the gauge raises
-    NumericError.
+    through sentinel quadrature, one scaling at a time, unless
+    inv_scale * mu(0+) > b_phi makes the modular +inf before any quadrature.
+    Pieces of zero weight mass contribute nothing even where the gauge is
+    infinite (the norm only sees weight-a.e. classes).  NaN from the gauge
+    raises NumericError.
     """
     scales = np.asarray(inv_scale, dtype=float)
     if not scales.min(initial=INF) > 0:
@@ -214,6 +212,9 @@ def modular(mu: RearrangementFunction, phi: OrliczFunction, inv_scale,
     if scales.ndim:
         raise DomainError("an array of scalings needs step data")
     k = float(inv_scale)
+    # phi(k mu) = +inf on some (0, eps), which every admissible weight charges
+    if k * mu.sup_value > phi.b_phi:
+        return INF
     with np.errstate(over="ignore", invalid="ignore"):
         return _weighted_integral(lambda v: float(phi.eval_many(np.array([v * k]))[0]),
                                   mu, None if ctx is None else ctx.weight)

@@ -25,8 +25,8 @@ INF = math.inf
 # Tolerance ladder: closed-form paths exact, bisection 1e-10 relative,
 # conjugate/quadrature paths 1e-8 (each numeric layer loses ~2 digits).
 BISECT_RTOL = 1e-10
-# Threshold detection of custom gauges probes (0, DETECT_TOP] and resolves to
-# DETECT_TOL, absolute and relative.
+# Threshold detection of custom gauges probes (0, DETECT_TOP] and resolves each
+# threshold to within two ulps; the zero walk starts at DETECT_TOL.
 DETECT_TOP = 1e30
 DETECT_TOL = 1e-12
 # Numeric conjugates: the doubling walk's last octave and the certified tolerance
@@ -61,19 +61,21 @@ class OrliczFunction:
         return eval_gauge(self, u)
 
     def eval_many(self, u: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation; assumes nonnegative input.
+        """phi at each entry of u, which must be nonnegative (unchecked).
 
-        Overflow to +inf is a value, and a caller that makes it on purpose
-        silences numpy's warning around its own loop (``np.errstate``), once
-        per solve rather than once per call.
+        The one cap rule of the package: beyond a finite b_phi the value is
+        +inf, at it ``value_at_b``, and below it the gauge's formula, which
+        is only ever called at min(u, b_phi).  NaN stays NaN.  Overflow to
+        +inf is a value, and a caller that makes it on purpose silences
+        numpy's warning around its own loop (``np.errstate``), once per
+        solve rather than once per call.
         """
-        return np.asarray(self._vector(np.asarray(u, dtype=float)), dtype=float)
-
-    def conjugate(self) -> "OrliczFunction":
-        return conjugate(self)
-
-    def inverse(self, t: float) -> float:
-        return formal_inverse(self, t)
+        u = np.asarray(u, dtype=float)
+        b = self.b_phi
+        if b == INF:
+            return np.asarray(self._vector(u), dtype=float)
+        beyond = np.where(u == b, self.value_at_b, u * INF)  # +inf past b > 0, NaN at NaN
+        return np.where(u < b, self._vector(np.minimum(u, b)), beyond)
 
     def describe(self) -> str:
         ps = ", ".join(f"{k}={v:g}" for k, v in self.params)
@@ -226,8 +228,7 @@ def _capped_linear(slope: float, cap: float, kind: str = "capped_linear") -> Orl
         raise InvalidOrliczError(f"capped_linear needs cap > 0, slope >= 0 (got {slope}, {cap})")
 
     def vec(u):
-        u = np.asarray(u, dtype=float)
-        return np.where(u > cap, np.inf, slope * u)
+        return slope * u
 
     if slope > 0:
         inv = lambda t: min(t / slope, cap)
@@ -285,7 +286,7 @@ def _detect_finiteness_cap(fn) -> float:
         raise InvalidOrliczError("gauge is infinite on all of (0, inf)")
     if finite(DETECT_TOP):
         return INF
-    return bisect(finite, found[1], DETECT_TOP, rtol=DETECT_TOL, atol=DETECT_TOL)
+    return bisect(finite, found[1], DETECT_TOP, rtol=2.0 ** -52, atol=math.ulp(0.0))
 
 
 def _detect_largest_zero(fn, b_phi: float) -> float:
@@ -302,7 +303,7 @@ def _detect_largest_zero(fn, b_phi: float) -> float:
     last, first_positive = found
     if last is None:
         return 0.0
-    return bisect(zero, last, min(first_positive, hi), rtol=DETECT_TOL, atol=DETECT_TOL)
+    return bisect(zero, last, min(first_positive, hi), rtol=2.0 ** -52, atol=math.ulp(0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +311,9 @@ def _detect_largest_zero(fn, b_phi: float) -> float:
 # ---------------------------------------------------------------------------
 
 def eval_gauge(phi: OrliczFunction, u: float) -> float:
-    """Evaluate phi(u); +inf exactly beyond b_phi (or at it, when the cap value is inf)."""
+    """phi(u) for one u >= 0: the one-element case of ``OrliczFunction.eval_many``."""
     if u < 0:
         raise DomainError(f"gauge argument must be nonnegative, got {u}")
-    if u > phi.b_phi:
-        return INF
-    if u == phi.b_phi and phi.b_phi < INF:
-        return phi.value_at_b
     with np.errstate(over="ignore", invalid="ignore"):
         return float(phi.eval_many(np.array([u]))[0])
 
@@ -362,8 +359,7 @@ def _conjugate_values(phi: OrliczFunction, u: np.ndarray) -> np.ndarray:
     walk = np.concatenate([[0.0], top * 0.5 ** np.arange(CONJUGATE_OCTAVES, -1, -1)])
 
     def objective(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
-        fv = np.where(v < phi.b_phi, phi.eval_many(v), phi.value_at_b)
-        return fv - slopes[rows, None] * v
+        return phi.eval_many(v) - slopes[rows, None] * v
 
     least, at = minimize(objective, np.broadcast_to(walk, (slopes.size, walk.size)),
                          CONJUGATE_RTOL, CONJUGATE_ATOL)
@@ -451,7 +447,6 @@ def compose_orlicz(psi: OrliczFunction, phi2: OrliczFunction) -> OrliczFunction:
     else:
         d2 = None
 
-    inv = None
     # sup{t : psi(phi2(t)) <= s} = phi2^{-1}(psi^{-1}(s)) by left continuity
     inv = lambda s: formal_inverse(phi2, formal_inverse(psi, s))
 

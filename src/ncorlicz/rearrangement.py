@@ -111,9 +111,6 @@ class StepForm:
             raise DomainError("scaling factor must be nonnegative")
         return StepForm(self.durations.copy(), self.values * factor)
 
-    def powered(self, n: float) -> "StepForm":
-        return StepForm(self.durations.copy(), self.values ** n)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, StepForm):
             return NotImplemented
@@ -334,11 +331,6 @@ class WeightedContext:
         if not (0.0 < m < INF):
             raise DomainError(f"weight must have finite positive mass, got {m}")
         object.__setattr__(self, "mass", float(m))
-
-    @property
-    def t_x(self) -> float:
-        """End of the weight's support: F is strictly increasing before it."""
-        return self.weight.support
 
     def F(self, t: float) -> float:
         if t < 0:

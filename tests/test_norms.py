@@ -189,6 +189,58 @@ class TestLuxemburg:
         assert lam == pytest.approx(math.sqrt(0.5 * 9.0 + 0.75 * 1.0), rel=1e-9)
 
 
+# A weight per kind: Lebesgue, a density and a step weight
+_WEIGHTS = [None, exp_decay(), StepForm.from_raw([1.0, 2.0], [1.0, 0.5])]
+
+
+class TestCapOnUnboundedData:
+    """mu = log(1/t) is unbounded, so a capped phi(k mu) is +inf on some (0, eps)."""
+
+    @pytest.mark.parametrize("weight", _WEIGHTS, ids=["lebesgue", "exp", "step"])
+    @pytest.mark.parametrize("cap", [1.0, 5.0])
+    def test_modular_infinite_and_norm_unbounded(self, cap, weight):
+        ctx = None if weight is None else WeightedContext(weight)
+        phi = linear_until_cap(cap)
+        assert modular(log_reciprocal(1.0), phi, 1.0 / 650.0, ctx) == INF
+        with pytest.raises(UnboundedNormError):
+            luxemburg_norm(log_reciprocal(1.0), phi, ctx)
+
+    @pytest.mark.parametrize("weight", _WEIGHTS, ids=["lebesgue", "exp", "step"])
+    def test_bounded_data_up_to_the_cap(self, weight):
+        # exp_decay has sup mu = 1: finite up to k = b_phi and +inf one ulp beyond
+        ctx = None if weight is None else WeightedContext(weight)
+        phi = linear_until_cap(2.0)
+        assert math.isfinite(modular(exp_decay(), phi, 2.0, ctx))
+        assert modular(exp_decay(), phi, math.nextafter(2.0, INF), ctx) == INF
+
+
+_PARAMETRIC = [exp_decay(), log_reciprocal(1.0), constant(0.8, 2.0)]
+_CAPPED = [linear_until_cap(1.0), linear_until_cap(5.0), conjugate(power(1.0)),
+           conjugate(zero_then_linear(0.5))]
+
+
+@st.composite
+def _growing_scalings(draw):
+    """Data, a gauge and k1 <= k2, often at k sup mu = b_phi or an ulp either side."""
+    mu = draw(st.one_of(_steps(), st.sampled_from(_PARAMETRIC)))
+    phi = draw(st.sampled_from(_norm_gauges() + _CAPPED))
+    edge = phi.b_phi / mu.sup_value if phi.b_phi < INF and mu.sup_value < INF else 1.0
+    near = [edge, math.nextafter(edge, 0.0), math.nextafter(edge, INF)]
+    ks = draw(st.lists(st.one_of(st.sampled_from(near), st.floats(0.01, 4.0 * edge)),
+                       min_size=2, max_size=2))
+    return mu, phi, sorted(ks)
+
+
+class TestModularMonotone:
+    @given(_growing_scalings())
+    @settings(max_examples=80, deadline=None)
+    def test_modular_does_not_decrease_as_k_grows(self, case):
+        mu, phi, (k1, k2) = case
+        m1, m2 = modular(mu, phi, k1), modular(mu, phi, k2)
+        # exact for step data; quadrature is trusted to REL_TOL 1e-8
+        assert m2 >= m1 * (1.0 - 1e-8)
+
+
 class TestKunze:
     def test_matches_luxemburg(self):
         alg = TracedAlgebra((2,), (1.0,))

@@ -213,6 +213,22 @@ class TestThresholdDetection:
         assert phi.a_phi == pytest.approx(0.3, abs=1e-12)
         assert phi.b_phi == INF
 
+    @pytest.mark.parametrize("cap", [0.7, 1.0, 3.3, 1e-5, 123456.789])
+    def test_cap_detected_to_the_float(self, cap):
+        phi = custom(lambda t: t if t <= cap else INF, name="capped")
+        assert phi.b_phi == cap
+        assert eval_gauge(phi, cap) == cap
+        assert eval_gauge(phi, math.nextafter(cap, INF)) == INF
+
+    def test_zero_detected_to_the_float(self):
+        phi = custom(lambda t: max(0.0, t - 1.0 / 3.0), name="shifted_third")
+        assert phi.a_phi == 1.0 / 3.0
+
+    def test_zero_walk_ends_under_a_subnormal_cap(self):
+        # the bisection pair is subnormal, where an ulp exceeds 2^-52 of either end
+        phi = custom(lambda t: max(0.0, t - 3e-311), name="tiny", b_phi=1e-310)
+        assert phi.a_phi == pytest.approx(3e-311, rel=1e-10)
+
     def test_infinite_everywhere_rejected(self):
         with pytest.raises(InvalidOrliczError):
             custom(lambda t: 0.0 if t == 0.0 else INF, name="infinite")
@@ -281,8 +297,8 @@ class TestDelta2:
             delta2_probe(power(2.0), grid_decades=0)
 
 
-# Gauges with a finite cap b_phi, and conjugates: eval_gauge decides at and
-# beyond the cap itself, eval_many through each gauge's own formula
+# Gauges with a finite cap b_phi, and conjugates: eval_gauge is the one-element
+# eval_many, which applies the cap rule before any gauge's own formula
 _CAPPED_AND_CONJUGATE = [
     linear_until_cap(1.0), linear_until_cap(2.5), conjugate(power(1.0)),
     conjugate(zero_then_linear(0.5)), conjugate(zero_then_linear(2.0)),
@@ -290,6 +306,10 @@ _CAPPED_AND_CONJUGATE = [
     compose_orlicz(linear_until_cap(1.0), power(2.0)), conjugate(power(2.0)),
     conjugate(power_over_p(3.0)), conjugate(cosh_minus_one()), conjugate(exp_minus_one()),
     conjugate(t_log1p()),
+    custom(lambda t: t * t if t <= 0.7 else INF, name="square_until_0.7"),
+    custom(lambda t: t ** 3 if t <= 2.5 else INF, name="cube_until_2.5"),
+    compose_orlicz(power(2.0), custom(lambda t: t if t <= 1.5 else INF)),
+    compose_orlicz(custom(lambda t: t if t <= 1.5 else INF), power(2.0)),
 ]
 
 
@@ -311,6 +331,21 @@ class TestGaugeLaws:
         with np.errstate(over="ignore", invalid="ignore"):
             many = phi.eval_many(np.array([u]))[0]
         assert eval_gauge(phi, u) == many
+        if u >= phi.b_phi:
+            assert many == (phi.value_at_b if u == phi.b_phi else INF)
+
+    def test_formula_never_called_beyond_the_cap(self):
+        seen = []
+        phi = custom(lambda t: seen.append(t) or (t * t if t <= 0.7 else INF), name="logged")
+        seen.clear()  # threshold detection probes far beyond the cap
+        got = phi.eval_many(np.array([0.5, 0.7, math.nextafter(0.7, INF), 2.0, INF]))
+        assert got.tolist() == [0.25, 0.7 * 0.7, INF, INF, INF]
+        assert max(seen) == 0.7
+
+    def test_nan_stays_nan(self):
+        for phi in _CAPPED_AND_CONJUGATE:
+            with np.errstate(invalid="ignore"):
+                assert math.isnan(phi.eval_many(np.array([math.nan]))[0])
 
     @pytest.mark.parametrize("phi", [power(1.0), power(2.0), cosh_minus_one(),
                                      exp_minus_one(), t_log1p(),
