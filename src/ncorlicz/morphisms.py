@@ -373,17 +373,6 @@ class TauT:
         one = J.source.identity()
         return trace(J.source, e @ a) + trace(J.target, apply_jordan(J, (one - e) @ a))
 
-    def block_weights(self) -> tuple[float, ...]:
-        """Effective trace weights: source weight on the kernel, pulled-back elsewhere."""
-        J = self.morphism
-        f = radon_nikodym(J)
-        kern = set(J.kernel_blocks())
-        out = []
-        for j, (w, blk) in enumerate(zip(J.source.weights, f.blocks)):
-            lam = blk[0, 0].real if blk.size else 0.0
-            out.append(w if j in kern else lam * w)
-        return tuple(out)
-
 
 def build_tau_T(J: JordanMorphism) -> TauT:
     """Construct the dominating trace functional for a Jordan morphism."""

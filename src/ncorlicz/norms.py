@@ -6,9 +6,10 @@ The Luxemburg norm is inf{lam > 0 : modular(mu, phi, 1/lam) <= 1}; the
 Amemiya norm is inf_k (1 + modular(mu, phi, k)) / k.  The Luxemburg norm
 coincides with the trace-modular route through functional calculus, which
 ``kunze_norm`` computes independently; callers compare the two routes.
-Step-data norms are solved in rows (``solve.bracket_rows`` and
-``solve.bisect_rows``), parametric ones by the one-point ``solve.bracket``
-and ``solve.bisect``, and the Amemiya minimum by ``solve.minimize``.
+Every Luxemburg and trace-modular norm takes the same walks and 16-way cut
+(``solve.bracket_rows`` and ``solve.bisect_rows``): step and trace data
+answer a round in one numpy pass, parametric data one quadrature at a time.
+The Amemiya minimum is found by ``solve.minimize``.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .rearrangement import (
     singular_values,
     singular_values_many,
 )
-from .solve import bisect, bisect_rows, bracket, bracket_rows, minimize
+from .solve import _monotone, bisect_rows, bracket, bracket_rows, minimize
 
 INF = math.inf
 DEFAULT_TOL = 1e-9
@@ -220,48 +221,31 @@ def modular(mu: RearrangementFunction, phi: OrliczFunction, inv_scale,
                                   mu, None if ctx is None else ctx.weight)
 
 
-def _norm_bisect(modular_at, seed: float, tol: float) -> float:
-    """inf{lam > 0 : modular_at(lam) <= 1}, bracketed from ``seed``.
-
-    The one-point search of parametric data, where each modular is a
-    quadrature.
-    """
-
-    def feasible(lam):
-        return modular_at(lam) <= 1.0 + MODULAR_SLACK
-
-    lam = seed if 0.0 < seed < INF else 1.0
-    down = bracket(feasible, lam, 0.5, BRACKET_LIMIT + 1)
-    if down is None:
-        return 0.0  # feasible at arbitrarily small scalings
-    yes, no = down
-    if yes is None:  # lam itself is infeasible: walk up
-        up = bracket(lambda x: not feasible(x), lam * 2.0, 2.0, BRACKET_LIMIT)
-        if up is None:
-            raise UnboundedNormError(_NO_SCALING)
-        last, yes = up
-        no = lam if last is None else last
-    return bisect(feasible, yes, no, rtol=tol)
-
-
-def _norm_bisect_rows(modular_at, seeds: np.ndarray, tol: float) -> np.ndarray:
-    """inf{lam > 0 : modular <= 1} for each row, bracketed from its seed.
-
-    ``modular_at(rows, inv_scales)`` gives the modulars of the rows numbered
-    ``rows`` at the matching rows of scalings.  Each row walks down from its
-    seed BATCH scalings at a time, walks up when the seed is infeasible,
-    then bisects: the steps of the one-point search, with every row's
-    numbers its own.  NaN marks a row that no finite scaling brings below
-    one.
-    """
+def _feasible(modular_at):
+    """The rows predicates of ``_norm_bisect_rows`` from ``modular_at(rows, inv_scales)``."""
 
     def feasible(rows, lams):
         return modular_at(rows, 1.0 / lams) <= 1.0 + MODULAR_SLACK
 
-    def on(subset):
+    return feasible, lambda rows, lams: ~feasible(rows, lams)
+
+
+def _norm_bisect_rows(tests, seeds: np.ndarray, tol: float) -> np.ndarray:
+    """inf{lam > 0 : modular <= 1} for each row, bracketed from its seed.
+
+    ``tests`` is the pair of rows predicates (feasible, infeasible):
+    whether the modulars of the rows numbered ``rows`` are at most one at
+    the matching rows of scalings lam, and whether they are not.  Each row
+    walks down from its seed BATCH scalings at a time, walks up when the
+    seed is infeasible, then bisects, with every row's numbers its own.
+    NaN marks a row that no finite scaling brings below one.
+    """
+    feasible, infeasible = tests
+
+    def on(holds, subset):
         if subset.size == seeds.size:
-            return feasible
-        return lambda rows, lams: feasible(subset[rows], lams)
+            return holds
+        return lambda rows, lams: holds(subset[rows], lams)
 
     lam = np.where((seeds > 0.0) & (seeds < INF), seeds, 1.0)
     # walks probe scalings far from the norm, where the modular overflows
@@ -270,15 +254,13 @@ def _norm_bisect_rows(modular_at, seeds: np.ndarray, tol: float) -> np.ndarray:
         yes, no = bracket_rows(feasible, lam, 0.5, BRACKET_LIMIT + 1)
         up = (np.isnan(yes) & ~np.isnan(no)).nonzero()[0]  # the seed is infeasible
         if up.size:
-            infeasible = on(up)
-            last, yes[up] = bracket_rows(lambda rows, lams: ~infeasible(rows, lams),
-                                         lam[up] * 2.0, 2.0, BRACKET_LIMIT)
+            last, yes[up] = bracket_rows(on(infeasible, up), lam[up] * 2.0, 2.0, BRACKET_LIMIT)
             no[up] = np.where(np.isnan(last), lam[up], last)
         # a down walk that never failed: feasible at arbitrarily small scalings
         out = np.where(np.isnan(no), 0.0, np.nan)
         todo = (~np.isnan(yes + no)).nonzero()[0]
         if todo.size:
-            out[todo] = bisect_rows(on(todo), yes[todo], no[todo], rtol=tol)
+            out[todo] = bisect_rows(on(feasible, todo), yes[todo], no[todo], rtol=tol)
     return out
 
 
@@ -300,7 +282,7 @@ def luxemburg_norms(mus: Sequence[StepForm], phi: OrliczFunction,
     def solve(forms):
         out = np.zeros(len(forms))
         for idx, values, masses in _step_rows(forms, ctx):
-            out[idx] = _norm_bisect_rows(_step_rows_modular(values, masses, phi),
+            out[idx] = _norm_bisect_rows(_feasible(_step_rows_modular(values, masses, phi)),
                                          np.array([forms[i].sup_value for i in idx]), tol)
         if np.isnan(out).any():
             raise UnboundedNormError(_NO_SCALING)
@@ -314,16 +296,24 @@ def luxemburg_norm(mu: RearrangementFunction, phi: OrliczFunction,
                    tol: float = DEFAULT_TOL) -> float:
     """inf{lam > 0 : modular(mu, phi, 1/lam, ctx) <= 1}; 0 for vanishing mu.
 
-    Step data are the one-row case of ``luxemburg_norms``; parametric data
-    are bisected one quadrature at a time.
+    Step data are the one-row case of ``luxemburg_norms``.  Parametric data
+    take the same walks and cut, one quadrature per point tried: four per
+    16-way round.
     """
     if isinstance(mu, StepForm):
         return float(luxemburg_norms([mu], phi, ctx, tol)[0])
     _check_tol(tol)
     if mu.is_zero:
         return 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _norm_bisect(lambda lam: modular(mu, phi, 1.0 / lam, ctx), mu.sup_value, tol)
+
+    def feasible(lam):
+        return modular(mu, phi, 1.0 / lam, ctx) <= 1.0 + MODULAR_SLACK
+
+    tests = _monotone(feasible), _monotone(lambda lam: not feasible(lam))
+    norm = float(_norm_bisect_rows(tests, np.array([mu.sup_value]), tol)[0])
+    if math.isnan(norm):
+        raise UnboundedNormError(_NO_SCALING)
+    return norm
 
 
 def kunze_norms(elements: Sequence[AlgebraElement], phi: OrliczFunction,
@@ -356,7 +346,7 @@ def kunze_norms(elements: Sequence[AlgebraElement], phi: OrliczFunction,
                 return _trace_calculus(alg, phi, [tuple(x[rows] for x in block) for block in svd],
                                        inv_scales)
 
-            out[members] = _norm_bisect_rows(trace_modular, seeds, tol)
+            out[members] = _norm_bisect_rows(_feasible(trace_modular), seeds, tol)
         if np.isnan(out).any():
             raise UnboundedNormError(_NO_SCALING)
         return out
@@ -581,9 +571,9 @@ def pistone_sempi_equivalence(mu_g: RearrangementFunction,
     """Exponential-moment membership versus cosh-gauge modular finiteness.
 
     The Laplace route probes exponential moments near 0 (``quant_membership``);
-    the norm route doubles the scaling over 60 octaves looking for a finite
-    cosh-minus-one modular.  The two booleans agree whenever the numerics are
-    sound.
+    the norm route doubles lam from 1 up to 2^60, halving the scaling 1/lam,
+    looking for a finite cosh-minus-one modular.  The two booleans agree
+    whenever the numerics are sound.
     """
     a = quant_membership(mu_g, ctx)
     psi = cosh_minus_one()

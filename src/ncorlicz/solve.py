@@ -3,20 +3,17 @@
 Every scaling problem in the package is the boundary of a monotone
 predicate: the Luxemburg and trace-modular norms, formal inverses, the
 detected gauge thresholds, the inverse running weight, the
-exponential-moment membership walk and the regularity walk.
-``bracket`` walks geometrically until the predicate first fails;
-``bisect`` narrows a (holds, fails) pair to the caller's tolerance.  Callers
-keep their own tolerances and their own answer to a walk that never ends.
+exponential-moment membership walk and the regularity walk.  There is one
+walk and one cut.  ``bracket_rows`` walks geometrically until the predicate
+first fails; ``bisect_rows`` cuts a (holds, fails) pair into BATCH + 1
+equal parts a round until it is within the caller's tolerance.  Callers keep
+their own tolerances and their own answer to a walk that never ends.
 
-The rows forms ``bracket_rows`` and ``bisect_rows`` solve many independent
-problems at once, one per row: the predicate gets BATCH points of every
-unfinished problem as one array and answers with a boolean array, so the
-norm solves of a whole corpus share each numpy pass.  Each row keeps its
-own walk, its own bracket and its own stopping rule, so a row's answer is
-bit for bit the answer of its one-row call.  A rows walk tries the points
-of the one-point walk BATCH at a time and returns the same pair; a rows
-bisection cuts each pair into BATCH + 1 equal parts per round instead of
-two.
+Both solve independent problems, one per row: the predicate gets BATCH
+points of every unfinished row as one array, so the norm solves of a corpus
+share each numpy pass, and a row's answer is bit for bit its one-row call's.
+``bracket`` and ``bisect`` are the one-row calls of a one-point predicate,
+which answers a round by binary search over its points: four calls.
 
 ``minimize`` finds and certifies the least values of many convex functions
 at once: the Amemiya norm and the values of a numeric conjugate.
@@ -25,11 +22,9 @@ at once: the Amemiya norm and the values of a numeric conjugate.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
-
-Predicate = Callable[[float], bool]
 
 BATCH = 15
 GRID = BATCH + 2  # a minimize round's grid: BATCH interior points and both ends
@@ -38,41 +33,61 @@ _NEIGHBOURS = np.clip(np.arange(GRID), 1, GRID - 2)[:, None] + _TRIPLE
 _KNOWN = np.array([0, GRID // 2, GRID - 1])  # a kept least point and its neighbours
 _INTERIOR = np.arange(1, GRID - 1)
 _NEW = np.setdiff1d(_INTERIOR, _KNOWN)
-_STEPS = np.arange(1, BATCH + 1)  # a bisection round's points, in steps from ``yes``
+# A bisection round's points, as fractions of the pair from ``yes``: (no - yes) * j/16
+# rounds as j * ((no - yes) / 16) does where that quotient is exact, and still moves
+# where a pair a few subnormals wide makes the quotient 0.
+_FRACTIONS = np.arange(1, BATCH + 1) / (BATCH + 1)
+_FRACTION_LIST = _FRACTIONS.tolist()
 _ONE_ROW = np.arange(1)
 
 
-def bracket(holds: Predicate, x: float, factor: float,
+def bracket(holds, x: float, factor: float,
             limit: int) -> Optional[tuple[Optional[float], float]]:
-    """Multiply x by ``factor`` while ``holds(x)``.
+    """Multiply x by ``factor`` while ``holds(x)``: the one-row ``bracket_rows``.
 
-    ``holds`` is tried at x * factor**i for i = 0, ..., limit, in order.
-    Returns (the last point that held, or None when x itself failed; the
-    first point that failed), or None when every tried point held.
+    ``holds`` answers for one point and holds, then fails, along the walk
+    x * factor**i, i = 0, ..., limit.  Returns (the last point that held, or
+    None when x itself failed; the first point that failed), or None when
+    every tried point held.
     """
-    last = None
-    for _ in range(limit + 1):
-        if not holds(x):
-            return last, x
-        last = x
-        x *= factor
-    return None
+    last, first = bracket_rows(_monotone(holds), np.array([x]), factor, limit)
+    if math.isnan(first[0]):
+        return None
+    return (None if math.isnan(last[0]) else float(last[0])), float(first[0])
 
 
-def bisect(holds: Predicate, yes: float, no: float, rtol: float,
-           atol: float = 0.0) -> float:
+def bisect(holds, yes: float, no: float, rtol: float, atol: float = 0.0) -> float:
     """Boundary of ``holds`` between ``yes`` (holds) and ``no`` (fails).
 
-    Halves the pair, keeping ``holds(yes)`` true and ``holds(no)`` false,
-    until |no - yes| <= atol + rtol * max(|yes|, |no|); returns ``yes``.
+    The one-row ``bisect_rows`` of a one-point predicate: each round cuts
+    the pair 16 ways in four calls, keeping ``holds(yes)`` true and
+    ``holds(no)`` false, until |no - yes| <= atol + rtol * max(|yes|, |no|);
+    returns ``yes``.
     """
-    while abs(no - yes) > atol + rtol * max(abs(yes), abs(no)):
-        mid = 0.5 * (yes + no)
-        if holds(mid):
-            yes = mid
-        else:
-            no = mid
-    return yes
+    return float(bisect_rows(_monotone(holds), np.array([yes]), np.array([no]), rtol, atol)[0])
+
+
+def _monotone(holds):
+    """The rows predicate of a one-point ``holds`` that holds, then fails, along each row.
+
+    Binary search over a row's indices finds its first failing point, in four
+    calls for BATCH points; the points after it are marked failing uncalled.
+    """
+
+    def rows_holds(rows, points):
+        out = np.zeros(points.shape, dtype=bool)
+        for r, row in enumerate(points.tolist()):
+            lo, hi = 0, len(row)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if holds(row[mid]):
+                    lo = mid + 1
+                else:
+                    hi = mid
+            out[r, :lo] = True
+        return out
+
+    return rows_holds
 
 
 def bracket_rows(holds, x: np.ndarray, factor: float,
@@ -133,7 +148,7 @@ def bisect_rows(holds, yes: np.ndarray, no: np.ndarray, rtol: float,
         # each row's grid: yes, its BATCH interior points, no
         grid = np.empty((rows.size, BATCH + 2))
         grid[:, 0], grid[:, -1] = y, n
-        np.add(y[:, None], _STEPS * ((n - y) / (BATCH + 1))[:, None], out=grid[:, 1:-1])
+        np.add(y[:, None], (n - y)[:, None] * _FRACTIONS, out=grid[:, 1:-1])
         fails = np.ones((rows.size, BATCH + 1), dtype=bool)
         np.logical_not(holds(rows, grid[:, 1:-1]), out=fails[:, :-1])
         # the first failing point, counted from yes; BATCH + 1 (no) when none failed
@@ -165,8 +180,8 @@ def _bracket_one_row(holds, x: float, factor: float, limit: int):
 
 def _bisect_one_row(holds, yes: float, no: float, rtol: float, atol: float) -> float:
     while abs(no - yes) > atol + rtol * max(abs(yes), abs(no)):
-        step = (no - yes) / (BATCH + 1)
-        points = [yes + j * step for j in range(1, BATCH + 1)]
+        gap = no - yes
+        points = [yes + gap * f for f in _FRACTION_LIST]
         fails = ~holds(_ONE_ROW, np.array([points]))[0]
         i = int(fails.argmax())
         if fails[i]:

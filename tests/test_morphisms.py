@@ -458,11 +458,6 @@ class TestTauT:
             assert tau_T(p).real > 0, name
             assert trace(J.target, apply_jordan(J, p)).real <= tau_T(p).real + 1e-10, name
 
-    def test_block_weights_match_density(self):
-        J = doubling_morphism(2)
-        assert build_tau_T(J).block_weights() == (2.0,)
-        assert build_tau_T(kernel_morphism()).block_weights() == (1.0, 1.0)
-
 
 class TestInterpolation:
     def test_pinching_contracts(self):

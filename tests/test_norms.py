@@ -143,6 +143,13 @@ class TestLuxemburg:
     def test_zero_input(self):
         assert luxemburg_norm(StepForm.from_raw([], []), power(2.0)) == 0.0
 
+    def test_parametric_walk_up_past_its_first_point(self):
+        # the seed 1 is infeasible and the walk up 2, 4, 8, ... first holds at 16
+        # (norm 10) and 32 (norm sqrt(500))
+        assert luxemburg_norm(log_reciprocal(50.0), power(2.0)) == pytest.approx(10.0, rel=1e-9)
+        got = luxemburg_norm(power_decay(0.3, 200.0), power(2.0))
+        assert got == pytest.approx(math.sqrt(500.0), rel=1e-9)
+
     def test_unbounded_raises(self):
         ctx = WeightedContext(exp_decay())
         with pytest.raises(UnboundedNormError):
@@ -670,6 +677,24 @@ class TestMembership:
                 rep = pistone_sempi_equivalence(mu, ctx)
                 assert rep.agree
                 assert rep.member_via_laplace == expected
+
+    @pytest.mark.parametrize("mu, laplace, modulars", [
+        (power_decay(0.5, 1.0), 11, 17),  # walks of 41 and 61 points that never fail
+        (log_reciprocal(1.0), 4, 4),  # each walk fails at its second point
+    ], ids=["non-member", "member"])
+    def test_walk_calls(self, monkeypatch, mu, laplace, modulars):
+        import ncorlicz.norms as norms
+        counts = {"laplace_probe": 0, "modular": 0}
+        for name in counts:
+            real = getattr(norms, name)
+
+            def counted(*args, real=real, name=name):
+                counts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(norms, name, counted)
+        pistone_sempi_equivalence(mu, WeightedContext(exp_decay()))
+        assert counts == {"laplace_probe": laplace, "modular": modulars}
 
 
 class TestMomentBound:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ncorlicz.solve import BATCH, bisect, bisect_rows, bracket, bracket_rows, minimize
 
@@ -26,9 +28,16 @@ class TestBracket:
             return True
 
         assert bracket(holds, 1.0, 2.0, 3) is None
-        assert tried == [1.0, 2.0, 4.0, 8.0]
+        # no point beyond x * factor**limit is tried, and that one is
+        assert max(tried) == 8.0
         # the last allowed point may still fail
         assert bracket(lambda x: x < 8.0, 1.0, 2.0, 3) == (4.0, 8.0)
+
+    def test_a_walk_that_never_fails_calls_four_times_a_round(self):
+        calls = []
+        assert bracket(lambda x: calls.append(x) or True, 1.0, 2.0, 40) is None
+        # 41 points: rounds of 15, 15 and 11, searched in 4, 4 and 3 calls
+        assert len(calls) == 11
 
 
 class TestBisect:
@@ -58,6 +67,37 @@ class TestBisect:
         assert bisect(holds, 1.0, 1.0 + 1e-13, rtol=1e-12) == 1.0
         assert calls == []
 
+    def test_a_pair_a_few_subnormals_wide_ends(self):
+        # (no - yes) / 16 rounds to 0 there: the round's points must still move
+        unit = math.ulp(0.0)
+        boundary = 100.5 * unit
+        for width in range(2, 9):
+            calls = []
+
+            def holds(x):
+                calls.append(x)
+                assert len(calls) < 1000, "the cut does not move"
+                return x <= boundary
+
+            assert bisect(holds, 100 * unit, (100 + width) * unit, 2.0 ** -52, unit) == 100 * unit
+            rounds = []
+
+            def rows_hold(rows, xs):
+                rounds.append(rows)
+                assert len(rounds) < 100, "the cut does not move"
+                return xs <= np.array([100.5, 200.5])[rows, None] * unit
+
+            got = bisect_rows(rows_hold, np.array([100.0, 200.0]) * unit,
+                              np.array([100.0 + width, 200.0 + width]) * unit, 2.0 ** -52, unit)
+            assert got.tolist() == [100 * unit, 200 * unit]
+
+    def test_four_calls_a_round(self):
+        calls, rounds = [], []
+        got = bisect(lambda x: calls.append(x) or x <= 0.3, 0.0, 1.0, rtol=1e-12, atol=1e-12)
+        assert got == _one_row_bisect(lambda x: x <= 0.3, 0.0, 1.0, rounds, rtol=1e-12,
+                                      atol=1e-12)
+        assert len(calls) == 4 * len(rounds)
+
 
 def _rows(predicate, calls=None):
     """A rows predicate from a scalar one, recording the points of each call."""
@@ -81,6 +121,36 @@ def _one_row_bracket(predicate, x, factor, limit, calls=None):
 def _one_row_bisect(predicate, yes, no, calls=None, **tols):
     return float(bisect_rows(_rows(predicate, calls), np.array([yes]), np.array([no]),
                              **tols)[0])
+
+
+def _edges():
+    """A boundary, a start and a tolerance pair of the one-point searches."""
+    return st.tuples(st.floats(-1e6, 1e6), st.floats(1e-3, 1e3),
+                     st.floats(2.0 ** -52, 1e-12), st.sampled_from([0.0, math.ulp(0.0)]))
+
+
+class TestOnePointIsOneRow:
+    """A one-point search is the one-row search of the same predicate, bit for bit."""
+
+    @given(_edges(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_bisect(self, edge, below):
+        boundary, width, rtol, atol = edge
+        # with atol = 0 a pair at a subnormal boundary never meets the relative rule
+        assume(atol > 0.0 or abs(boundary) >= 1e-300)
+        if below:  # holds below the boundary: yes < no
+            holds, yes, no = (lambda x: x <= boundary), boundary - width, boundary + width
+        else:
+            holds, yes, no = (lambda x: x >= boundary), boundary + width, boundary - width
+        assert bisect(holds, yes, no, rtol, atol) == _one_row_bisect(holds, yes, no, rtol=rtol,
+                                                                     atol=atol)
+
+    @given(st.floats(1e-6, 1e6), st.floats(1e-3, 1e3), st.sampled_from([2.0, 0.5, 3.0]),
+           st.integers(0, 60))
+    @settings(max_examples=200, deadline=None)
+    def test_bracket(self, edge, x, factor, limit):
+        holds = (lambda v: v < edge) if factor > 1 else (lambda v: v > edge)
+        assert bracket(holds, x, factor, limit) == _one_row_bracket(holds, x, factor, limit)
 
 
 class TestBatchedBracket:
