@@ -225,11 +225,12 @@ def dual_gauge_bound(J: JordanMorphism, psi: OrliczFunction) -> float:
 
 @dataclass(frozen=True)
 class CompositionBoundReport:
-    bound: float
+    bound: float  # max(1, dual_norm)
     max_ratio: float
     samples: int
     passed: bool
     density: AlgebraElement
+    dual_norm: float  # conjugate-gauge Amemiya norm of the density
 
 
 def composition_bound_check(J: JordanMorphism, psi: OrliczFunction,
@@ -245,14 +246,15 @@ def composition_bound_check(J: JordanMorphism, psi: OrliczFunction,
     """
     phi1 = compose_orlicz(psi, phi2)
     f = radon_nikodym(J)
-    bound = max(1.0, _density_dual_norm(J, f, psi))
+    dual_norm = _density_dual_norm(J, f, psi)
+    bound = max(1.0, dual_norm)
     ratios = batch_or_loop(lambda ps: _unit_ball_image_norms(J, phi1, phi2, ps), probes)
     max_ratio = 0.0
     for r in ratios:
         max_ratio = max(max_ratio, r)
     return CompositionBoundReport(bound=bound, max_ratio=max_ratio, samples=len(ratios),
                                   passed=max_ratio <= bound + tol * max(1.0, bound),
-                                  density=f)
+                                  density=f, dual_norm=dual_norm)
 
 
 def _unit_ball_image_norms(J: JordanMorphism, phi1: OrliczFunction, phi2: OrliczFunction,
@@ -283,12 +285,25 @@ def modular_chain_checks(J: JordanMorphism, psi: OrliczFunction, phi2: OrliczFun
     and inner norms take one Luxemburg solve each.  Each report is bit for
     bit the one-element report; errors follow ``batch_or_loop``.
     """
-    return batch_or_loop(lambda items: _chain_reports(J, psi, phi2, items, tol), elements)
+    return _chain_checks(J, psi, phi2, elements, tol, None)
+
+
+def _chain_checks(J: JordanMorphism, psi: OrliczFunction, phi2: OrliczFunction,
+                  elements: Sequence[AlgebraElement], tol: float,
+                  dual_norm: Optional[float]) -> list[ModularChainReport]:
+    """``modular_chain_checks`` with the density's dual-gauge norm given.
+
+    ``dual_norm`` is that of a composition report over the same J and psi,
+    or None to compute it.
+    """
+    return batch_or_loop(lambda items: _chain_reports(J, psi, phi2, items, tol, dual_norm),
+                         elements)
 
 
 def _chain_reports(J: JordanMorphism, psi: OrliczFunction, phi2: OrliczFunction,
-                   elements: Sequence[AlgebraElement], tol: float) -> list[ModularChainReport]:
-    """The reports of ``modular_chain_checks``, every solve taken over all the elements."""
+                   elements: Sequence[AlgebraElement], tol: float,
+                   dual_norm: Optional[float]) -> list[ModularChainReport]:
+    """The reports of ``_chain_checks``, every solve taken over all the elements."""
     phi1 = compose_orlicz(psi, phi2)
     source_norms = luxemburg_norms(singular_values_many(J.source, elements), phi1).tolist()
     f = froot = None
@@ -315,7 +330,9 @@ def _chain_reports(J: JordanMorphism, psi: OrliczFunction, phi2: OrliczFunction,
         routes.append(((q1, q2, q3, q4), gauged))
     live = [route for route in routes if route is not None]
     # the chain needs the bare norm; the reported bound is dual_gauge_bound's max with 1
-    bare_dual = _density_dual_norm(J, f, psi) if live else math.nan
+    bare_dual = dual_norm
+    if bare_dual is None and live:
+        bare_dual = _density_dual_norm(J, f, psi)
     inners = iter(luxemburg_norms(singular_values_many(J.source, [g for _, g in live]),
                                   psi).tolist())
     reports = []

@@ -290,6 +290,12 @@ def _detect_finiteness_cap(fn) -> float:
 
 
 def _detect_largest_zero(fn, b_phi: float) -> float:
+    """a_phi of ``fn``, to within two ulps; 0 for a zero below the walk's start.
+
+    The walk doubles from min(DETECT_TOL, b_phi / 2) up to b_phi, so a zero
+    below that start reads as 0, as the float underflow of t^p near 0 does.
+    Starting lower would report such an underflow point as a_phi.
+    """
     hi = min(b_phi, DETECT_TOP)
 
     def zero(u: float) -> bool:

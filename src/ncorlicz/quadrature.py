@@ -12,7 +12,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy import integrate
 
 from .errors import NcorliczError, NumericError
 
@@ -69,6 +68,10 @@ def integrate_sentinel(f, a: float, b: float, *, abs_tol: float = ABS_TOL,
         return 0.0
     if singular_at_zero and a == 0.0 and head_diverges(f, hi=min(b, 1e-2)):
         return math.inf
+
+    # imported here, not at module level: scipy costs about half a second and
+    # 50 MB to load, and the algebraic commands never integrate
+    from scipy import integrate
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", category=integrate.IntegrationWarning)

@@ -27,12 +27,12 @@ from .algebra import TracedAlgebra, _functions_of, _svd_blocks, abs_value, \
     apply_function, apply_function_many, is_projection, projection_trace_norm, trace
 from .errors import NotMeasurableError, UnboundedNormError
 from .morphisms import (
+    _chain_checks,
     absolute_continuity_check,
     apply_jordan,
     build_tau_T,
     composition_bound_check,
     interpolation_contraction_check,
-    modular_chain_checks,
     purity_check,
     radon_nikodym,
 )
@@ -516,7 +516,8 @@ def check_composition_bound(cfg: SuiteConfig, rng):
         phi1 = og.compose_orlicz(psi, phi2)
         norms = luxemburg_norms(singular_values_many(J.source, chain), phi1).tolist()
         unit = [a * (0.9 / nrm) for a, nrm in zip(chain, norms) if nrm != 0]
-        for link in modular_chain_checks(J, psi, phi2, unit, tol=cfg.tolerances.chain):
+        # the chain reuses the density's dual-gauge norm of the bound check
+        for link in _chain_checks(J, psi, phi2, unit, cfg.tolerances.chain, rep.dual_norm):
             if link.hypothesis_ok:
                 chain_worst = max(chain_worst, link.max_pairwise_gap)
                 if not link.passed:

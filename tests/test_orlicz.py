@@ -225,9 +225,13 @@ class TestThresholdDetection:
         assert phi.a_phi == 1.0 / 3.0
 
     def test_zero_walk_ends_under_a_subnormal_cap(self):
-        # the bisection pair is subnormal, where an ulp exceeds 2^-52 of either end
-        phi = custom(lambda t: max(0.0, t - 3e-311), name="tiny", b_phi=1e-310)
-        assert phi.a_phi == pytest.approx(3e-311, rel=1e-10)
+        # the walk starts at b_phi / 2 = 5e-311; above it the bisection pair is
+        # subnormal, where an ulp exceeds 2^-52 of either end, and the zero is
+        # found exactly; below it the zero reads 0, like the underflow of t^p
+        above = custom(lambda t: max(0.0, t - 7e-311), name="tiny", b_phi=1e-310)
+        assert above.a_phi == 7e-311
+        below = custom(lambda t: max(0.0, t - 3e-311), name="tiny", b_phi=1e-310)
+        assert below.a_phi == 0.0
 
     def test_infinite_everywhere_rejected(self):
         with pytest.raises(InvalidOrliczError):

@@ -47,6 +47,22 @@ def test_passes_do_not_grow_with_the_corpus(monkeypatch, name):
     assert large <= small + large_groups + (large_groups - small_groups) * small / small_groups
 
 
+def test_composition_bound_solves_each_dual_norm_once(monkeypatch):
+    # the density's conjugate Amemiya norm is one minimize per morphism and
+    # gauge pair, shared by the bound and the chain: 10 morphisms x 5 pairs,
+    # less the 5 pairs of the zero morphism, whose density needs no solve
+    calls, real = [0], norms.minimize
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(norms, "minimize", counted)
+    cfg = SuiteConfig(seed=1, scale=0.05)
+    CHECKS["composition_bound"](cfg, _rng_for(cfg, "composition_bound"))
+    assert calls[0] == 45
+
+
 # every LAPACK singular-value and eigenvalue routine numpy.linalg calls
 _DECOMPOSITIONS = ("svd", "svd_f", "svd_s", "eigh_lo", "eigh_up", "eigvalsh_lo", "eigvalsh_up")
 
