@@ -40,6 +40,7 @@ from .sampling import random_element, random_self_adjoint
 from .verify import SuiteConfig, Tolerances, run_suite
 
 ENV_SEED = "NCORLICZ_SEED"
+NORM_RELATION_REL = 1e-7  # relative slack of the relations ``norm`` reports
 
 
 def _load(*paths) -> list:
@@ -89,7 +90,8 @@ def _seed_from(args) -> int:
 
 
 def _tolerances(args) -> dict:
-    return {"bisect": 1e-9, "slack": args.tol}
+    """The tolerances a command runs at: ``slack`` only where it reads ``--tol``."""
+    return {"bisect": 1e-9, **({"slack": args.tol} if "tol" in args else {})}
 
 
 def cmd_norm(args) -> int:
@@ -101,14 +103,14 @@ def cmd_norm(args) -> int:
     report = {
         "command": "norm",
         "inputs_digest": _digest(*specs),
-        "effective_tolerances": _tolerances(args),
+        "effective_tolerances": {**_tolerances(args), "relations_rel": NORM_RELATION_REL},
         "timestamp": _now(),
     }
     try:
         lux = luxemburg_norm(mu, phi)
         kun = kunze_norm(alg, element, phi)
         ame = amemiya_norm(mu, phi)
-        slack = 1e-7 * max(1.0, lux)
+        slack = NORM_RELATION_REL * max(1.0, lux)
         report["result"] = {
             "luxemburg": lux, "kunze": kun, "amemiya": ame,
             "relations": {
@@ -127,11 +129,9 @@ def cmd_singular(args) -> int:
     alg = load_algebra(specs[0])
     element = load_element(alg, specs[1])
     mu = singular_values(alg, element)
-    grid = np.unique(np.concatenate([[0.0], mu.breakpoints,
-                                     0.5 * (np.concatenate([[0.0], mu.breakpoints[:-1]])
-                                            + mu.breakpoints)])) if not mu.is_zero \
-        else np.array([0.0])
-    pairs = [[float(t), mu.evaluate(float(t))] for t in grid]
+    knots = np.concatenate([[0.0], mu.breakpoints])
+    grid = np.unique(np.concatenate([knots, 0.5 * (knots[:-1] + knots[1:])]))
+    pairs = np.column_stack((grid, mu.evaluate_many(grid))).tolist()
     report = {
         "command": "singular",
         "inputs_digest": _digest(*specs),
@@ -237,13 +237,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "finite tracial models")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None,
-                       help=f"RNG seed (falls back to ${ENV_SEED}, then 0)")
-        p.add_argument("--samples", type=int, default=20)
-        p.add_argument("--tol", type=float, default=1e-8)
+    def common(p, *reads):
+        """--out and --format, and those of --seed, --samples and --tol the command reads."""
         p.add_argument("--out", default=None, help="output path (stdout if absent)")
         p.add_argument("--format", choices=["json", "csv"], default="json")
+        if "seed" in reads:
+            p.add_argument("--seed", type=int, default=None,
+                           help=f"RNG seed (falls back to ${ENV_SEED}, then 0)")
+        if "samples" in reads:
+            p.add_argument("--samples", type=int, default=20)
+        if "tol" in reads:
+            p.add_argument("--tol", type=float, default=1e-8)
 
     p = sub.add_parser("norm", help="Luxemburg / trace-modular / Amemiya norms")
     p.add_argument("--algebra", required=True)
@@ -263,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--element", required=True)
     p.add_argument("--element2", required=True)
     p.add_argument("--orlicz", required=True)
-    common(p)
+    common(p, "seed", "samples", "tol")
     p.set_defaults(fn=cmd_dual_check)
 
     p = sub.add_parser("ps-check", help="exponential-moment membership equivalence")
@@ -276,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--morphism", required=True)
     p.add_argument("--psi", required=True)
     p.add_argument("--phi2", required=True)
-    common(p)
+    common(p, "seed", "samples", "tol")
     p.set_defaults(fn=cmd_compose)
 
     p = sub.add_parser("verify", help="run the named-check verification suite")
@@ -284,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sample-count multiplier for every check")
     p.add_argument("--checks", nargs="*", default=None,
                    help="subset of check names (default: all)")
-    common(p)
+    common(p, "seed", "tol")
     p.set_defaults(fn=cmd_verify)
     return parser
 

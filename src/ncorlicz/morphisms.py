@@ -29,6 +29,8 @@ from .rearrangement import singular_values, singular_values_many, submajorizes
 
 INF = math.inf
 FLAVORS = ("homo", "anti")
+# the epsilons of the epsilon-delta continuity check
+CONTINUITY_EPSILONS = (1e-1, 1e-2, 1e-3)
 
 
 @dataclass(frozen=True)
@@ -168,7 +170,6 @@ class AbsoluteContinuityReport:
 
 
 def absolute_continuity_check(J: JordanMorphism,
-                              epsilons: tuple[float, ...] = (1e-1, 1e-2, 1e-3),
                               projections: Sequence[AlgebraElement] = ()
                               ) -> AbsoluteContinuityReport:
     """Epsilon-delta continuity of the pulled-back trace on projections.
@@ -193,7 +194,7 @@ def absolute_continuity_check(J: JordanMorphism,
     worst = 0.0
     verified = True
     deltas = []
-    for eps in epsilons:
+    for eps in CONTINUITY_EPSILONS:
         delta = eps / sup_density if sup_density > 0 else INF
         deltas.append(delta)
         for e in corpus:
@@ -204,7 +205,7 @@ def absolute_continuity_check(J: JordanMorphism,
             if t1 < delta and not t2 < eps:
                 verified = False
     return AbsoluteContinuityReport(
-        density_sup=sup_density, epsilons=tuple(epsilons), deltas=tuple(deltas),
+        density_sup=sup_density, epsilons=CONTINUITY_EPSILONS, deltas=tuple(deltas),
         verified=verified, worst_ratio=worst)
 
 

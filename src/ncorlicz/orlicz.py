@@ -33,6 +33,8 @@ DETECT_TOL = 1e-12
 CONJUGATE_OCTAVES = 40
 CONJUGATE_RTOL = 1e-13
 CONJUGATE_ATOL = 1e-20  # ends searches toward v = 0, far below a modular's resolution
+# Doubling probes sample this many decades around 1, 24 points each
+DELTA2_DECADES = 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -481,11 +483,9 @@ class Delta2Report:
     authoritative: bool
 
 
-def delta2_probe(phi: OrliczFunction, grid_decades: int = 6) -> Delta2Report:
-    """Sample phi(2u)/phi(u) on a log grid spanning ``grid_decades`` decades around 1."""
-    if grid_decades < 1:
-        raise DomainError("grid_decades must be >= 1")
-    grid = np.logspace(-grid_decades / 2.0, grid_decades / 2.0, 24 * grid_decades)
+def delta2_probe(phi: OrliczFunction) -> Delta2Report:
+    """Sample phi(2u)/phi(u) on a log grid spanning DELTA2_DECADES decades around 1."""
+    grid = np.logspace(-DELTA2_DECADES / 2.0, DELTA2_DECADES / 2.0, 24 * DELTA2_DECADES)
     with np.errstate(over="ignore", invalid="ignore"):
         fu = phi.eval_many(grid)
         f2u = phi.eval_many(2.0 * grid)

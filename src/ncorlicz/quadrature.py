@@ -54,10 +54,11 @@ def head_diverges(f, hi: float = 1e-2) -> bool:
     return False
 
 
-def integrate_sentinel(f, a: float, b: float, *, abs_tol: float = ABS_TOL,
-                       rel_tol: float = REL_TOL, cap: float = DIVERGENCE_CAP,
-                       singular_at_zero: bool = False) -> float:
+def integrate_sentinel(f, a: float, b: float, *, singular_at_zero: bool = False) -> float:
     """Integrate f over [a, b] (b may be inf); returns +inf on divergence.
+
+    QUADPACK runs at ABS_TOL and REL_TOL, and a result past DIVERGENCE_CAP
+    reads as +inf.
 
     Raises NumericError carrying the achieved error estimate when the
     quadrature neither converges nor looks divergent, and NumericError when
@@ -79,13 +80,13 @@ def integrate_sentinel(f, a: float, b: float, *, abs_tol: float = ABS_TOL,
             try:
                 if math.isinf(b):
                     res1, err1 = integrate.quad(f, a, a + 1.0, limit=200,
-                                                epsabs=abs_tol, epsrel=rel_tol)
+                                                epsabs=ABS_TOL, epsrel=REL_TOL)
                     res2, err2 = integrate.quad(f, a + 1.0, math.inf, limit=200,
-                                                epsabs=abs_tol, epsrel=rel_tol)
+                                                epsabs=ABS_TOL, epsrel=REL_TOL)
                     result, err = res1 + res2, err1 + err2
                 else:
                     result, err = integrate.quad(f, a, b, limit=200,
-                                                 epsabs=abs_tol, epsrel=rel_tol)
+                                                 epsabs=ABS_TOL, epsrel=REL_TOL)
             except NcorliczError:
                 raise  # the integrand's own error (DomainError is also a ValueError)
             except (ValueError, ArithmeticError) as exc:
@@ -93,9 +94,9 @@ def integrate_sentinel(f, a: float, b: float, *, abs_tol: float = ABS_TOL,
                 # ArithmeticError: a failure, never a divergence
                 raise NumericError(f"quadrature failed: {exc}") from exc
 
-    if math.isnan(result) or result > cap:
+    if math.isnan(result) or result > DIVERGENCE_CAP:
         return math.inf
-    if err > 100.0 * max(abs_tol, rel_tol * abs(result), 1e-300):
+    if err > 100.0 * max(ABS_TOL, REL_TOL * abs(result), 1e-300):
         if singular_at_zero and a == 0.0 and head_diverges(f, hi=min(b, 1e-2)):
             return math.inf
         raise NumericError(

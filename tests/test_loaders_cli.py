@@ -320,10 +320,52 @@ class TestCli:
 
     def test_env_seed_fallback(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("NCORLICZ_SEED", "42")
-        rc = main(["ps-check",
-                   "--mu", _write(tmp_path, "m.json", {"durations": [1.0], "values": [1.0]}),
-                   "--weight", _write(tmp_path, "w.json", {"kind": "exp_decay"})])
+        rc = main(["dual-check",
+                   "--algebra", _write(tmp_path, "a.json", ALGEBRA),
+                   "--element", _write(tmp_path, "f.json", DIAG34),
+                   "--element2", _write(tmp_path, "g.json", DIAG34),
+                   "--orlicz", _write(tmp_path, "p.json", POWER2), "--samples", "2"])
         assert rc == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 42
+
+    @pytest.mark.parametrize("command, flag", [
+        ("norm", "--tol"), ("norm", "--seed"), ("norm", "--samples"),
+        ("singular", "--tol"), ("singular", "--seed"), ("singular", "--samples"),
+        ("ps-check", "--tol"), ("ps-check", "--seed"), ("ps-check", "--samples"),
+        ("verify", "--samples"),
+    ])
+    def test_unread_flags_are_rejected(self, tmp_path, capsys, command, flag):
+        inputs = {
+            "norm": ["--algebra", _write(tmp_path, "a.json", ALGEBRA),
+                     "--element", _write(tmp_path, "e.json", DIAG34),
+                     "--orlicz", _write(tmp_path, "p.json", POWER2)],
+            "singular": ["--algebra", _write(tmp_path, "a.json", ALGEBRA),
+                         "--element", _write(tmp_path, "e.json", DIAG34)],
+            "ps-check": ["--mu", _write(tmp_path, "m.json", {"kind": "exp_decay"}),
+                         "--weight", _write(tmp_path, "w.json", {"kind": "exp_decay"})],
+            "verify": ["--checks", "purity_detection", "--scale", "0.05"],
+        }
+        argv = [command, *inputs[command]]
+        assert main(argv) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, "1e-3" if flag == "--tol" else "3"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_tolerance_echo(self, tmp_path, capsys):
+        alg, element = _write(tmp_path, "a.json", ALGEBRA), _write(tmp_path, "e.json", DIAG34)
+        gauge = _write(tmp_path, "p.json", POWER2)
+        assert main(["norm", "--algebra", alg, "--element", element, "--orlicz", gauge]) == 0
+        norm = json.loads(capsys.readouterr().out)
+        assert norm["effective_tolerances"] == {"bisect": 1e-9, "relations_rel": 1e-7}
+        assert main(["dual-check", "--algebra", alg, "--element", element,
+                     "--element2", element, "--orlicz", gauge, "--samples", "2",
+                     "--tol", "1e-3"]) == 0
+        dual = json.loads(capsys.readouterr().out)
+        assert dual["effective_tolerances"] == {"bisect": 1e-9, "slack": 1e-3}
+        for rep in (norm, dual):
+            jsonschema.validate(rep, _schema())
 
 
 class TestVerifySuite:

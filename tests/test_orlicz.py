@@ -296,10 +296,6 @@ class TestDelta2:
         assert rep.satisfied is None and not rep.authoritative
         assert rep.constant == pytest.approx(2 ** 2.5, rel=1e-6)
 
-    def test_grid_decades_validated(self):
-        with pytest.raises(DomainError):
-            delta2_probe(power(2.0), grid_decades=0)
-
 
 # Gauges with a finite cap b_phi, and conjugates: eval_gauge is the one-element
 # eval_many, which applies the cap rule before any gauge's own formula

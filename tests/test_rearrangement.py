@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ncorlicz import (
     DomainError,
+    ParametricForm,
     NumericError,
     StepForm,
     StructuralError,
@@ -18,6 +19,7 @@ from ncorlicz import (
     constant,
     exp_decay,
     fack_kosaki_checks,
+    log_reciprocal,
     power_decay,
     rearrange_step,
     singular_values,
@@ -27,6 +29,7 @@ from ncorlicz import (
     weighted_rearrangement,
 )
 from ncorlicz.quadrature import integrate_sentinel
+from ncorlicz.rearrangement import SUBMAJOR_SLACK, _interval_masses
 from ncorlicz.sampling import (
     algebra_shapes,
     random_decreasing_step,
@@ -442,3 +445,211 @@ class TestFackKosaki:
         mu = singular_values(alg, a)
         mu2 = singular_values(alg, -2.0 * a)
         np.testing.assert_allclose(mu2.values, 2.0 * mu.values, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The array route against the point-by-point code it replaced
+# ---------------------------------------------------------------------------
+
+def _loop_evaluate(mu: StepForm, t: float) -> float:
+    """mu(t) by a walk over the pieces: the first breakpoint past t holds it."""
+    for end, value in zip(mu.breakpoints.tolist(), mu.values.tolist()):
+        if t < end:
+            return value
+    return 0.0
+
+
+def _loop_head_integral(mu: StepForm, alpha: float) -> float:
+    """The scalar head integral StepForm had before its running integral was cached."""
+    if mu.is_zero:
+        return 0.0
+    cum = np.concatenate([[0.0], np.cumsum(mu.durations * mu.values)])
+    if alpha >= mu.support:
+        return float(cum[-1])
+    return float(np.interp(alpha, np.concatenate([[0.0], mu.breakpoints]), cum))
+
+
+def _loop_head(mu, alpha: float) -> float:
+    return _loop_head_integral(mu, alpha) if isinstance(mu, StepForm) else mu.head_integral(alpha)
+
+
+def _loop_submajorizes(x_mu, y_mu) -> bool:
+    """submajorizes as one head-integral comparison per point."""
+    if isinstance(x_mu, StepForm) and isinstance(y_mu, StepForm):
+        alphas = np.unique(np.concatenate([x_mu.breakpoints, y_mu.breakpoints]))
+        if alphas.size == 0:
+            return True
+    else:
+        sup = [m.support for m in (x_mu, y_mu) if not math.isinf(m.support)]
+        top = 2.0 * max(sup) if sup else 64.0
+        alphas = np.unique(np.concatenate([
+            np.logspace(-6, math.log10(top), 160),
+            np.linspace(top / 160, top, 160),
+            x_mu.breakpoints if isinstance(x_mu, StepForm) else np.array([]),
+            y_mu.breakpoints if isinstance(y_mu, StepForm) else np.array([]),
+        ]))
+    for alpha in alphas:
+        if _loop_head(y_mu, float(alpha)) > _loop_head(x_mu, float(alpha)) + SUBMAJOR_SLACK:
+            return False
+    return _loop_head(y_mu, INF) <= _loop_head(x_mu, INF) + SUBMAJOR_SLACK
+
+
+def _loop_fack_kosaki(alg, f, g) -> tuple:
+    """fack_kosaki_checks as a loop over the points of its grids."""
+    mu_f = singular_values(alg, f)
+    mu_g = singular_values(alg, g)
+    mu_fg = singular_values(alg, f @ g)
+    pts = np.unique(np.concatenate([[0.0], mu_f.breakpoints, mu_g.breakpoints,
+                                    mu_fg.breakpoints]))
+    grid = np.unique(np.concatenate([pts, 0.5 * (pts[1:] + pts[:-1])])) if pts.size > 1 else pts
+    prod_viol = 0.0
+    for t in grid:
+        for s in grid:
+            lhs = _loop_evaluate(mu_fg, float(t + s))
+            rhs = _loop_evaluate(mu_f, float(t)) * _loop_evaluate(mu_g, float(s))
+            prod_viol = max(prod_viol, lhs - rhs)
+    mu_ffs = singular_values(alg, f.adjoint() @ f)
+    mu_fsf = singular_values(alg, f @ f.adjoint())
+    pts = np.unique(np.concatenate([[0.0], mu_ffs.breakpoints, mu_fsf.breakpoints]))
+    tr_viol = max(abs(_loop_evaluate(mu_ffs, float(t)) - _loop_evaluate(mu_fsf, float(t)))
+                  for t in pts)
+    tr_viol = max(tr_viol, max(abs(_loop_evaluate(mu_ffs, float(t) * 0.5)
+                                   - _loop_evaluate(mu_fsf, float(t) * 0.5)) for t in pts))
+    mu_af = singular_values(alg, -2.0 * f)
+    hom_viol = max(abs(_loop_evaluate(mu_af, float(t)) - 2.0 * _loop_evaluate(mu_f, float(t)))
+                   for t in grid)
+    return prod_viol, tr_viol, hom_viol, len(grid) ** 2
+
+
+def _probe_points(mu: StepForm) -> list[float]:
+    """0, each breakpoint and its two neighbouring doubles, past the support, +inf."""
+    pts = [0.0, math.ulp(0.0)]
+    for end in mu.breakpoints.tolist():
+        pts += [math.nextafter(end, 0.0), end, math.nextafter(end, INF)]
+    return pts + [mu.support + 1.0, 1e300, INF]
+
+
+# A few of every shape: one piece, merged equal values, ties, the zero form
+_CATALOG_FORMS = [
+    StepForm.from_raw([0.5, 1.0, 2.0], [4.0, 2.0, 1.0]),
+    StepForm.from_raw([1.0], [1.0]),
+    StepForm.from_raw([1.0, 2.0, 1.0, 5.0], [2.0, 2.0, 1.0, 0.0]),
+    StepForm.from_raw([1e-300, 3.0], [1e300, 1e-300]),
+    StepForm.from_raw([], []),
+]
+_PARAMETRIC = [exp_decay(), log_reciprocal(1.0), power_decay(0.5, 2.0), constant(0.5, 3.0)]
+_seeds = st.integers(0, 2 ** 32 - 1)
+
+
+class TestArrayRoute:
+    @pytest.mark.parametrize("mu", _CATALOG_FORMS)
+    def test_pinned_points(self, mu):
+        pts = _probe_points(mu)
+        values = [mu.evaluate(t) for t in pts]
+        heads = [mu.head_integral(t) for t in pts]
+        assert values == [_loop_evaluate(mu, t) for t in pts]
+        assert heads == [_loop_head_integral(mu, t) for t in pts]
+        assert mu.evaluate_many(np.array(pts)).tolist() == values
+        assert mu.head_integrals(np.array(pts)).tolist() == heads
+        assert all(type(v) is float for v in values + heads)
+
+    def test_pinned_values(self):
+        mu = _CATALOG_FORMS[0]  # breakpoints 0.5, 1.5, 3.5; head integrals 2, 4, 6
+        below, above = math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)
+        assert [mu.evaluate(t) for t in (0.0, below, 0.5, above, 1.5, 3.5, 9.0, INF)] == \
+            [4.0, 4.0, 2.0, 2.0, 1.0, 0.0, 0.0, 0.0]
+        assert [mu.head_integral(t) for t in (0.0, 0.5, 1.0, 1.5, 3.5, 9.0, INF)] == \
+            [0.0, 2.0, 3.0, 4.0, 6.0, 6.0, 6.0]
+        zero = StepForm.from_raw([], [])
+        assert zero.evaluate(0.0) == zero.head_integral(INF) == zero.total_integral() == 0.0
+
+    @pytest.mark.parametrize("mu", _CATALOG_FORMS)
+    def test_negative_arguments_raise(self, mu):
+        for call in (lambda: mu.evaluate(-1e-300), lambda: mu.head_integral(-1.0),
+                     lambda: mu.evaluate_many(np.array([0.0, -1.0])),
+                     lambda: mu.head_integrals(np.array([1.0, -INF]))):
+            with pytest.raises(DomainError):
+                call()
+
+    def test_running_integral_is_built_once_on_first_use(self):
+        mu = StepForm.from_raw([1.0, 2.0], [3.0, 1.0])
+        assert "running_integral" not in vars(mu)
+        assert mu.evaluate(0.5) == 3.0 and "running_integral" not in vars(mu)
+        assert mu.head_integral(2.0) == 4.0
+        knots, heads = mu.running_integral
+        assert mu.running_integral[0] is knots
+        assert knots.tolist() == [0.0, 1.0, 3.0] and heads.tolist() == [0.0, 3.0, 5.0]
+        assert not (knots.flags.writeable or heads.flags.writeable)
+
+    @given(_seeds)
+    @settings(max_examples=60, deadline=None)
+    def test_random_forms_match_the_loops(self, seed):
+        rng = np.random.default_rng(seed)
+        mu = random_decreasing_step(rng)
+        pts = _probe_points(mu) + rng.uniform(0.0, mu.support * 1.2, size=8).tolist()
+        assert mu.evaluate_many(np.array(pts)).tolist() == [_loop_evaluate(mu, t) for t in pts]
+        assert mu.head_integrals(np.array(pts)).tolist() == \
+            [_loop_head_integral(mu, t) for t in pts]
+
+    @given(_seeds, st.sampled_from([0.5, 0.9, 1.0, 1.1, 2.0]))
+    @settings(max_examples=80, deadline=None)
+    def test_submajorizes_is_the_loop(self, seed, scale):
+        rng = np.random.default_rng(seed)
+        x = random_decreasing_step(rng)
+        y = random_decreasing_step(rng)
+        forms = [x, y, x.scaled(scale), StepForm.from_raw([], []), _CATALOG_FORMS[0]]
+        for a in forms:
+            for b in forms:
+                assert submajorizes(a, b) is _loop_submajorizes(a, b)
+
+    @pytest.mark.parametrize("excess, dominated", [(0.5, True), (1.5, False)])
+    def test_submajorizes_slack(self, excess, dominated):
+        x = StepForm.from_raw([1.0, 1.0], [2.0, 1.0])
+        # the same total, and a head past x's by excess * SUBMAJOR_SLACK at t = 1
+        y = StepForm.from_raw([1.0, 1.0], [2.0 + excess * SUBMAJOR_SLACK,
+                                           1.0 - excess * SUBMAJOR_SLACK])
+        assert submajorizes(x, y) is _loop_submajorizes(x, y) is dominated
+
+    @pytest.mark.parametrize("param", _PARAMETRIC, ids=lambda m: m.label)
+    def test_submajorizes_is_the_loop_on_parametric_forms(self, param):
+        rng = np.random.default_rng(5)
+        for step in (random_decreasing_step(rng), StepForm.from_raw([0.5], [0.4])):
+            for a, b in ((param, step), (step, param), (param, param)):
+                assert submajorizes(a, b) is _loop_submajorizes(a, b)
+
+    @given(_seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_interval_masses_is_the_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        ends = np.cumsum(rng.uniform(0.05, 2.0, size=int(rng.integers(1, 8))))
+        weight = random_weight_step(rng)
+        grid = np.concatenate([[0.0], ends])
+        want = np.diff([_loop_head_integral(weight, float(t)) for t in grid])
+        assert np.array_equal(_interval_masses(weight, ends), want)
+        param = _PARAMETRIC[seed % len(_PARAMETRIC)]
+        want = np.diff([param.head_integral(float(t)) for t in grid])
+        assert np.array_equal(_interval_masses(param, ends), want)
+
+    def test_parametric_head_integrals_check_their_arguments(self):
+        mu = ParametricForm(fn=lambda t: 1.0, support=1.0, cumulative=lambda t: t)
+        assert mu.head_integrals(np.array([0.0, 0.5, 2.0])).tolist() == [0.0, 0.5, 1.0]
+        with pytest.raises(DomainError):
+            mu.head_integrals(np.array([0.5, -0.5]))
+
+    @given(_seeds, st.integers(0, len(algebra_shapes()) - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_fack_kosaki_is_the_loop(self, seed, shape):
+        alg = algebra_shapes()[shape]
+        rng = np.random.default_rng(seed)
+        f, g = random_element(alg, rng), random_element(alg, rng)
+        rep = fack_kosaki_checks(alg, f, g)
+        fields = (rep.product_violation, rep.trace_symmetry_violation,
+                  rep.homogeneity_violation, rep.samples)
+        assert fields == _loop_fack_kosaki(alg, f, g)
+        assert [type(v) for v in fields] == [float, float, float, int]
+
+    def test_fack_kosaki_on_the_zero_element(self):
+        alg = algebra_shapes()[2]
+        rep = fack_kosaki_checks(alg, alg.zero(), alg.identity())
+        assert (rep.product_violation, rep.trace_symmetry_violation, rep.homogeneity_violation,
+                rep.samples) == _loop_fack_kosaki(alg, alg.zero(), alg.identity())
