@@ -25,6 +25,7 @@ from .errors import (
     SpecError,
     StructuralError,
     UnboundedNormError,
+    UndecidedError,
 )
 from .morphisms import (
     Assignment,

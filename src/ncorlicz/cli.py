@@ -17,6 +17,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from . import quadrature
 from .errors import NcorliczError, SpecError, UnboundedNormError
 from .loaders import (
     load_algebra,
@@ -90,8 +91,13 @@ def _seed_from(args) -> int:
 
 
 def _tolerances(args) -> dict:
-    """The tolerances a command runs at: ``slack`` only where it reads ``--tol``."""
+    """The tolerances a norm-solving command runs at: ``slack`` only where it reads ``--tol``."""
     return {"bisect": 1e-9, **({"slack": args.tol} if "tol" in args else {})}
+
+
+# The constants of the quadrature rule and tail verdict that ``ps-check`` runs at
+_QUADRATURE = {"quadrature_rel": quadrature.REL_TOL, "quadrature_depth": quadrature.DEPTH,
+               "quadrature_delta": quadrature.DELTA, "quadrature_rate": quadrature.RATE}
 
 
 def cmd_norm(args) -> int:
@@ -135,7 +141,7 @@ def cmd_singular(args) -> int:
     report = {
         "command": "singular",
         "inputs_digest": _digest(*specs),
-        "effective_tolerances": _tolerances(args),
+        "effective_tolerances": {},
         "timestamp": _now(),
         "result": {"durations": mu.durations.tolist(), "values": mu.values.tolist()},
         "pairs": pairs,
@@ -177,7 +183,7 @@ def cmd_ps_check(args) -> int:
     report = {
         "command": "ps-check",
         "inputs_digest": _digest(*specs),
-        "effective_tolerances": _tolerances(args),
+        "effective_tolerances": dict(_QUADRATURE),
         "timestamp": _now(),
         "result": {
             "member_via_laplace": rep.member_via_laplace,

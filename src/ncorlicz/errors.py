@@ -34,6 +34,20 @@ class NumericError(NcorliczError, RuntimeError):
         self.achieved = achieved
 
 
+class UndecidedError(NumericError):
+    """The tail test calls an integral neither finite nor divergent.
+
+    Carries the fitted exponent ``alpha`` and rate ``rate`` of the
+    integrand's tail G(u) ~ u^-alpha e^(-rate u) in u = log(1/t); never
+    read as a value.
+    """
+
+    def __init__(self, message: str, alpha: float, rate: float):
+        super().__init__(message)
+        self.alpha = alpha
+        self.rate = rate
+
+
 class NotMeasurableError(NcorliczError, ArithmeticError):
     """Functional calculus hit an infinite spectral value.
 

@@ -8,7 +8,8 @@ coincides with the trace-modular route through functional calculus, which
 ``kunze_norm`` computes independently; callers compare the two routes.
 Every Luxemburg and trace-modular norm takes the same walks and 16-way cut
 (``solve.bracket_rows`` and ``solve.bisect_rows``): step and trace data
-answer a round in one numpy pass, parametric data one quadrature at a time.
+answer a round in one numpy pass, parametric data one pass over their cached
+quadrature samples.
 The Amemiya minimum is found by ``solve.minimize``.
 """
 
@@ -21,6 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import quadrature
 from .algebra import (
     AlgebraElement,
     TracedAlgebra,
@@ -32,7 +34,7 @@ from .algebra import (
 from .errors import (DomainError, NumericError, StructuralError, UnboundedNormError,
                      batch_or_loop)
 from .orlicz import OrliczFunction, conjugate, cosh_minus_one
-from .quadrature import integrate_sentinel
+from .quadrature import DEPTH
 from .rearrangement import (
     ParametricForm,
     RearrangementFunction,
@@ -42,7 +44,7 @@ from .rearrangement import (
     singular_values,
     singular_values_many,
 )
-from .solve import _monotone, bisect_rows, bracket, bracket_rows, minimize
+from .solve import bisect_rows, bracket_rows, minimize
 
 INF = math.inf
 DEFAULT_TOL = 1e-9
@@ -142,83 +144,141 @@ def _step_rows_modular(values: np.ndarray, masses: np.ndarray, phi: OrliczFuncti
     return modular_at
 
 
-def _weighted_integral(h, mu: ParametricForm,
-                       weight: Optional[RearrangementFunction]) -> float:
-    """Integral of h(mu(t)) against ``weight`` (Lebesgue when None); may be +inf.
+def _pieces(mu: ParametricForm, weight: Optional[RearrangementFunction], end: float):
+    """The intervals of [0, end] with one weight each: (lo, hi, step value or None).
 
-    ``h`` is a scalar function with h(0) = 0, so nothing beyond mu's support
-    counts.  A flat mu integrates exactly; a step weight splits the
-    quadrature at its jumps.  This is the one place where parametric data
-    meet a weight: modulars, Laplace probes and pairings all come here.
+    One interval for Lebesgue measure (value 1) and for a parametric weight
+    (None: its samples), one per jump for a step weight.
     """
-    if mu.constant_level is not None:
-        val = h(mu.constant_level)
-        if val == 0.0:
-            return 0.0
-        span = mu.support if weight is None else weight.head_integral(mu.support)
-        if math.isinf(val):
-            return INF if span > 0 else 0.0
-        return val * span if not math.isinf(span) else INF
-
-    def h_of_mu(t: float) -> float:
-        return h(mu.evaluate(t))
-
-    top = mu.support
     if weight is None:
-        return integrate_sentinel(h_of_mu, 0.0, top, singular_at_zero=mu.singular_at_zero)
-    if isinstance(weight, StepForm):
-        total = 0.0
-        edges = np.concatenate([[0.0], weight.breakpoints])
-        for lo, hi, wval in zip(edges[:-1], edges[1:], weight.values):
-            hi_eff = min(hi, top)
-            if hi_eff <= lo:
+        return [(0.0, end, 1.0)]
+    if not isinstance(weight, StepForm):
+        return [(0.0, end, None)]
+    lows = np.concatenate([[0.0], weight.breakpoints[:-1]]).tolist()
+    return [(lo, min(hi, end), value)
+            for lo, hi, value in zip(lows, weight.breakpoints.tolist(), weight.values.tolist())
+            if lo < end]
+
+
+def _preimages(mu: ParametricForm, levels: np.ndarray, top: float) -> np.ndarray:
+    """Where mu falls to each of ``levels`` for good: sup{t <= top : mu(t) > level}.
+
+    ``top`` where mu stays above the level up to top (up to e^DEPTH for
+    top = +inf), and otherwise one rows bisection of log t to 1e-12.  A
+    cut below e^-(DEPTH - 4) reads as 0: the integral left lies under the
+    float floor there, and the kink's rise would hide its decay from the
+    tail's depths.
+    """
+    deepest = DEPTH - 4.0
+    last = math.exp(DEPTH) if math.isinf(top) else math.nextafter(top, 0.0)
+    first, end = mu.evaluate_many(np.array([math.exp(-deepest), last]))
+    out = np.where(levels < first, top, 0.0)
+    cut = ((levels < first) & (levels >= end)).nonzero()[0]
+    if cut.size:
+        def above(rows, y):
+            return mu.evaluate_many(np.exp(y)) > levels[cut[rows], None]
+
+        y_top = DEPTH if math.isinf(top) else math.log(top)
+        out[cut] = np.exp(bisect_rows(above, np.full(cut.size, -deepest),
+                                      np.full(cut.size, y_top), rtol=0.0, atol=1e-12))
+    return out
+
+
+def _weighted_integral(h, mu: ParametricForm, weight: Optional[RearrangementFunction],
+                       rows: int, ends: Optional[np.ndarray] = None) -> np.ndarray:
+    """Integrals of ``rows`` integrands h(mu(t)) against ``weight`` (Lebesgue when None); may be +inf.
+
+    ``h(values, rows)`` gives the integrands numbered ``rows`` at mu's
+    ``values``, one row each, with h(0) = 0, so nothing beyond mu's support
+    counts.  ``ends``, when given, ends each row's interval where its
+    integrand reaches 0 for good (a gauge's kink).  A flat mu integrates
+    exactly.  Otherwise each interval of ``_pieces`` is one
+    ``quadrature.integrals`` pass over the samples mu caches for it, times
+    the step weight's value or the weight's own samples on the same nodes;
+    a row that is +inf after a piece skips the rest.  A row with its own end
+    samples afresh.  This is the one place where
+    parametric data meet a weight: modulars, Laplace probes and pairings
+    all come here.
+    """
+    every = np.arange(rows)
+    top = mu.support if weight is None else min(mu.support, weight.support)
+    if mu.constant_level is not None:
+        val = h(np.array([mu.constant_level]), every)[:, 0]
+        span = mu.support if weight is None else weight.head_integral(mu.support)
+        with np.errstate(invalid="ignore"):
+            return np.where(val == 0.0, 0.0, val * span) if span > 0 else np.zeros(rows)
+    if ends is None:
+        groups = [(every, top, True)]
+    else:
+        own = (ends < top).nonzero()[0]
+        groups = [(np.setdiff1d(every, own), top, True)] + [
+            (np.array([i]), float(ends[i]), False) for i in own.tolist()]
+    out = np.zeros(rows)
+    for idx, end, cache in groups:
+        if not idx.size or end <= 0.0:
+            continue
+        for lo, hi, value in _pieces(mu, weight, end):
+            node, values = mu.sampled(lo, hi, cache)
+            f = h(values, idx)
+            if value is None:
+                f = _weighted(f, weight.sampled(lo, hi, cache)[1])
+
+            def refine(sub, node=node, value=value, idx=idx, cache=cache):
+                g = h(mu.sampled_finer(node, cache), idx[sub])
+                return g if value is not None else _weighted(g, weight.sampled_finer(node, cache))
+
+            piece = quadrature.integrals(f, node, refine)[0]
+            out[idx] += piece if value is None else value * piece
+            idx = idx[out[idx] < INF]  # a row already +inf needs no further piece
+            if not idx.size:
                 break
-            piece = integrate_sentinel(h_of_mu, float(lo), float(hi_eff),
-                                       singular_at_zero=mu.singular_at_zero and lo == 0.0)
-            total += wval * piece
-            if math.isinf(total):
-                return INF
-        return total
+    return out
 
-    def integrand(t: float) -> float:
-        return h_of_mu(t) * weight.evaluate(t)
 
-    hi = min(top, weight.support)
-    return integrate_sentinel(integrand, 0.0, hi, singular_at_zero=mu.singular_at_zero)
+def _weighted(f: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Integrand rows times the weight's samples; 0 where the weight is, even at +inf."""
+    with np.errstate(invalid="ignore"):
+        return np.where(w > 0, f * w, 0.0)
 
 
 def modular(mu: RearrangementFunction, phi: OrliczFunction, inv_scale,
             ctx: Optional[WeightedContext] = None):
     """Integral of phi(inv_scale * mu) against the weight; may be +inf.
 
-    Exact for step-by-step data, where ``inv_scale`` may also be an array of
-    scalings and the result is the array of modulars; parametric inputs go
-    through sentinel quadrature, one scaling at a time, unless
-    inv_scale * mu(0+) > b_phi makes the modular +inf before any quadrature.
-    Pieces of zero weight mass contribute nothing even where the gauge is
-    infinite (the norm only sees weight-a.e. classes).  NaN from the gauge
-    raises NumericError.
+    ``inv_scale`` may be an array of scalings, and the result is then the
+    array of modulars: one numpy pass over the pieces of step data (exact),
+    or over the cached quadrature samples of parametric data.  On parametric
+    data a scaling with inv_scale * mu(0+) > b_phi gives +inf before any
+    quadrature, and a gauge that vanishes up to a_phi > 0 ends each
+    scaling's interval where k mu falls to a_phi.  Pieces of zero weight
+    mass contribute nothing even where the gauge is infinite (the norm only
+    sees weight-a.e. classes).  NaN from the gauge raises NumericError.
     """
     scales = np.asarray(inv_scale, dtype=float)
     if not scales.min(initial=INF) > 0:
         raise DomainError(f"inv_scale must be positive, got {inv_scale}")
-    if isinstance(mu, StepForm):
-        values, masses = _live_pieces(mu, ctx)
-        flat = scales.reshape(1, -1)
-        with np.errstate(over="ignore", invalid="ignore"):
+    flat = scales.reshape(1, -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(mu, StepForm):
+            values, masses = _live_pieces(mu, ctx)
             out = _step_modular(values[None], masses[None], phi, flat)[0]
             if math.isnan(out.sum()):
                 raise _nan_error(phi, values, flat[0])
-        return out.reshape(scales.shape) if scales.ndim else float(out[0])
-    if scales.ndim:
-        raise DomainError("an array of scalings needs step data")
-    k = float(inv_scale)
-    # phi(k mu) = +inf on some (0, eps), which every admissible weight charges
-    if k * mu.sup_value > phi.b_phi:
-        return INF
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _weighted_integral(lambda v: float(phi.eval_many(np.array([v * k]))[0]),
-                                  mu, None if ctx is None else ctx.weight)
+        else:
+            out = np.full(scales.size, INF)
+            # phi(k mu) = +inf on some (0, eps), which every admissible weight charges
+            live = (~(flat[0] * mu.sup_value > phi.b_phi)).nonzero()[0]
+            if live.size:
+                k = flat[0, live]
+                weight = None if ctx is None else ctx.weight
+                ends = None
+                if phi.a_phi > 0:
+                    top = mu.support if weight is None else min(mu.support, weight.support)
+                    ends = _preimages(mu, phi.a_phi / k, top)
+                out[live] = _weighted_integral(
+                    lambda values, rows: phi.eval_many(k[rows, None] * values),
+                    mu, weight, k.size, ends)
+    return out.reshape(scales.shape) if scales.ndim else float(out[0])
 
 
 def _feasible(modular_at):
@@ -297,8 +357,8 @@ def luxemburg_norm(mu: RearrangementFunction, phi: OrliczFunction,
     """inf{lam > 0 : modular(mu, phi, 1/lam, ctx) <= 1}; 0 for vanishing mu.
 
     Step data are the one-row case of ``luxemburg_norms``.  Parametric data
-    take the same walks and cut, one quadrature per point tried: four per
-    16-way round.
+    take the same walks and cut, one ``modular`` pass over the cached
+    quadrature samples per 15-point round.
     """
     if isinstance(mu, StepForm):
         return float(luxemburg_norms([mu], phi, ctx, tol)[0])
@@ -306,11 +366,10 @@ def luxemburg_norm(mu: RearrangementFunction, phi: OrliczFunction,
     if mu.is_zero:
         return 0.0
 
-    def feasible(lam):
-        return modular(mu, phi, 1.0 / lam, ctx) <= 1.0 + MODULAR_SLACK
+    def modular_at(rows, inv_scales):
+        return modular(mu, phi, inv_scales[0], ctx)[None]
 
-    tests = _monotone(feasible), _monotone(lambda lam: not feasible(lam))
-    norm = float(_norm_bisect_rows(tests, np.array([mu.sup_value]), tol)[0])
+    norm = float(_norm_bisect_rows(_feasible(modular_at), np.array([mu.sup_value]), tol)[0])
     if math.isnan(norm):
         raise UnboundedNormError(_NO_SCALING)
     return norm
@@ -437,7 +496,9 @@ def pairing_integral(mu_a: RearrangementFunction, mu_b: RearrangementFunction,
 
     if isinstance(mu_a, StepForm):
         return float(mu_a.values ** power @ _interval_masses(mu_b, mu_a.breakpoints))
-    return _weighted_integral(lambda v: v ** power, mu_a, mu_b)
+    with np.errstate(over="ignore"):
+        return float(_weighted_integral(lambda values, rows: values[None] ** power,
+                                        mu_a, mu_b, 1)[0])
 
 
 def tau_x(mu_f: RearrangementFunction, ctx: WeightedContext) -> float:
@@ -522,26 +583,29 @@ def holder_check(alg: TracedAlgebra, f: AlgebraElement, g: AlgebraElement,
 # Exponential-moment regularity
 # ---------------------------------------------------------------------------
 
-def laplace_probe(mu_g: RearrangementFunction, ctx: WeightedContext, s: float) -> float:
+def laplace_probe(mu_g: RearrangementFunction, ctx: WeightedContext, s):
     """Integral of exp(s * mu_g(t)) against the weight; divergence reports +inf.
 
     Computed as the weight mass plus the integral of expm1(s * mu_g), which
-    vanishes beyond mu_g's support.  For s < 0 the result lies in (0, mass],
-    so only s > 0 can diverge, and ``quant_membership`` probes that side alone.
+    vanishes beyond mu_g's support.  ``s`` may be an array of exponents, and
+    the result is then the array of probes: one numpy pass over the pieces
+    of step data, or over the cached quadrature samples of parametric data.
+    For s < 0 the result lies in (0, mass], so only s > 0 can diverge, and
+    ``quant_membership`` probes that side alone.
     """
-    if isinstance(mu_g, StepForm):
-        values, masses = _live_pieces(mu_g, ctx)
-        with np.errstate(over="ignore"):
-            excess = float(np.abs(np.expm1(s * values)) @ masses)
-    else:
-        def h(v: float) -> float:
-            try:
-                return abs(math.expm1(s * v))
-            except OverflowError:
-                return INF
-
-        excess = _weighted_integral(h, mu_g, ctx.weight)
-    return ctx.mass + math.copysign(excess, s)
+    exponents = np.asarray(s, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(mu_g, StepForm):
+            values, masses = _live_pieces(mu_g, ctx)
+            excess = np.abs(np.expm1(np.multiply.outer(exponents, values))) @ masses
+        else:
+            flat = exponents.reshape(-1)
+            excess = _weighted_integral(
+                lambda values, rows: np.abs(np.expm1(flat[rows, None] * values)),
+                mu_g, ctx.weight, flat.size).reshape(exponents.shape)
+    if exponents.ndim:
+        return ctx.mass + np.copysign(excess, exponents)
+    return ctx.mass + math.copysign(float(excess), float(exponents))
 
 
 def quant_membership(mu_g: RearrangementFunction, ctx: WeightedContext) -> bool:
@@ -550,10 +614,12 @@ def quant_membership(mu_g: RearrangementFunction, ctx: WeightedContext) -> bool:
     For mu_g >= 0 the moment at -s is at most the weight mass, so finiteness
     at +s alone puts the whole interval (-s, s) inside the transform's
     domain by convexity, which is exactly membership of 0 in the interior of
-    the domain.  Only +s is probed.
+    the domain.  Only +s is probed, 15 exponents to a ``laplace_probe`` call.
     """
-    walk = bracket(lambda s: math.isinf(laplace_probe(mu_g, ctx, s)), 1.0, 0.5, 40)
-    return walk is not None
+    def diverges(rows, s):
+        return np.isinf(laplace_probe(mu_g, ctx, s[0]))[None]
+
+    return not math.isnan(bracket_rows(diverges, np.array([1.0]), 0.5, 40)[1][0])
 
 
 @dataclass(frozen=True)
@@ -572,14 +638,18 @@ def pistone_sempi_equivalence(mu_g: RearrangementFunction,
 
     The Laplace route probes exponential moments near 0 (``quant_membership``);
     the norm route doubles lam from 1 up to 2^60, halving the scaling 1/lam,
-    looking for a finite cosh-minus-one modular.  The two booleans agree
-    whenever the numerics are sound.
+    looking for a finite cosh-minus-one modular, 15 scalings to a
+    ``modular`` call.  The two booleans agree whenever the numerics are
+    sound.
     """
     a = quant_membership(mu_g, ctx)
     psi = cosh_minus_one()
-    walk = bracket(lambda lam: math.isinf(modular(mu_g, psi, 1.0 / lam, ctx)),
-                   1.0, 2.0, 60)
-    return RegularityReport(member_via_laplace=a, member_via_norm=walk is not None)
+
+    def diverges(rows, lams):
+        return np.isinf(modular(mu_g, psi, 1.0 / lams[0], ctx))[None]
+
+    finite_at = bracket_rows(diverges, np.array([1.0]), 2.0, 60)[1][0]
+    return RegularityReport(member_via_laplace=a, member_via_norm=not math.isnan(finite_at))
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,9 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from . import quadrature
 from .algebra import AlgebraElement, TracedAlgebra
 from .errors import DomainError, NumericError, StructuralError, batch_or_loop
-from .quadrature import integrate_sentinel
 from .solve import bisect, bracket
 
 INF = math.inf
@@ -87,8 +87,14 @@ class StepForm:
         """``evaluate`` at each of the points ``ts``: one ``searchsorted``."""
         if (ts < 0).any():
             raise DomainError("rearrangement arguments must be nonnegative")
-        idx = np.searchsorted(self.breakpoints, ts, side="right")
-        return np.concatenate((self.values, _ZERO))[idx]
+        return self._padded_values[np.searchsorted(self.breakpoints, ts, side="right")]
+
+    @functools.cached_property
+    def _padded_values(self) -> np.ndarray:
+        """The values and 0, the value past the support, read-only; built on first use."""
+        padded = np.concatenate((self.values, _ZERO))
+        padded.setflags(write=False)
+        return padded
 
     def head_integral(self, alpha: float) -> float:
         return float(self.head_integrals(np.array([alpha]))[0])
@@ -135,11 +141,17 @@ class ParametricForm:
     """Decreasing right-continuous function given analytically.
 
     ``fn`` must be finite on (0, inf) (the value at 0 may be +inf), zero at
-    and beyond ``support``.  ``cumulative`` is an optional closed form for
+    and beyond ``support``.  ``fn_many``, when given, is ``fn`` on an array
+    of points, overflowing to +inf; without it ``evaluate_many`` calls
+    ``fn`` point by point.  ``cumulative`` is an optional closed form for
     the head integral, ``inverse_cumulative`` its inverse on [0, mass).
-    ``singular_at_zero`` marks functions unbounded near 0 so quadrature can
-    run the divergence sentinel.  ``constant_level`` short-circuits integrals
-    of flat functions exactly.
+    ``singular_at_zero`` marks functions unbounded near 0; quadrature runs
+    its tail test on every head integral either way.  ``constant_level``
+    short-circuits integrals of flat functions exactly.
+
+    A form caches its samples at the quadrature nodes of each interval it
+    is integrated over (``sampled``), so every later integral over that
+    interval is one array pass.
     """
 
     fn: Callable[[float], float]
@@ -149,6 +161,7 @@ class ParametricForm:
     inverse_cumulative: Optional[Callable[[float], float]] = None
     singular_at_zero: bool = False
     constant_level: Optional[float] = None
+    fn_many: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     @property
     def is_zero(self) -> bool:
@@ -165,6 +178,46 @@ class ParametricForm:
             return 0.0
         return float(self.fn(t))
 
+    def evaluate_many(self, ts: np.ndarray) -> np.ndarray:
+        """``evaluate`` at each of the points ``ts``; a value past the floats is +inf."""
+        if (ts < 0).any():
+            raise DomainError("rearrangement arguments must be nonnegative")
+        inside = ts < self.support
+        if self.fn_many is not None:
+            with np.errstate(over="ignore", divide="ignore"):
+                return np.where(inside, self.fn_many(ts), 0.0)
+        out = np.zeros(ts.shape)
+        out[inside] = [self.fn(t) for t in ts[inside].tolist()]
+        return out
+
+    @functools.cached_property
+    def _samples(self) -> dict:
+        return {}
+
+    def sampled(self, lo: float, hi: float, cache: bool = True):
+        """The quadrature nodes of [lo, hi] and mu at them: one sampling per interval.
+
+        An interval that depends on a scaling (a gauge's kink) passes
+        ``cache=False``.
+        """
+        got = self._samples.get((lo, hi))
+        if got is None:
+            node = quadrature.nodes(lo, hi)
+            got = node, quadrature.sample(self.evaluate_many, node.t)
+            if cache:
+                self._samples[(lo, hi)] = got
+        return got
+
+    def sampled_finer(self, node: quadrature.Nodes, cache: bool = True) -> np.ndarray:
+        """mu at the nodes the refined rule adds on the interval of ``node``."""
+        key = (*node.interval, "finer")
+        got = self._samples.get(key)
+        if got is None:
+            got = quadrature.sample(self.evaluate_many, quadrature.finer(node)[0])
+            if cache:
+                self._samples[key] = got
+        return got
+
     def head_integral(self, alpha: float) -> float:
         if alpha < 0:
             raise DomainError("head integral bound must be nonnegative")
@@ -177,11 +230,14 @@ class ParametricForm:
             return self.constant_level * hi
         if self.cumulative is not None:
             return float(self.cumulative(hi))
-        return integrate_sentinel(self.fn, 0.0, hi,
-                                  singular_at_zero=self.singular_at_zero)
+        # the total is cached; a head up to alpha, which callers vary, is not
+        cache = hi == self.support
+        node, values = self.sampled(0.0, hi, cache)
+        return float(quadrature.integrals(values[None], node,
+                                          lambda rows: self.sampled_finer(node, cache)[None])[0][0])
 
     def head_integrals(self, alphas: np.ndarray) -> np.ndarray:
-        """``head_integral`` at each of ``alphas``, one closed form or quadrature each."""
+        """``head_integral`` at each of ``alphas``: a closed form, or the quadrature of [0, alpha]."""
         return np.array([self.head_integral(float(a)) for a in alphas])
 
     def total_integral(self) -> float:
@@ -200,7 +256,7 @@ def exp_decay() -> ParametricForm:
     return ParametricForm(
         fn=lambda t: math.exp(-t), support=INF, label="exp_decay",
         cumulative=lambda t: -math.expm1(-t) if not math.isinf(t) else 1.0,
-        inverse_cumulative=lambda s: -math.log1p(-s),
+        inverse_cumulative=lambda s: -math.log1p(-s), fn_many=lambda t: np.exp(-t),
     )
 
 
@@ -222,7 +278,8 @@ def log_reciprocal(support: float = 1.0) -> ParametricForm:
         return t * (1.0 - math.log(t / support))
 
     return ParametricForm(fn=fn, support=support, label="log_reciprocal",
-                          cumulative=cum, singular_at_zero=True)
+                          cumulative=cum, singular_at_zero=True,
+                          fn_many=lambda t: -np.log(t / support))
 
 
 def power_decay(exponent: float, support: float = 1.0) -> ParametricForm:
@@ -244,7 +301,8 @@ def power_decay(exponent: float, support: float = 1.0) -> ParametricForm:
             return support / (1.0 - exponent) * (t / support) ** (1.0 - exponent)
 
     return ParametricForm(fn=fn, support=support, label=f"power_decay({exponent:g})",
-                          cumulative=cum, singular_at_zero=True)
+                          cumulative=cum, singular_at_zero=True,
+                          fn_many=lambda t: (t / support) ** -exponent)
 
 
 def reciprocal(support: float = 1.0) -> ParametricForm:
@@ -257,7 +315,8 @@ def constant(level: float, support: float = INF) -> ParametricForm:
     if level < 0:
         raise DomainError("level must be nonnegative")
     return ParametricForm(fn=lambda t: level, support=support,
-                          label=f"constant({level:g})", constant_level=level)
+                          label=f"constant({level:g})", constant_level=level,
+                          fn_many=lambda t: np.full(t.shape, level))
 
 
 # ---------------------------------------------------------------------------

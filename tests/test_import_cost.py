@@ -1,8 +1,8 @@
-"""The algebraic commands never load scipy; the first quadrature does.
+"""The package never loads scipy, not even for a quadrature.
 
-scipy costs about half a second and 50 MB at import, and only
-``quadrature.integrate_sentinel`` uses it.  A module-level scipy import
-anywhere in the package fails this test.
+scipy costs about half a second and 50 MB at import, and the package's
+quadrature is its own numpy rule.  A scipy import anywhere in the package
+that the commands or a weighted parametric modular reach fails this test.
 """
 
 import json
@@ -23,8 +23,8 @@ for argv in json.loads(sys.argv[1]):
 before = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 from ncorlicz import WeightedContext, exp_decay, log_reciprocal, modular, power
 value = modular(log_reciprocal(1.0), power(1.0), 1.0, WeightedContext(exp_decay()))
-print(json.dumps({"before": before, "after": "scipy.integrate" in sys.modules,
-                  "value": repr(value)}))
+after = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"before": before, "after": after, "value": repr(value)}))
 """
 
 _MORPHISM = {
@@ -75,6 +75,6 @@ def test_commands_load_no_scipy_until_a_quadrature(tmp_path):
                           env=env, stdout=subprocess.PIPE, text=True, check=True)
     got = json.loads(proc.stdout.strip().splitlines()[-1])
     assert got["before"] == []
-    assert got["after"]
+    assert got["after"] == []
     want = modular(log_reciprocal(1.0), power(1.0), 1.0, WeightedContext(exp_decay()))
     assert float(got["value"]) == want

@@ -364,7 +364,17 @@ class TestCli:
                      "--tol", "1e-3"]) == 0
         dual = json.loads(capsys.readouterr().out)
         assert dual["effective_tolerances"] == {"bisect": 1e-9, "slack": 1e-3}
-        for rep in (norm, dual):
+        # singular bisects nothing; ps-check runs the quadrature rule and its tail verdict
+        assert main(["singular", "--algebra", alg, "--element", element]) == 0
+        singular = json.loads(capsys.readouterr().out)
+        assert singular["effective_tolerances"] == {}
+        assert main(["ps-check", "--mu", _write(tmp_path, "m.json", {"kind": "log_reciprocal"}),
+                     "--weight", _write(tmp_path, "w.json", {"kind": "exp_decay"})]) == 0
+        ps = json.loads(capsys.readouterr().out)
+        assert ps["effective_tolerances"] == {
+            "quadrature_rel": 1e-8, "quadrature_depth": 700.0, "quadrature_delta": 0.05,
+            "quadrature_rate": 0.2}
+        for rep in (norm, dual, singular, ps):
             jsonschema.validate(rep, _schema())
 
 

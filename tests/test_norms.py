@@ -106,8 +106,12 @@ class TestModular:
         np.testing.assert_allclose(got, [14.0, 3.5, 56.0], rtol=1e-15)
         with pytest.raises(DomainError):
             modular(mu, power(2.0), np.array([1.0, 0.0]))
-        with pytest.raises(DomainError):
-            modular(exp_decay(), power(2.0), np.array([1.0, 2.0]))
+        # parametric data take arrays too: each entry is the one-scaling modular
+        ks = np.array([1.0, 2.0, 0.5])
+        got = modular(exp_decay(), power(2.0), ks)
+        want = [modular(exp_decay(), power(2.0), float(k)) for k in ks]
+        np.testing.assert_allclose(got, want, rtol=1e-14)
+        np.testing.assert_allclose(got, 0.5 * ks ** 2, rtol=1e-13)
 
     @given(_steps(), st.lists(st.floats(0.01, 100.0), min_size=1, max_size=20))
     @settings(max_examples=60, deadline=None)
@@ -679,8 +683,9 @@ class TestMembership:
                 assert rep.member_via_laplace == expected
 
     @pytest.mark.parametrize("mu, laplace, modulars", [
-        (power_decay(0.5, 1.0), 11, 17),  # walks of 41 and 61 points that never fail
-        (log_reciprocal(1.0), 4, 4),  # each walk fails at its second point
+        # walks of 41 and 61 points that never fail: rounds of 15, 15, 11 and 15, 15, 15, 15, 1
+        (power_decay(0.5, 1.0), 3, 5),
+        (log_reciprocal(1.0), 1, 1),  # each walk fails at its second point, in its first round
     ], ids=["non-member", "member"])
     def test_walk_calls(self, monkeypatch, mu, laplace, modulars):
         import ncorlicz.norms as norms

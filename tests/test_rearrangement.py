@@ -28,7 +28,6 @@ from ncorlicz import (
     trace,
     weighted_rearrangement,
 )
-from ncorlicz.quadrature import integrate_sentinel
 from ncorlicz.rearrangement import SUBMAJOR_SLACK, _interval_masses
 from ncorlicz.sampling import (
     algebra_shapes,
@@ -300,20 +299,21 @@ class TestIntegrateSentinel:
 
     @pytest.mark.parametrize("singular_at_zero", [False, True])
     def test_integrand_errors_propagate_unchanged(self, singular_at_zero):
-        # DomainError is also a ValueError, which scipy's own failures raise
+        # DomainError is also a ValueError, which the sampler turns into NumericError
         def f(t):
             if t > 0.5:
                 raise DomainError("outside the integrand's domain")
             return 1.0
 
+        mu = ParametricForm(fn=f, support=1.0, singular_at_zero=singular_at_zero)
         with pytest.raises(DomainError, match="outside the integrand's domain"):
-            integrate_sentinel(f, 0.0, 1.0, singular_at_zero=singular_at_zero)
+            mu.total_integral()
 
     def test_a_failed_quadrature_is_not_a_divergence(self):
-        # math.exp overflows above t = 0.71; the dyadic head test near 0 sees a
-        # bounded integrand
+        # math.exp overflows above t = 0.71: an arithmetic failure, not a sample of +inf
+        mu = ParametricForm(fn=lambda t: math.exp(1e3 * t), support=1.0, singular_at_zero=True)
         with pytest.raises(NumericError, match="quadrature failed"):
-            integrate_sentinel(lambda t: math.exp(1e3 * t), 0.0, 1.0, singular_at_zero=True)
+            mu.total_integral()
 
 
 class TestWeightedContext:
@@ -323,7 +323,7 @@ class TestWeightedContext:
             want = 1.0 - math.exp(-t)
             assert ctx.F(t) == pytest.approx(want, abs=1e-12)
         # quadrature oracle, independent of the stored closed form
-        got = integrate_sentinel(lambda s: math.exp(-s), 0.0, 2.0)
+        got = ParametricForm(fn=lambda s: math.exp(-s), support=2.0).total_integral()
         assert ctx.F(2.0) == pytest.approx(got, abs=1e-10)
 
     def test_limits(self):
