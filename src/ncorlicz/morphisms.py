@@ -215,8 +215,7 @@ def absolute_continuity_check(J: JordanMorphism,
 
 def _density_dual_norm(J: JordanMorphism, f: AlgebraElement, psi: OrliczFunction) -> float:
     """Amemiya norm of the trace density f in the conjugate gauge; 0 for f = 0."""
-    mu_f = singular_values(J.source, f)
-    return 0.0 if mu_f.is_zero else amemiya_norm(mu_f, conjugate(psi))
+    return amemiya_norm(singular_values(J.source, f), conjugate(psi))
 
 
 def dual_gauge_bound(J: JordanMorphism, psi: OrliczFunction) -> float:

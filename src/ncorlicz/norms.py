@@ -105,29 +105,38 @@ def _grouped(keys, size: int) -> list[list[int]]:
     return groups
 
 
-def _step_rows(mus: Sequence[StepForm], ctx: Optional[WeightedContext]):
-    """The nonzero step forms grouped by live piece count, zero-padding none.
+def _rows(mus: Sequence[RearrangementFunction], ctx: Optional[WeightedContext],
+          phi: OrliczFunction):
+    """The nonzero forms in groups of one solve: (input indices, seeds, modular_at).
 
-    Yields (input indices, values, masses) with one row per form and at most
-    ROWS_PER_SOLVE rows.  Rows of one group share a shape, so every row is
-    evaluated by exactly the numpy calls of its one-form solve, and its
-    value is bit for bit the same.
+    ``modular_at(rows, inv_scales)`` gives the modulars of the group's rows
+    numbered ``rows`` at the matching rows of scalings, and the seeds are
+    the forms' sup values.  Each parametric form is a one-row group over its
+    cached quadrature samples.  Step forms are grouped by live piece count,
+    zero-padding none, at most ROWS_PER_SOLVE rows to a group: rows of one
+    group share a shape, so every row is evaluated by exactly the numpy
+    calls of its one-form solve, and its value is bit for bit the same.
+    Zero forms are left out, so their norms stay 0.
     """
     pieces = {}
     for i, mu in enumerate(mus):
-        if not isinstance(mu, StepForm):
-            raise DomainError("a many-form solve needs step data")
-        if not mu.is_zero:
+        if mu.is_zero:
+            continue
+        if isinstance(mu, StepForm):
             pieces[i] = _live_pieces(mu, ctx)
+        else:
+            yield (np.array([i]), np.array([mu.sup_value]),
+                   lambda rows, inv_scales, mu=mu: modular(mu, phi, inv_scales[0], ctx)[None])
     live = list(pieces)
     for group in _grouped((pieces[i][0].size for i in live), ROWS_PER_SOLVE):
         idx = [live[g] for g in group]
-        yield (np.array(idx), np.array([pieces[i][0] for i in idx]),
-               np.array([pieces[i][1] for i in idx]))
+        yield (np.array(idx), np.array([mus[i].sup_value for i in idx]),
+               _step_rows_modular(np.array([pieces[i][0] for i in idx]),
+                                  np.array([pieces[i][1] for i in idx]), phi))
 
 
 def _step_rows_modular(values: np.ndarray, masses: np.ndarray, phi: OrliczFunction):
-    """``modular(rows, inv_scales)`` over one group of ``_step_rows``.
+    """``modular_at(rows, inv_scales)`` over rows of step data.
 
     A NaN raises at once the error of its row's first NaN: in a one-row
     solve, the error of the one-form solve.
@@ -261,9 +270,7 @@ def modular(mu: RearrangementFunction, phi: OrliczFunction, inv_scale,
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(mu, StepForm):
             values, masses = _live_pieces(mu, ctx)
-            out = _step_modular(values[None], masses[None], phi, flat)[0]
-            if math.isnan(out.sum()):
-                raise _nan_error(phi, values, flat[0])
+            out = _step_rows_modular(values[None], masses[None], phi)(np.arange(1), flat)[0]
         else:
             out = np.full(scales.size, INF)
             # phi(k mu) = +inf on some (0, eps), which every admissible weight charges
@@ -329,10 +336,10 @@ def _check_tol(tol: float) -> None:
         raise DomainError("tol must lie in (0, 1e-3]")
 
 
-def luxemburg_norms(mus: Sequence[StepForm], phi: OrliczFunction,
+def luxemburg_norms(mus: Sequence[RearrangementFunction], phi: OrliczFunction,
                     ctx: Optional[WeightedContext] = None,
                     tol: float = DEFAULT_TOL) -> np.ndarray:
-    """``luxemburg_norm`` of many step forms: one solve per group of ``_step_rows``.
+    """``luxemburg_norm`` of many forms: one solve per group of ``_rows``.
 
     Each value is bit for bit the one-form value; errors follow
     ``batch_or_loop``.
@@ -341,9 +348,8 @@ def luxemburg_norms(mus: Sequence[StepForm], phi: OrliczFunction,
 
     def solve(forms):
         out = np.zeros(len(forms))
-        for idx, values, masses in _step_rows(forms, ctx):
-            out[idx] = _norm_bisect_rows(_feasible(_step_rows_modular(values, masses, phi)),
-                                         np.array([forms[i].sup_value for i in idx]), tol)
+        for idx, seeds, modular_at in _rows(forms, ctx, phi):
+            out[idx] = _norm_bisect_rows(_feasible(modular_at), seeds, tol)
         if np.isnan(out).any():
             raise UnboundedNormError(_NO_SCALING)
         return out
@@ -356,23 +362,11 @@ def luxemburg_norm(mu: RearrangementFunction, phi: OrliczFunction,
                    tol: float = DEFAULT_TOL) -> float:
     """inf{lam > 0 : modular(mu, phi, 1/lam, ctx) <= 1}; 0 for vanishing mu.
 
-    Step data are the one-row case of ``luxemburg_norms``.  Parametric data
-    take the same walks and cut, one ``modular`` pass over the cached
-    quadrature samples per 15-point round.
+    The one-row case of ``luxemburg_norms``: step data answer each 15-point
+    round in one numpy pass, parametric data in one ``modular`` pass over
+    their cached quadrature samples.
     """
-    if isinstance(mu, StepForm):
-        return float(luxemburg_norms([mu], phi, ctx, tol)[0])
-    _check_tol(tol)
-    if mu.is_zero:
-        return 0.0
-
-    def modular_at(rows, inv_scales):
-        return modular(mu, phi, inv_scales[0], ctx)[None]
-
-    norm = float(_norm_bisect_rows(_feasible(modular_at), np.array([mu.sup_value]), tol)[0])
-    if math.isnan(norm):
-        raise UnboundedNormError(_NO_SCALING)
-    return norm
+    return float(luxemburg_norms([mu], phi, ctx, tol)[0])
 
 
 def kunze_norms(elements: Sequence[AlgebraElement], phi: OrliczFunction,
@@ -430,19 +424,19 @@ def kunze_norm(alg: TracedAlgebra, a: AlgebraElement, phi: OrliczFunction,
     return float(kunze_norms([a], phi, tol)[0])
 
 
-def amemiya_norms(mus: Sequence[StepForm], phi: OrliczFunction,
+def amemiya_norms(mus: Sequence[RearrangementFunction], phi: OrliczFunction,
                   ctx: Optional[WeightedContext] = None,
                   tol: float = DEFAULT_TOL) -> np.ndarray:
-    """``amemiya_norm`` of many step forms: one convex search per group of ``_step_rows``.
+    """``amemiya_norm`` of many forms: one convex search per group of ``_rows``.
 
     Each value is bit for bit the one-form value; errors follow
     ``batch_or_loop``.
     """
+    _check_tol(tol)
 
     def solve(forms):
         out = np.zeros(len(forms))
-        for idx, values, masses in _step_rows(forms, ctx):
-            modular_at = _step_rows_modular(values, masses, phi)
+        for idx, _, modular_at in _rows(forms, ctx, phi):
 
             def objective(rows, s, modular_at=modular_at):
                 k = AMEMIYA_K_CAP / s
@@ -460,7 +454,7 @@ def amemiya_norms(mus: Sequence[StepForm], phi: OrliczFunction,
 def amemiya_norm(mu: RearrangementFunction, phi: OrliczFunction,
                  ctx: Optional[WeightedContext] = None,
                  tol: float = DEFAULT_TOL) -> float:
-    """inf_{k>0} (1 + modular(mu, phi, k, ctx)) / k for step data.
+    """inf_{k>0} (1 + modular(mu, phi, k, ctx)) / k; 0 for vanishing mu.
 
     The objective is convex in s = K_CAP / k (a perspective of the modular),
     searched from s = 2^0, ..., 2^(30 + BRACKET_LIMIT).  The value lies at
@@ -469,8 +463,6 @@ def amemiya_norm(mu: RearrangementFunction, phi: OrliczFunction,
     reported at the k-cap; an objective infinite for all probed k raises
     UnboundedNormError.  The one-row case of ``amemiya_norms``.
     """
-    if not isinstance(mu, StepForm):
-        raise DomainError("the Amemiya norm needs step data")
     return float(amemiya_norms([mu], phi, ctx, tol)[0])
 
 
@@ -591,9 +583,12 @@ def laplace_probe(mu_g: RearrangementFunction, ctx: WeightedContext, s):
     the result is then the array of probes: one numpy pass over the pieces
     of step data, or over the cached quadrature samples of parametric data.
     For s < 0 the result lies in (0, mass], so only s > 0 can diverge, and
-    ``quant_membership`` probes that side alone.
+    ``quant_membership`` probes that side alone.  A NaN exponent raises
+    DomainError.
     """
     exponents = np.asarray(s, dtype=float)
+    if np.isnan(exponents).any():
+        raise DomainError(f"s must not be NaN, got {s}")
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(mu_g, StepForm):
             values, masses = _live_pieces(mu_g, ctx)

@@ -127,12 +127,16 @@ def power_over_p(p: float) -> OrliczFunction:
 def cosh_minus_one() -> OrliczFunction:
     """phi(t) = cosh t - 1; the gauge of exponential-moment regularity."""
 
+    # Each form avoids the cancellation of cosh u - 1 and its kin near 0,
+    # where they read 0 for u below about 1e-8, and the hypot avoids the
+    # overflow of u * u above about 1.3e154.
     def vec(u):
-        return np.cosh(u) - 1.0
+        return 2.0 * np.sinh(0.5 * u) ** 2
 
     def conj_vec(u):
-        # sup_v(uv - cosh v + 1) attained at v = arcsinh u
-        return u * np.arcsinh(u) - np.sqrt(1.0 + u * u) + 1.0
+        # sup_v(uv - cosh v + 1) attained at v = arcsinh u:
+        # u arcsinh u - (sqrt(1 + u^2) - 1)
+        return u * (np.arcsinh(u) - u / (np.hypot(1.0, u) + 1.0))
 
     def conj():
         return OrliczFunction(
@@ -150,7 +154,7 @@ def cosh_minus_one() -> OrliczFunction:
         delta2_all_t=False, delta2_constant=None,
         _vector=vec,
         _conjugate_factory=conj,
-        _inverse_closed=lambda t: math.acosh(1.0 + t),
+        _inverse_closed=lambda t: 2.0 * math.asinh(math.sqrt(0.5 * t)),
     )
 
 

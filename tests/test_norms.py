@@ -75,6 +75,18 @@ def _steps(draw):
     return StepForm.from_raw(durations, values)
 
 
+def _catalog():
+    """One datum of each kind: a step form and the parametric catalog."""
+    return [StepForm.from_raw([0.5, 1.0, 2.0], [3.0, 1.0, 0.25]), log_reciprocal(),
+            power_decay(0.5), reciprocal(), exp_decay(), constant(2.0)]
+
+
+def _catalog_contexts():
+    """Lebesgue measure, an exponential weight and a step weight."""
+    return [None, WeightedContext(exp_decay()),
+            WeightedContext(StepForm.from_raw([1.0, 2.0], [1.0, 0.5]))]
+
+
 class TestModular:
     def test_step_exact_sum(self):
         mu = StepForm.from_raw([1.0, 1.0, 1.0], [3.0, 2.0, 1.0])
@@ -92,6 +104,12 @@ class TestModular:
     def test_invalid_scale(self):
         with pytest.raises(DomainError):
             modular(StepForm.from_raw([1.0], [1.0]), power(2.0), 0.0)
+
+    def test_log_under_cosh_at_small_scalings(self):
+        # the integral of cosh(k log(1/t)) - 1 over (0, 1) is k^2 / (1 - k^2)
+        ks = np.logspace(-150, -4, 60)
+        got = modular(log_reciprocal(1.0), cosh_minus_one(), ks)
+        np.testing.assert_allclose(got, ks ** 2 / (1 - ks ** 2), rtol=1e-15, atol=0)
 
     def test_nan_gauge_is_an_error(self):
         mu = StepForm.from_raw([0.5, 0.5], [4.0, 1.0])
@@ -351,10 +369,51 @@ class TestAmemiya:
             ame = amemiya_norm(mu, phi)
             assert lux * (1.0 - 1e-8) <= ame <= 2.0 * lux * (1.0 + 1e-8)
 
-    def test_parametric_data_rejected(self):
-        for mu in (exp_decay(), constant(1.0), reciprocal()):
-            with pytest.raises(DomainError):
-                amemiya_norm(mu, power(2.0))
+    def test_parametric_closed_forms(self):
+        # under t^p the least (1 + k^p M) / k, M the p-th moment, is
+        # p / (p - 1) ((p - 1) M)^(1/p), which is p (p - 1)^(1/p - 1) times
+        # the Luxemburg norm M^(1/p); under cosh - 1 the modular of -log t is
+        # k^2 / (1 - k^2): L = sqrt(2), and (1 + modular) / k is least at
+        # k = 1/sqrt(3), where it is 3 sqrt(3) / 2
+        assert amemiya_norm(exp_decay(), power(2.0)) == pytest.approx(math.sqrt(2.0),
+                                                                      rel=1e-14)
+        c = cosh_minus_one()
+        assert amemiya_norm(log_reciprocal(), c) == pytest.approx(1.5 * math.sqrt(3.0),
+                                                                  rel=1e-13)
+        assert luxemburg_norm(log_reciprocal(), c) == pytest.approx(math.sqrt(2.0), rel=1e-9)
+        cube = power(3.0)
+        for ctx in _catalog_contexts():
+            for mu in (log_reciprocal(), power_decay(0.3, 2.0), exp_decay(), constant(2.0, 3.0)):
+                ratio = amemiya_norm(mu, cube, ctx) / luxemburg_norm(mu, cube, ctx)
+                assert ratio == pytest.approx(3.0 * 2.0 ** (-2.0 / 3.0), rel=1e-8)
+
+    def test_sandwich_on_the_catalog(self):
+        # L <= A <= 2L for both kinds of data under every norm gauge and
+        # weight, and a norm is unbounded exactly when the other one is
+        unbounded = 0
+        for ctx in _catalog_contexts():
+            for phi in _norm_gauges():
+                for mu in _catalog():
+                    try:
+                        lux = luxemburg_norm(mu, phi, ctx)
+                    except UnboundedNormError:
+                        unbounded += 1
+                        with pytest.raises(UnboundedNormError):
+                            amemiya_norm(mu, phi, ctx)
+                        continue
+                    ame = amemiya_norm(mu, phi, ctx)
+                    assert lux * (1.0 - 1e-8) <= ame <= 2.0 * lux * (1.0 + 1e-8)
+        # reciprocal() 15 times, power_decay(0.5) under all gauges but t 12 times,
+        # constant(2.0) under Lebesgue measure 5 times, log_reciprocal() under the cap 3 times
+        assert unbounded == 35
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, 0.5, 10.0])
+    def test_tolerance_domain(self, tol):
+        mu = StepForm.from_raw([1.0, 2.0], [3.0, 1.0])
+        with pytest.raises(DomainError):
+            amemiya_norm(mu, power(2.0), tol=tol)
+        with pytest.raises(DomainError):
+            amemiya_norms([mu, exp_decay()], power(2.0), tol=tol)
 
     def test_sup_type_conjugate_gauge(self):
         # conjugate of the linear gauge turns Amemiya into the sup value
@@ -524,9 +583,36 @@ class TestManyForms:
         assert isinstance(_first_error(lambda t: holder_check(*t, phi), triples),
                           UnboundedNormError)
 
-    def test_parametric_data_rejected(self):
-        with pytest.raises(DomainError):
-            luxemburg_norms([StepForm.from_raw([1.0], [1.0]), exp_decay()], power(2.0))
+    def test_mixed_kinds_are_the_one_form_loop(self):
+        # parametric forms are one-row groups among the step groups; a batch
+        # that fails raises what the one-form loop raises first
+        step = StepForm.from_raw([0.5, 1.0, 2.0], [3.0, 1.0, 0.25])
+        mus = [exp_decay(), step, log_reciprocal(), StepForm.from_raw([], []), constant(0.0),
+               power_decay(0.3, 2.0), step.scaled(0.5), constant(2.0, 3.0)]
+        failing = 0
+        for ctx in _catalog_contexts():
+            for phi in _many_gauges():
+                for many, one in ((luxemburg_norms, luxemburg_norm),
+                                  (amemiya_norms, amemiya_norm)):
+                    want = _first_error(lambda mu: one(mu, phi, ctx), mus)
+                    if want is None:
+                        assert many(mus, phi, ctx).tolist() == [one(mu, phi, ctx) for mu in mus]
+                    else:
+                        failing += 1
+                        _raises_like(lambda: many(mus, phi, ctx), want)
+        # power_decay(0.3, 2.0) has no finite norm under cosh - 1 or the cap
+        assert failing == 12
+
+    def test_mixed_kinds_raise_the_first_error(self):
+        phi = _nan_above_a_million()
+        fine = StepForm.from_raw([1.0, 0.5], [2.0, 1.0])
+        nan = StepForm.from_raw([1e-14], [1.0])  # its down walk meets 2^20 >= 1e6
+        for mus in ([exp_decay(), reciprocal(), nan], [fine, nan, reciprocal(), exp_decay()],
+                    [log_reciprocal(), constant(2.0), fine], [constant(2.0), nan]):
+            for many, one in ((luxemburg_norms, luxemburg_norm), (amemiya_norms, amemiya_norm)):
+                want = _first_error(lambda mu: one(mu, phi), mus)
+                assert want is not None
+                _raises_like(lambda: many(mus, phi), want)
 
 
 class TestHolder:
@@ -650,6 +736,19 @@ class TestLaplace:
                 for mu in mus:
                     for s in (1.0, 0.5, 2.0 ** -40):
                         assert 0 < laplace_probe(mu, ctx, -s) <= ctx.mass
+
+    @pytest.mark.parametrize("s", [math.nan, np.array([0.5, math.nan])])
+    def test_nan_exponent_rejected(self, monkeypatch, s):
+        import ncorlicz.norms as norms
+
+        def no_integral(*args):
+            raise AssertionError("integrated before the check")
+
+        monkeypatch.setattr(norms, "_weighted_integral", no_integral)
+        ctx = WeightedContext(exp_decay())
+        for mu in (StepForm.from_raw([1.0], [2.0]), log_reciprocal()):
+            with pytest.raises(DomainError):
+                laplace_probe(mu, ctx, s)
 
     def test_log_under_step_weights_matches_closed_form(self):
         # exp(-s log t) = t^{-s}: sum of w_i (b_i^{1-s} - a_i^{1-s}) / (1 - s) over the

@@ -202,6 +202,37 @@ class TestFormalInverse:
             formal_inverse(power(2.0), -1.0)
 
 
+class TestCoshFamilyAtBothEnds:
+    """cosh - 1, its conjugate and its inverse against their series near 0.
+
+    Below about 1.5e-154 the squares are subnormal, so the small-end range
+    starts at 1e-150 for the gauge and the conjugate.
+    """
+
+    def test_gauge_near_zero(self):
+        u = np.logspace(-150, -4, 200)
+        got = cosh_minus_one().eval_many(u)
+        np.testing.assert_allclose(got, u * u / 2 + u ** 4 / 24, rtol=1e-14, atol=0)
+
+    def test_conjugate_near_zero(self):
+        u = np.logspace(-150, -4, 200)
+        got = conjugate(cosh_minus_one()).eval_many(u)
+        np.testing.assert_allclose(got, u * u / 2 - u ** 4 / 24, rtol=1e-14, atol=0)
+
+    def test_inverse_near_zero(self):
+        phi = cosh_minus_one()
+        for t in np.logspace(-300, -4, 200).tolist():
+            want = math.sqrt(2 * t) * (1 - t / 12 + 3 * t * t / 160)
+            assert formal_inverse(phi, t) == pytest.approx(want, rel=1e-14, abs=0)
+
+    def test_conjugate_finite_and_increasing_up_to_1e300(self):
+        got = conjugate(cosh_minus_one()).eval_many(np.logspace(-4, 300, 2000))
+        assert np.isfinite(got).all() and (got > 0).all() and (np.diff(got) > 0).all()
+        # u asinh(u) - u + O(1) at the float ceiling, where u * u overflows
+        assert conjugate(cosh_minus_one())(1e160) == pytest.approx(
+            1e160 * (math.asinh(1e160) - 1.0), rel=1e-15)
+
+
 class TestThresholdDetection:
     def test_finiteness_cap_of_custom_gauge(self):
         phi = custom(lambda t: t if t <= 0.7 else INF, name="cap_0.7")
