@@ -282,10 +282,25 @@ def modular(mu: RearrangementFunction, phi: OrliczFunction, inv_scale,
                 if phi.a_phi > 0:
                     top = mu.support if weight is None else min(mu.support, weight.support)
                     ends = _preimages(mu, phi.a_phi / k, top)
-                out[live] = _weighted_integral(
-                    lambda values, rows: phi.eval_many(k[rows, None] * values),
-                    mu, weight, k.size, ends)
+                out[live] = _weighted_integral(_parametric_integrand(phi, k), mu, weight, k.size,
+                                               ends)
     return out.reshape(scales.shape) if scales.ndim else float(out[0])
+
+
+def _parametric_integrand(phi: OrliczFunction, k: np.ndarray):
+    """h(values, rows) = phi(k[rows] * values), one row per scaling.
+
+    A NaN from the gauge raises the step data's error at its first argument;
+    a NaN among mu's values is left to the quadrature's own error.
+    """
+
+    def h(values, rows):
+        f = phi.eval_many(k[rows, None] * values)
+        if math.isnan(np.add.reduce(f, axis=None)) and not np.isnan(values).any():
+            raise _nan_error(phi, values, k[rows])
+        return f
+
+    return h
 
 
 def _feasible(modular_at):

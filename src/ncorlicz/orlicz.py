@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, InvalidOrliczError, NumericError
-from .solve import bisect, bracket, minimize
+from .solve import bisect_rows, bracket_rows, minimize
 
 INF = math.inf
 
@@ -271,9 +271,9 @@ def custom(evaluate: Callable[[float], float], *, name: str = "custom",
     """
     vec = np.vectorize(lambda u: float(evaluate(float(u))), otypes=[float])
     if b_phi is None:
-        b_phi = _detect_finiteness_cap(evaluate)
+        b_phi = _detect_finiteness_cap(vec)
     if a_phi is None:
-        a_phi = _detect_largest_zero(evaluate, b_phi)
+        a_phi = _detect_largest_zero(vec, b_phi)
     vb = float(evaluate(b_phi)) if b_phi < INF else INF
     return OrliczFunction(
         kind=name, a_phi=a_phi, b_phi=b_phi, value_at_b=vb,
@@ -282,21 +282,24 @@ def custom(evaluate: Callable[[float], float], *, name: str = "custom",
     )
 
 
-def _detect_finiteness_cap(fn) -> float:
-    def finite(u: float) -> bool:
-        return not math.isinf(fn(u))
+def _detect_finiteness_cap(vec) -> float:
+    """b_phi of the vectorized gauge ``vec``, to within two ulps; NaN counts as finite."""
+
+    def infinite(rows, u):
+        return np.isinf(vec(u))
 
     # halve from 1 down to 2**-40 < 1e-12 looking for a finite value
-    found = bracket(lambda u: not finite(u), 1.0, 0.5, 40)
-    if found is None:
+    first_finite = bracket_rows(infinite, np.array([1.0]), 0.5, 40)[1]
+    if math.isnan(first_finite[0]):
         raise InvalidOrliczError("gauge is infinite on all of (0, inf)")
-    if finite(DETECT_TOP):
+    if not np.isinf(vec(DETECT_TOP)):
         return INF
-    return bisect(finite, found[1], DETECT_TOP, rtol=2.0 ** -52, atol=math.ulp(0.0))
+    return float(bisect_rows(lambda rows, u: ~infinite(rows, u), first_finite,
+                             np.array([DETECT_TOP]), rtol=2.0 ** -52, atol=math.ulp(0.0))[0])
 
 
-def _detect_largest_zero(fn, b_phi: float) -> float:
-    """a_phi of ``fn``, to within two ulps; 0 for a zero below the walk's start.
+def _detect_largest_zero(vec, b_phi: float) -> float:
+    """a_phi of the vectorized gauge ``vec``, to within two ulps; 0 below the walk's start.
 
     The walk doubles from min(DETECT_TOL, b_phi / 2) up to b_phi, so a zero
     below that start reads as 0, as the float underflow of t^p near 0 does.
@@ -304,18 +307,18 @@ def _detect_largest_zero(fn, b_phi: float) -> float:
     """
     hi = min(b_phi, DETECT_TOP)
 
-    def zero(u: float) -> bool:
-        return fn(min(u, hi)) == 0.0
+    def zero(rows, u):
+        return vec(np.minimum(u, hi)) == 0.0
 
     # double from below 1e-12 until the walk reaches hi
     u = min(DETECT_TOL, hi / 2)
-    found = bracket(zero, u, 2.0, math.ceil(math.log2(hi / u)))
-    if found is None:
+    last, first_positive = bracket_rows(zero, np.array([u]), 2.0, math.ceil(math.log2(hi / u)))
+    if math.isnan(first_positive[0]):
         raise InvalidOrliczError("gauge is identically zero on (0, inf)")
-    last, first_positive = found
-    if last is None:
+    if math.isnan(last[0]):
         return 0.0
-    return bisect(zero, last, min(first_positive, hi), rtol=2.0 ** -52, atol=math.ulp(0.0))
+    return float(bisect_rows(zero, last, np.minimum(first_positive, hi),
+                             rtol=2.0 ** -52, atol=math.ulp(0.0))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -395,28 +398,35 @@ def _numeric_conjugate(phi: OrliczFunction) -> OrliczFunction:
 
 
 def formal_inverse(phi: OrliczFunction, t: float) -> float:
-    """sup{s : phi(s) <= t}; equals b_phi for t at or beyond the cap value."""
+    """sup{s : phi(s) <= t}; equals a_phi at t = 0 and b_phi for t at or beyond the cap value.
+
+    Without a closed form, a doubling walk and a bisection to relative
+    BISECT_RTOL (and one subnormal absolute, so a boundary near 0 still ends).
+    """
     if t < 0:
         raise DomainError(f"formal inverse argument must be nonnegative, got {t}")
+    if t == 0:
+        return phi.a_phi
     if phi._inverse_closed is not None:
         s = phi._inverse_closed(t)
         return min(s, phi.b_phi)
     if phi.b_phi < INF and t >= phi.value_at_b:
         return phi.b_phi
 
-    def below(s: float) -> bool:
-        return eval_gauge(phi, s) <= t
+    def below(rows, s):
+        return phi.eval_many(s) <= t
 
     lo = phi.a_phi
-    if phi.b_phi < INF:
-        hi = phi.b_phi
-    else:
-        start = max(1.0, 2.0 * lo)
-        found = bracket(below, start, 2.0, int(math.log2(1e154 / start)))
-        if found is None:
-            raise NumericError("formal inverse bracket exceeded 1e154")
-        hi = found[1]
-    return bisect(below, lo, hi, rtol=BISECT_RTOL, atol=BISECT_RTOL)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if phi.b_phi < INF:
+            hi = phi.b_phi
+        else:
+            start = max(1.0, 2.0 * lo)
+            hi = bracket_rows(below, np.array([start]), 2.0, int(math.log2(1e154 / start)))[1][0]
+            if math.isnan(hi):
+                raise NumericError("formal inverse bracket exceeded 1e154")
+        return float(bisect_rows(below, np.array([lo]), np.array([hi]),
+                                 rtol=BISECT_RTOL, atol=math.ulp(0.0))[0])
 
 
 def compose_orlicz(psi: OrliczFunction, phi2: OrliczFunction) -> OrliczFunction:

@@ -17,7 +17,7 @@ import numpy as np
 from . import quadrature
 from .algebra import AlgebraElement, TracedAlgebra
 from .errors import DomainError, NumericError, StructuralError, batch_or_loop
-from .solve import bisect, bracket
+from .solve import bisect_rows, bracket_rows
 
 INF = math.inf
 SUBMAJOR_SLACK = 1e-10
@@ -415,15 +415,14 @@ class WeightedContext:
         if w.inverse_cumulative is not None:
             return float(w.inverse_cumulative(s))
 
-        def below(t: float) -> bool:
-            return self.F(t) <= s
+        def below(rows, t):
+            return w.head_integrals(t.ravel()).reshape(t.shape) <= s
 
         # doublings from 1 stop at 2**1023, the largest finite power of two
-        found = bracket(below, 1.0, 2.0, 1023)
-        if found is None:
+        last, hi = bracket_rows(below, np.array([1.0]), 2.0, 1023)
+        if math.isnan(hi[0]):
             raise NumericError(f"running weight integral never exceeds {s}")
-        last, hi = found
-        return bisect(below, 0.0 if last is None else last, hi, rtol=1e-12, atol=1e-12)
+        return float(bisect_rows(below, np.nan_to_num(last), hi, rtol=1e-12, atol=1e-12)[0])
 
     def piece_masses(self, breakpoints: np.ndarray) -> np.ndarray:
         """Weight mass of each interval between consecutive breakpoints (0-prepended)."""

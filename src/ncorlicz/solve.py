@@ -9,12 +9,12 @@ first fails; ``bisect_rows`` cuts a (holds, fails) pair into BATCH + 1
 equal parts a round until it is within the caller's tolerance.  Callers keep
 their own tolerances and their own answer to a walk that never ends.
 
-Both solve independent problems, one per row: the predicate gets BATCH
-points of every unfinished row as one array, so the norm solves of a corpus
-share each numpy pass, and a row's answer is bit for bit its one-row call's.
-``bracket`` and ``bisect`` take the same points on a one-point predicate,
-which answers a round by binary search over a list of its points, in four
-calls and without numpy.
+Both solve independent problems, one per row: the predicate
+``holds(rows, points)`` gets BATCH points of every unfinished row as one
+array, so the norm solves of a corpus share each numpy pass, and a row's
+answer is bit for bit its one-row call's.  A search of one point, such as a
+formal inverse or a detected threshold, is the one-row call: one predicate
+call a round on one row of that round's points.
 
 ``minimize`` finds and certifies the least values of many convex functions
 at once: the Amemiya norm and the values of a numeric conjugate.
@@ -23,7 +23,6 @@ at once: the Amemiya norm and the values of a numeric conjugate.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -42,67 +41,9 @@ _FRACTION_LIST = _FRACTIONS.tolist()
 _ONE_ROW = np.arange(1)
 
 
-def bracket(holds, x: float, factor: float,
-            limit: int) -> Optional[tuple[Optional[float], float]]:
-    """Multiply x by ``factor`` while ``holds(x)``: the walk of a one-row ``bracket_rows``.
-
-    ``holds`` answers for one point and holds, then fails, along the walk
-    x * factor**i, i = 0, ..., limit.  Returns (the last point that held, or
-    None when x itself failed; the first point that failed), or None when
-    every tried point held.
-    """
-    last, first = _bracket_one_row(_first_failing(holds), float(x), factor, limit)
-    if math.isnan(first):
-        return None
-    return (None if math.isnan(last) else last), first
-
-
-def bisect(holds, yes: float, no: float, rtol: float, atol: float = 0.0) -> float:
-    """Boundary of ``holds`` between ``yes`` (holds) and ``no`` (fails).
-
-    The cut of a one-row ``bisect_rows`` on a one-point predicate: each
-    round cuts the pair 16 ways in four calls, keeping ``holds(yes)`` true
-    and ``holds(no)`` false, until
-    |no - yes| <= atol + rtol * max(|yes|, |no|); returns ``yes``.
-    """
-    return _bisect_one_row(_first_failing(holds), float(yes), float(no), rtol, atol)
-
-
-def _first_failing(holds):
-    """A round of a one-point ``holds``: the index of its first failing point.
-
-    Binary search over the round's points, along which ``holds`` holds,
-    then fails: four calls for BATCH points, and len(points) when none
-    fails.
-    """
-
-    def first(points: list) -> int:
-        lo, hi = 0, len(points)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if holds(points[mid]):
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
-    return first
-
-
-def _first_failing_row(holds):
-    """A round of a rows ``holds`` on its one row: the index of the first failing point."""
-
-    def first(points: list) -> int:
-        fails = ~holds(_ONE_ROW, np.array([points]))[0]
-        i = int(fails.argmax())
-        return i if fails[i] else len(points)
-
-    return first
-
-
 def bracket_rows(holds, x: np.ndarray, factor: float,
                  limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """The walk of ``bracket`` for independent problems, one per entry of x.
+    """Geometric walks of independent problems, one per entry of x, until each first fails.
 
     ``holds(rows, points)`` answers, for the problems numbered ``rows``,
     whether each holds at the matching row of ``points``.  Each round gives
@@ -114,7 +55,7 @@ def bracket_rows(holds, x: np.ndarray, factor: float,
     """
     x = np.array(x, dtype=float)
     if x.size == 1:
-        last, first = _bracket_one_row(_first_failing_row(holds), float(x[0]), factor, limit)
+        last, first = _bracket_one_row(holds, float(x[0]), factor, limit)
         return np.array([last]), np.array([first])
     last, first = np.full(x.size, np.nan), np.full(x.size, np.nan)
     rows, held = np.arange(x.size), last.copy()
@@ -140,16 +81,16 @@ def bisect_rows(holds, yes: np.ndarray, no: np.ndarray, rtol: float,
                 atol: float = 0.0) -> np.ndarray:
     """The boundaries of independent problems, one per entry of ``yes``.
 
-    Each problem keeps its own pair, its own grid and the stopping rule of
-    ``bisect``.  A round gives ``holds(rows, points)`` BATCH evenly spaced
-    interior points of each unfinished pair; the new pair is the first
-    failing point and the point before it.  A finished problem is not
-    evaluated again.  Returns the ``yes`` ends.
+    Each problem's pair (``yes`` holds, ``no`` fails) is cut until
+    |no - yes| <= atol + rtol * max(|yes|, |no|).  A round gives
+    ``holds(rows, points)`` BATCH evenly spaced interior points of each
+    unfinished pair; the new pair is the first failing point and the point
+    before it.  A finished problem is not evaluated again.  Returns the
+    ``yes`` ends.
     """
     out = np.array(yes, dtype=float)
     if out.size == 1:
-        return np.array([_bisect_one_row(_first_failing_row(holds), float(out[0]), float(no[0]),
-                                         rtol, atol)])
+        return np.array([_bisect_one_row(holds, float(out[0]), float(no[0]), rtol, atol)])
     rows, y, n = np.arange(out.size), out.copy(), np.array(no, dtype=float)
     while rows.size:
         going = np.abs(n - y) > atol + rtol * np.maximum(np.abs(y), np.abs(n))
@@ -173,30 +114,31 @@ def bisect_rows(holds, yes: np.ndarray, no: np.ndarray, rtol: float,
 # call, kept in Python floats.  A numpy operation on a one-element array
 # costs as much as on a hundred, and the rows bookkeeping takes about twenty
 # of them per round, more than a one-row solve spends in its predicate.
-# ``first(points)`` answers a round: the index of its first failing point,
-# len(points) when none fails.
+# A round is one call of ``holds`` on the one row of its points.
 
-def _bracket_one_row(first, x: float, factor: float, limit: int) -> tuple[float, float]:
+def _bracket_one_row(holds, x: float, factor: float, limit: int) -> tuple[float, float]:
     last, left = math.nan, limit + 1
     while left > 0:
         points = [x]
         for _ in range(min(BATCH, left) - 1):
             points.append(points[-1] * factor)
         left -= len(points)
-        i = first(points)
-        if i < len(points):
+        fails = ~holds(_ONE_ROW, np.array([points]))[0]
+        i = int(fails.argmax())
+        if fails[i]:
             return (points[i - 1] if i else last), points[i]
         last = points[-1]
         x = last * factor
     return last, math.nan
 
 
-def _bisect_one_row(first, yes: float, no: float, rtol: float, atol: float) -> float:
+def _bisect_one_row(holds, yes: float, no: float, rtol: float, atol: float) -> float:
     while abs(no - yes) > atol + rtol * max(abs(yes), abs(no)):
         gap = no - yes
         points = [yes + gap * f for f in _FRACTION_LIST]
-        i = first(points)
-        if i < len(points):
+        fails = ~holds(_ONE_ROW, np.array([points]))[0]
+        i = int(fails.argmax())
+        if fails[i]:
             yes, no = (points[i - 1] if i else yes), points[i]
         else:
             yes = points[-1]

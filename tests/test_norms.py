@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ncorlicz import (
     DomainError,
     NumericError,
+    ParametricForm,
     StepForm,
     StructuralError,
     TracedAlgebra,
@@ -327,6 +328,15 @@ class TestAmemiya:
     def test_zero_input(self):
         assert amemiya_norm(StepForm.from_raw([], []), power(2.0)) == 0.0
 
+    @pytest.mark.xfail(strict=True, reason="known defect: the search runs k over a fixed "
+                       "range, from AMEMIYA_K_CAP down to about 2^-200, whatever the data's scale")
+    def test_homogeneous_beyond_the_searched_scalings(self):
+        # A(c mu) = c A(mu); under t^2, (1 + k^2 c^2) / k is least at k = 1/c,
+        # where it is 2c, and 1/c lies outside the searched k at these c
+        for c in (1e-12, 1e-10, 1e61, 1e62, 1e80):
+            assert amemiya_norm(StepForm.from_raw([1.0], [c]), power(2.0)) == pytest.approx(
+                2.0 * c, rel=1e-9)
+
     def test_each_k_evaluated_once(self, monkeypatch):
         import ncorlicz.norms as norms
         passes = []
@@ -613,6 +623,16 @@ class TestManyForms:
                 want = _first_error(lambda mu: one(mu, phi), mus)
                 assert want is not None
                 _raises_like(lambda: many(mus, phi), want)
+        # parametric data name the gauge and the argument, as step data do
+        for mu, one in ((exp_decay(), amemiya_norm), (log_reciprocal(), amemiya_norm),
+                        (log_reciprocal(), luxemburg_norm)):
+            with pytest.raises(NumericError,
+                               match=r"^gauge nan_above_a_million returned NaN at \d"):
+                one(mu, phi)
+        # a NaN from mu itself is the quadrature's
+        nan_head = ParametricForm(fn=lambda t: math.nan if t < 0.5 else 1.0 - t, support=1.0)
+        with pytest.raises(NumericError, match="the integrand is NaN at a quadrature node"):
+            modular(nan_head, phi, 1.0)
 
 
 class TestHolder:

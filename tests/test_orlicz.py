@@ -201,6 +201,31 @@ class TestFormalInverse:
         with pytest.raises(DomainError):
             formal_inverse(power(2.0), -1.0)
 
+    def test_inverse_at_zero_is_a_phi_exactly(self):
+        for phi in (zero_then_linear(0.5), conjugate(exp_minus_one()), t_log1p()):
+            assert formal_inverse(phi, 0.0) == phi.a_phi
+
+    def test_numeric_inverse_near_zero(self):
+        # Newton's method on phi(s) = t from the leading term of each gauge
+        # at 0: s^2 for t log(1 + t), s^2 / 2 for the conjugate of cosh - 1
+        gauges = ((t_log1p(), lambda s: s * math.log1p(s), lambda s: math.log1p(s) + s / (1 + s),
+                   1.0),
+                  (conjugate(cosh_minus_one()),
+                   lambda s: s * math.asinh(s) - s * s / (math.hypot(1.0, s) + 1.0), math.asinh,
+                   2.0))
+        for phi, f, df, c in gauges:
+            for t in np.logspace(-300, -4, 75).tolist():
+                s = math.sqrt(c * t)
+                for _ in range(50):
+                    step = (f(s) - t) / df(s)
+                    s -= step
+                    if abs(step) <= 1e-16 * s:
+                        break
+                assert formal_inverse(phi, t) == pytest.approx(s, rel=1e-9, abs=0)
+
+    def test_numeric_inverse_ends_at_a_subnormal_boundary(self):
+        assert formal_inverse(custom(lambda u: u, name="linear_numeric"), 1e-320) == 1e-320
+
 
 class TestCoshFamilyAtBothEnds:
     """cosh - 1, its conjugate and its inverse against their series near 0.

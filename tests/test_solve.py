@@ -1,4 +1,10 @@
-"""The shared searches: geometric bracketing, bisection and the convex minimum."""
+"""The shared searches: geometric bracketing, bisection and the convex minimum.
+
+A search of one row takes the Python path of ``bracket_rows`` and
+``bisect_rows`` (``TestBracket``, ``TestBisect``), a search of several rows
+the numpy path (``TestBatchedBracket``, ``TestBatchedBisect``); a row's answer
+is the same on both (``TestOnePointIsOneRow``, ``TestRows``).
+"""
 
 import math
 
@@ -7,130 +13,119 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ncorlicz.solve import BATCH, bisect, bisect_rows, bracket, bracket_rows, minimize
+from ncorlicz.solve import _FRACTIONS, BATCH, bisect_rows, bracket_rows, minimize
+
+
+def _rows(predicates, calls=None):
+    """A rows predicate from one scalar predicate per row, recording the points of each call."""
+
+    def holds(rows, xs):
+        if calls is not None:
+            calls.append(xs.copy())
+        return np.array([[predicates[r](x) for x in row]
+                         for r, row in zip(rows.tolist(), xs.tolist())], dtype=bool)
+
+    return holds
+
+
+def _bracket(predicates, starts, factor, limit, calls=None):
+    """``bracket_rows`` per row: (last held or None, first failed), or None when none failed."""
+    last, first = bracket_rows(_rows(predicates, calls), np.array(starts, dtype=float), factor,
+                               limit)
+    return [None if math.isnan(f) else (None if math.isnan(h) else h, f)
+            for h, f in zip(last.tolist(), first.tolist())]
+
+
+def _bisect(predicates, yes, no, calls=None, **tols):
+    return bisect_rows(_rows(predicates, calls), np.array(yes, dtype=float),
+                       np.array(no, dtype=float), **tols).tolist()
 
 
 class TestBracket:
     def test_first_point_fails(self):
-        assert bracket(lambda x: x < 1.0, 4.0, 2.0, 10) == (None, 4.0)
+        assert _bracket([lambda x: x < 1.0], [4.0], 2.0, 10) == [(None, 4.0)]
 
     def test_walk_up(self):
-        assert bracket(lambda x: x < 10.0, 1.0, 2.0, 10) == (8.0, 16.0)
+        assert _bracket([lambda x: x < 10.0], [1.0], 2.0, 10) == [(8.0, 16.0)]
 
     def test_walk_down(self):
-        assert bracket(lambda x: x > 0.1, 1.0, 0.5, 10) == (0.125, 0.0625)
+        assert _bracket([lambda x: x > 0.1], [1.0], 0.5, 10) == [(0.125, 0.0625)]
 
     def test_limit_counts_multiplications(self):
-        tried = []
-
-        def holds(x):
-            tried.append(x)
-            return True
-
-        assert bracket(holds, 1.0, 2.0, 3) is None
-        # no point beyond x * factor**limit is tried, and that one is
-        assert max(tried) == 8.0
-        # the last allowed point may still fail
-        assert bracket(lambda x: x < 8.0, 1.0, 2.0, 3) == (4.0, 8.0)
-
-    def test_a_walk_that_never_fails_calls_four_times_a_round(self):
         calls = []
-        assert bracket(lambda x: calls.append(x) or True, 1.0, 2.0, 40) is None
-        # 41 points: rounds of 15, 15 and 11, searched in 4, 4 and 3 calls
-        assert len(calls) == 11
+        assert _bracket([lambda x: True], [1.0], 2.0, 20, calls) == [None]
+        # 21 points in consecutive batches: a full batch, then the rest
+        assert [c.shape for c in calls] == [(1, BATCH), (1, 21 - BATCH)]
+        assert np.concatenate(calls, axis=1)[0].tolist() == [2.0 ** i for i in range(21)]
+        # the last allowed point may still fail
+        assert _bracket([lambda x: x < 2.0 ** 20], [1.0], 2.0, 20) == [(2.0 ** 19, 2.0 ** 20)]
+
+    def test_a_walk_that_never_fails_calls_once_a_round(self):
+        calls = []
+        assert _bracket([lambda x: True], [1.0], 2.0, 40, calls) == [None]
+        # 41 points: rounds of 15, 15 and 11, each one call on one row
+        assert [c.shape for c in calls] == [(1, BATCH), (1, BATCH), (1, 11)]
 
 
 class TestBisect:
     def test_relative_rule(self):
-        got = bisect(lambda x: x * x >= 2.0, 2.0, 1.0, rtol=1e-12)
+        [got] = _bisect([lambda x: x * x >= 2.0], [2.0], [1.0], rtol=1e-12)
         assert got >= math.sqrt(2.0)
         assert got == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
     def test_absolute_rule_at_zero(self):
-        got = bisect(lambda x: x <= 0.0, 0.0, 1.0, rtol=1e-10, atol=1e-10)
-        assert got == 0.0
+        assert _bisect([lambda x: x <= 0.0], [0.0], [1.0], rtol=1e-10, atol=1e-10) == [0.0]
 
     def test_keeps_the_holding_side(self):
         boundary = 0.3
-        below = bisect(lambda x: x <= boundary, 0.0, 1.0, rtol=1e-12, atol=1e-12)
-        above = bisect(lambda x: x >= boundary, 1.0, 0.0, rtol=1e-12, atol=1e-12)
+        [below] = _bisect([lambda x: x <= boundary], [0.0], [1.0], rtol=1e-12, atol=1e-12)
+        [above] = _bisect([lambda x: x >= boundary], [1.0], [0.0], rtol=1e-12, atol=1e-12)
         assert below <= boundary <= above
         assert above - below <= 3e-12
 
     def test_already_within_tolerance(self):
         calls = []
-
-        def holds(x):
-            calls.append(x)
-            return True
-
-        assert bisect(holds, 1.0, 1.0 + 1e-13, rtol=1e-12) == 1.0
+        assert _bisect([lambda x: True], [1.0], [1.0 + 1e-13], calls, rtol=1e-12) == [1.0]
         assert calls == []
 
     def test_a_pair_a_few_subnormals_wide_ends(self):
         # (no - yes) / 16 rounds to 0 there: the round's points must still move
         unit = math.ulp(0.0)
-        boundary = 100.5 * unit
         for width in range(2, 9):
-            calls = []
+            for rows in ([0], [0, 1]):  # the one-row path and the many-row path
+                rounds = []
 
-            def holds(x):
-                calls.append(x)
-                assert len(calls) < 1000, "the cut does not move"
-                return x <= boundary
+                def holds(rows, xs):
+                    rounds.append(rows)
+                    assert len(rounds) < 100, "the cut does not move"
+                    return xs <= np.array([100.5, 200.5])[rows, None] * unit
 
-            assert bisect(holds, 100 * unit, (100 + width) * unit, 2.0 ** -52, unit) == 100 * unit
-            rounds = []
+                starts = np.array([100.0, 200.0])[rows] * unit
+                got = bisect_rows(holds, starts, starts + width * unit, 2.0 ** -52, unit)
+                assert got.tolist() == starts.tolist()
 
-            def rows_hold(rows, xs):
-                rounds.append(rows)
-                assert len(rounds) < 100, "the cut does not move"
-                return xs <= np.array([100.5, 200.5])[rows, None] * unit
-
-            got = bisect_rows(rows_hold, np.array([100.0, 200.0]) * unit,
-                              np.array([100.0 + width, 200.0 + width]) * unit, 2.0 ** -52, unit)
-            assert got.tolist() == [100 * unit, 200 * unit]
-
-    def test_four_calls_a_round(self):
-        calls, rounds = [], []
-        got = bisect(lambda x: calls.append(x) or x <= 0.3, 0.0, 1.0, rtol=1e-12, atol=1e-12)
-        assert got == _one_row_bisect(lambda x: x <= 0.3, 0.0, 1.0, rounds, rtol=1e-12,
-                                      atol=1e-12)
-        assert len(calls) == 4 * len(rounds)
-
-
-def _rows(predicate, calls=None):
-    """A rows predicate from a scalar one, recording the points of each call."""
-
-    def holds(rows, xs):
-        if calls is not None:
-            calls.append(xs.copy())
-        return np.vectorize(predicate, otypes=[bool])(xs)
-
-    return holds
-
-
-def _one_row_bracket(predicate, x, factor, limit, calls=None):
-    """``bracket_rows`` on one problem, answered the way ``bracket`` answers."""
-    last, first = bracket_rows(_rows(predicate, calls), np.array([x]), factor, limit)
-    if math.isnan(first[0]):
-        return None
-    return (None if math.isnan(last[0]) else float(last[0])), float(first[0])
-
-
-def _one_row_bisect(predicate, yes, no, calls=None, **tols):
-    return float(bisect_rows(_rows(predicate, calls), np.array([yes]), np.array([no]),
-                             **tols)[0])
+    def test_one_call_a_round(self):
+        calls = []
+        [got] = _bisect([lambda x: x <= 0.3], [0.0], [1.0], calls, rtol=1e-12, atol=1e-12)
+        assert 0.3 - 2e-12 <= got <= 0.3
+        # one call a round, on one row of that round's BATCH points: each
+        # round cuts the pair 16 ways, and 16**-10 < 1e-12 < 16**-9
+        assert [c.shape for c in calls] == [(1, BATCH)] * 10
+        yes, no = 0.0, 1.0
+        for c in calls:
+            assert c[0].tolist() == (yes + (no - yes) * _FRACTIONS).tolist()
+            i = int((c[0] > 0.3).argmax())
+            yes, no = (c[0, i - 1] if i else yes), c[0, i]
 
 
 def _edges():
-    """A boundary, a start and a tolerance pair of the one-point searches."""
+    """A boundary, a start and a tolerance pair of the one-row searches."""
     return st.tuples(st.floats(-1e6, 1e6), st.floats(1e-3, 1e3),
                      st.floats(2.0 ** -52, 1e-12), st.sampled_from([0.0, math.ulp(0.0)]))
 
 
 class TestOnePointIsOneRow:
-    """A one-point search is the one-row search of the same predicate, bit for bit."""
+    """A search of one row is its row of a many-row search, bit for bit."""
 
     @given(_edges(), st.booleans())
     @settings(max_examples=200, deadline=None)
@@ -142,64 +137,77 @@ class TestOnePointIsOneRow:
             holds, yes, no = (lambda x: x <= boundary), boundary - width, boundary + width
         else:
             holds, yes, no = (lambda x: x >= boundary), boundary + width, boundary - width
-        assert bisect(holds, yes, no, rtol, atol) == _one_row_bisect(holds, yes, no, rtol=rtol,
-                                                                     atol=atol)
+        one = _bisect([holds], [yes], [no], rtol=rtol, atol=atol)
+        assert one == _bisect([holds, lambda x: x <= 0.7], [yes, 0.0], [no, 1.0], rtol=rtol,
+                              atol=atol)[:1]
 
     @given(st.floats(1e-6, 1e6), st.floats(1e-3, 1e3), st.sampled_from([2.0, 0.5, 3.0]),
            st.integers(0, 60))
     @settings(max_examples=200, deadline=None)
     def test_bracket(self, edge, x, factor, limit):
         holds = (lambda v: v < edge) if factor > 1 else (lambda v: v > edge)
-        assert bracket(holds, x, factor, limit) == _one_row_bracket(holds, x, factor, limit)
+        one = _bracket([holds], [x], factor, limit)
+        assert one == _bracket([holds, lambda v: True], [x, 1.0], factor, limit)[:1]
 
 
 class TestBatchedBracket:
     def test_first_point_fails(self):
-        assert _one_row_bracket(lambda x: x < 1.0, 4.0, 2.0, 10) == (None, 4.0)
+        got = _bracket([lambda x: x < 1.0, lambda x: x < 10.0], [4.0, 1.0], 2.0, 10)
+        assert got == [(None, 4.0), (8.0, 16.0)]
 
     def test_same_pair_as_one_point_walk(self):
-        for holds, x, factor in ((lambda x: x < 10.0, 1.0, 2.0),
-                                 (lambda x: x > 0.1, 1.0, 0.5),
-                                 (lambda x: x < 1e6, 1.0, 2.0)):
-            assert _one_row_bracket(holds, x, factor, 40) == bracket(holds, x, factor, 40)
+        ups = [lambda x: x < 10.0, lambda x: x < 1e6, lambda x: x < 1.0]
+        downs = [lambda x: x > 0.1, lambda x: x > 1e-9]
+        for predicates, factor in ((ups, 2.0), (downs, 0.5)):
+            many = _bracket(predicates, [1.0] * len(predicates), factor, 40)
+            assert many == [_bracket([p], [1.0], factor, 40)[0] for p in predicates]
 
     def test_limit_counts_multiplications(self):
         calls = []
-        assert _one_row_bracket(lambda x: True, 1.0, 2.0, 20, calls) is None
-        # 21 points in consecutive batches: a full batch, then the rest
-        assert [c.shape for c in calls] == [(1, BATCH), (1, 21 - BATCH)]
-        assert np.concatenate(calls, axis=1)[0].tolist() == [2.0 ** i for i in range(21)]
+        assert _bracket([lambda x: True] * 2, [1.0, 3.0], 2.0, 20, calls) == [None, None]
+        # 21 points a row in consecutive batches: a full batch, then the rest
+        assert [c.shape for c in calls] == [(2, BATCH), (2, 21 - BATCH)]
+        walked = np.concatenate(calls, axis=1).tolist()
+        assert walked == [[s * 2.0 ** i for i in range(21)] for s in (1.0, 3.0)]
         # the last allowed point may still fail
-        got = _one_row_bracket(lambda x: x < 2.0 ** 20, 1.0, 2.0, 20)
-        assert got == (2.0 ** 19, 2.0 ** 20)
+        got = _bracket([lambda x: x < 2.0 ** 20, lambda x: True], [1.0, 1.0], 2.0, 20)
+        assert got == [(2.0 ** 19, 2.0 ** 20), None]
 
 
 class TestBatchedBisect:
     def test_relative_rule(self):
-        got = _one_row_bisect(lambda x: x * x >= 2.0, 2.0, 1.0, rtol=1e-12)
-        assert got >= math.sqrt(2.0)
-        assert got == pytest.approx(math.sqrt(2.0), rel=1e-12)
+        got = _bisect([lambda x: x * x >= 2.0, lambda x: x * x >= 3.0], [2.0, 2.0], [1.0, 1.0],
+                      rtol=1e-12)
+        for root, value in zip((math.sqrt(2.0), math.sqrt(3.0)), got):
+            assert value >= root
+            assert value == pytest.approx(root, rel=1e-12)
 
     def test_absolute_rule_at_zero(self):
-        assert _one_row_bisect(lambda x: x <= 0.0, 0.0, 1.0, rtol=1e-10, atol=1e-10) == 0.0
+        got = _bisect([lambda x: x <= 0.0, lambda x: x <= 0.5], [0.0, 0.0], [1.0, 1.0],
+                      rtol=1e-10, atol=1e-10)
+        assert got[0] == 0.0
 
     def test_keeps_the_holding_side(self):
         boundary = 0.3
-        below = _one_row_bisect(lambda x: x <= boundary, 0.0, 1.0, rtol=1e-12, atol=1e-12)
-        above = _one_row_bisect(lambda x: x >= boundary, 1.0, 0.0, rtol=1e-12, atol=1e-12)
+        below, above = _bisect([lambda x: x <= boundary, lambda x: x >= boundary], [0.0, 1.0],
+                               [1.0, 0.0], rtol=1e-12, atol=1e-12)
         assert below <= boundary <= above
         assert above - below <= 3e-12
 
     def test_batches_are_interior_and_even(self):
         calls = []
-        _one_row_bisect(lambda x: x <= 0.3, 0.0, 1.0, calls, rtol=1e-3, atol=1e-3)
-        assert calls[0].shape == (1, BATCH)
-        np.testing.assert_allclose(calls[0][0], np.arange(1, BATCH + 1) / (BATCH + 1))
+        _bisect([lambda x: x <= 0.3, lambda x: x <= 0.7], [0.0, 0.0], [1.0, 1.0], calls,
+                rtol=1e-3, atol=1e-3)
+        assert calls[0].shape == (2, BATCH)
+        for row in calls[0]:
+            np.testing.assert_allclose(row, np.arange(1, BATCH + 1) / (BATCH + 1))
         assert len(calls) == 3  # each round cuts the pair BATCH + 1 ways
 
     def test_already_within_tolerance(self):
         calls = []
-        assert _one_row_bisect(lambda x: True, 1.0, 1.0 + 1e-13, calls, rtol=1e-12) == 1.0
+        got = _bisect([lambda x: True] * 2, [1.0, 2.0], [1.0 + 1e-13, 2.0 - 1e-13], calls,
+                      rtol=1e-12)
+        assert got == [1.0, 2.0]
         assert calls == []
 
 
@@ -217,7 +225,7 @@ class TestRows:
             last, first = bracket_rows(lambda rows, xs: _thresholds(rows, xs, self.EDGES),
                                        start, factor, limit)
             for r, edge in enumerate(self.EDGES):
-                one = _one_row_bracket(lambda x: x < edge, start[r], factor, limit)
+                [one] = _bracket([lambda x: x < edge], [start[r]], factor, limit)
                 got = None if math.isnan(first[r]) else (
                     None if math.isnan(last[r]) else float(last[r]), float(first[r]))
                 assert got == one
@@ -238,8 +246,8 @@ class TestRows:
         got = bisect_rows(lambda rows, xs: _thresholds(rows, xs, self.EDGES), yes, no,
                           rtol=1e-13, atol=1e-15)
         for r, edge in enumerate(self.EDGES):
-            assert got[r] == _one_row_bisect(lambda x: x < edge, yes[r], no[r],
-                                             rtol=1e-13, atol=1e-15)
+            assert [got[r]] == _bisect([lambda x: x < edge], [yes[r]], [no[r]],
+                                       rtol=1e-13, atol=1e-15)
             assert got[r] < edge
 
     def test_no_rows(self):
@@ -269,7 +277,7 @@ class TestRows:
         assert sets[0] == [0, 1] and sets[-1] == [1]
         assert sets == sorted(sets, key=len, reverse=True)  # once gone, never back
         assert got[0] <= 0.3 <= got[0] + 1e-3 and got[1] <= 0.7 <= got[1] + 1e-3
-        assert got[0] == _one_row_bisect(lambda x: x <= 0.3, 0.0, 0.5, rtol=0.0, atol=1e-3)
+        assert [got[0]] == _bisect([lambda x: x <= 0.3], [0.0], [0.5], rtol=0.0, atol=1e-3)
 
 
 def _recorded(fn, calls):

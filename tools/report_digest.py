@@ -8,7 +8,10 @@ Given the path of a second checkout, it also runs that checkout's suite
 (in a child process, on the other checkout's ``src``) and then prints every
 report field that differs, one line each: seed, scale, check, field, this
 checkout's value and the other's.  Fields of the report outside any check
-are listed under the check name ``-``.  Run it from the repository root:
+are listed under the check name ``-``.  It then exits with status 1 when
+any field differs (or the other suite fails) and 0 when none does, so a
+script can check that two checkouts report the same.  Run it from the
+repository root:
 
     python tools/report_digest.py
     python tools/report_digest.py ../other-checkout
@@ -97,7 +100,7 @@ def main(argv: list[str]) -> int:
                 moved += 1
                 print(f"seed {seed} scale {scale} {check} {field}: {a} {b}")
     print(f"{moved} fields differ")
-    return 0
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":
