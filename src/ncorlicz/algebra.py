@@ -136,12 +136,34 @@ def _positive_rows(stacks: Sequence[np.ndarray], tol: float) -> np.ndarray:
     return rows
 
 
+def _by_algebra(elements: Sequence[AlgebraElement], solve, *columns) -> list:
+    """``solve(alg, members, *columns)`` once per algebra, on the elements in it.
+
+    ``columns`` are sequences that run along ``elements``, and ``solve``
+    returns one result per member; the results come back in input order.
+    Elements of one algebra are solved as they are, and their results are
+    ``solve``'s own.
+    """
+    groups: dict = {}
+    for i, a in enumerate(elements):
+        groups.setdefault(a.algebra, []).append(i)
+    if len(groups) == 1:
+        return solve(elements[0].algebra, elements, *columns)
+    out = [None] * len(elements)
+    for alg, rows in groups.items():
+        picked = [[col[i] for i in rows] for col in (elements, *columns)]
+        for i, result in zip(rows, solve(alg, *picked)):
+            out[i] = result
+    return out
+
+
 def _are_positive(elements: Sequence[AlgebraElement], tol: float = 1e-10) -> np.ndarray:
-    """``is_positive`` of many elements; one stacked call per block when they share an algebra."""
-    if len({a.algebra for a in elements}) != 1:
-        return np.array([a.is_positive(tol) for a in elements], dtype=bool)
-    return _positive_rows([np.array([a.blocks[k] for a in elements])
-                           for k in range(elements[0].algebra.n_blocks)], tol)
+    """``is_positive`` of many elements: one stacked call per algebra and block."""
+    def rows(alg, members):
+        return _positive_rows([np.array([a.blocks[k] for a in members])
+                               for k in range(alg.n_blocks)], tol)
+
+    return np.array(_by_algebra(elements, rows), dtype=bool)
 
 
 def _same_algebra(a: AlgebraElement, b: AlgebraElement) -> None:
@@ -217,23 +239,19 @@ def _first_nan(phi: OrliczFunction, args: np.ndarray, vals: np.ndarray) -> Numer
 
 def apply_function_many(phi: OrliczFunction, elements: Sequence[AlgebraElement],
                         scale: float = 1.0) -> list[AlgebraElement]:
-    """``apply_function`` of many elements: one stacked SVD per block.
+    """``apply_function`` of elements of any algebras: one stacked SVD per algebra and block.
 
-    Each result is bit for bit the one-element result.  Errors (elements of
-    different algebras, no convergence, a gauge infinite or NaN on some
-    spectrum) follow ``batch_or_loop``.
+    Each result is bit for bit the one-element result.  Errors (no
+    convergence, a gauge infinite or NaN on some spectrum) follow
+    ``batch_or_loop``.
     """
     if scale <= 0:
         raise DomainError(f"scale must be positive, got {scale}")
-    if not elements:
-        return []
 
-    def functions_of(items):
-        if any(a.algebra != items[0].algebra for a in items):
-            raise StructuralError("elements belong to different algebras")
-        return _functions_of(phi, items, _svd_blocks(items), scale)
+    def functions_of(alg, members):
+        return _functions_of(phi, members, _svd_blocks(members), scale)
 
-    return batch_or_loop(functions_of, elements)
+    return batch_or_loop(lambda items: _by_algebra(items, functions_of), elements)
 
 
 def _functions_of(phi: OrliczFunction, elements: Sequence[AlgebraElement], svd,

@@ -260,9 +260,9 @@ def composition_bound_check(J: JordanMorphism, psi: OrliczFunction,
 def _unit_ball_image_norms(J: JordanMorphism, phi1: OrliczFunction, phi2: OrliczFunction,
                            probes: Sequence[AlgebraElement]) -> list[float]:
     """phi2-norms of J(0.9 a / phi1-norm of a) over the nonzero probes a, in order."""
-    norms = luxemburg_norms(singular_values_many(J.source, probes), phi1).tolist()
+    norms = luxemburg_norms(singular_values_many(probes), phi1).tolist()
     images = [apply_jordan(J, a * (0.9 / nrm)) for a, nrm in zip(probes, norms) if nrm != 0.0]
-    return luxemburg_norms(singular_values_many(J.target, images), phi2).tolist()
+    return luxemburg_norms(singular_values_many(images), phi2).tolist()
 
 
 @dataclass(frozen=True)
@@ -305,7 +305,9 @@ def _chain_reports(J: JordanMorphism, psi: OrliczFunction, phi2: OrliczFunction,
                    dual_norm: Optional[float]) -> list[ModularChainReport]:
     """The reports of ``_chain_checks``, every solve taken over all the elements."""
     phi1 = compose_orlicz(psi, phi2)
-    source_norms = luxemburg_norms(singular_values_many(J.source, elements), phi1).tolist()
+    if any(a.algebra != J.source for a in elements):
+        raise StructuralError("element does not belong to the morphism's source")
+    source_norms = luxemburg_norms(singular_values_many(elements), phi1).tolist()
     f = froot = None
     routes = []  # the four route values and phi2(|a|) per element, None off the hypotheses
     for a, source_norm in zip(elements, source_norms):
@@ -333,8 +335,7 @@ def _chain_reports(J: JordanMorphism, psi: OrliczFunction, phi2: OrliczFunction,
     bare_dual = dual_norm
     if bare_dual is None and live:
         bare_dual = _density_dual_norm(J, f, psi)
-    inners = iter(luxemburg_norms(singular_values_many(J.source, [g for _, g in live]),
-                                  psi).tolist())
+    inners = iter(luxemburg_norms(singular_values_many([g for _, g in live]), psi).tolist())
     reports = []
     for route, source_norm in zip(routes, source_norms):
         if route is None:
@@ -526,8 +527,8 @@ def interpolation_contraction_check(T: PositiveMap, phi: OrliczFunction,
 
     def excesses(items):
         """(submajorized, norm excess) per probe."""
-        mu_a = singular_values_many(T.source, items)
-        mu_img = singular_values_many(T.target, [T.apply(a) for a in items])
+        mu_a = singular_values_many(items)
+        mu_img = singular_values_many([T.apply(a) for a in items])
         nrms = luxemburg_norms([*mu_img, *mu_a], phi).tolist()
         return [(bound <= 0 or submajorizes(x, y.scaled(1.0 / bound)), lhs - bound * rhs)
                 for x, y, lhs, rhs in zip(mu_a, mu_img, nrms, nrms[len(items):])]

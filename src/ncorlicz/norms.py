@@ -15,7 +15,6 @@ The Amemiya minimum is found by ``solve.minimize``.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -41,7 +40,6 @@ from .rearrangement import (
     StepForm,
     WeightedContext,
     _interval_masses,
-    singular_values,
     singular_values_many,
 )
 from .solve import bisect_rows, bracket_rows, minimize
@@ -534,23 +532,19 @@ def holder_checks(triples: Sequence[tuple[TracedAlgebra, AlgebraElement, Algebra
                   tol: float = 1e-8) -> list[list[HolderReport]]:
     """``holder_check`` without probes over many (alg, f, g) and gauges.
 
-    |tr(fg)| and the singular values of f and g are computed once per
-    triple, and each gauge takes one Amemiya and one Luxemburg solve over
-    all the triples.  Errors follow ``batch_or_loop``, one gauge at a time.
-    Returns one list of reports per gauge, in the order of ``triples``.
+    Each gauge takes |tr(fg)| of each triple, one ``singular_values_many``
+    call over all the f and g, and one Amemiya and one Luxemburg solve.
+    Errors follow ``batch_or_loop``, one gauge at a time.  Returns one list
+    of reports per gauge, in the order of ``triples``.
     """
 
-    @functools.cache
-    def parts(i):
-        alg, f, g = triples[i]
-        return abs(trace(alg, f @ g)), singular_values(alg, f), singular_values(alg, g)
-
-    def solve(phi, rows):
-        got = [parts(i) for i in rows]
-        duals = amemiya_norms([mu_f for _, mu_f, _ in got], conjugate(phi)).tolist()
-        primals = luxemburg_norms([mu_g for _, _, mu_g in got], phi).tolist()
+    def solve(phi, items):
+        lefts = [abs(trace(alg, f @ g)) for alg, f, g in items]
+        mus = singular_values_many([f for _, f, _ in items] + [g for _, _, g in items])
+        duals = amemiya_norms(mus[:len(items)], conjugate(phi)).tolist()
+        primals = luxemburg_norms(mus[len(items):], phi).tolist()
         row = []
-        for (left, _, _), dual, primal in zip(got, duals, primals):
+        for left, dual, primal in zip(lefts, duals, primals):
             rhs = dual * primal
             passed = left <= rhs + tol * (1.0 + rhs) if not math.isinf(rhs) else True
             row.append(HolderReport(lhs=float(left), rhs=float(rhs), dual_norm=dual,
@@ -558,8 +552,7 @@ def holder_checks(triples: Sequence[tuple[TracedAlgebra, AlgebraElement, Algebra
                                     passed=passed, sampled_sup=None, sampled_sup_ok=True))
         return row
 
-    return [batch_or_loop(lambda rows: solve(phi, rows), range(len(triples)))
-            for phi in gauges]
+    return [batch_or_loop(lambda items: solve(phi, items), triples) for phi in gauges]
 
 
 def holder_check(alg: TracedAlgebra, f: AlgebraElement, g: AlgebraElement,
@@ -577,9 +570,9 @@ def holder_check(alg: TracedAlgebra, f: AlgebraElement, g: AlgebraElement,
         return rep
 
     def pairings(gs):
-        nrms = luxemburg_norms(singular_values_many(alg, gs), phi).tolist()
+        nrms = luxemburg_norms(singular_values_many(gs), phi).tolist()
         prods = [f @ (gp * (1.0 / nrm)) for gp, nrm in zip(gs, nrms) if nrm != 0.0]
-        return [mu.total_integral() for mu in singular_values_many(alg, prods)]
+        return [mu.total_integral() for mu in singular_values_many(prods)]
 
     best = max([0.0, *batch_or_loop(pairings, probes)])
     return replace(rep, sampled_sup=best,
@@ -674,16 +667,16 @@ class MomentReport:
     passed: bool
 
 
-def moment_bound_checks(alg: TracedAlgebra, xs: Sequence[AlgebraElement],
-                        ys: Sequence[AlgebraElement], orders: Sequence[int],
-                        tol: float = 1e-9, factor: float = 2.0) -> list[list[MomentReport]]:
-    """``moment_bound_check`` of many pairs (x, y) at many orders n.
+def moment_bound_checks(xs: Sequence[AlgebraElement], ys: Sequence[AlgebraElement],
+                        orders: Sequence[int], tol: float = 1e-9,
+                        factor: float = 2.0) -> list[list[MomentReport]]:
+    """``moment_bound_check`` of many pairs (x, y) of any algebras at many orders n.
 
-    Validates each input once, by one stacked positivity test per block,
-    and decomposes each once, by one ``singular_values_many`` call.
-    Returns one list of reports per pair, one report per order.  Each report
-    is bit for bit the one-form report; errors follow ``batch_or_loop`` over
-    the pairs.
+    Validates each input once, by one stacked positivity test per algebra
+    and block, and decomposes each once, by one ``singular_values_many``
+    call.  Returns one list of reports per pair, one report per order.  Each
+    report is bit for bit the one-form report; errors follow
+    ``batch_or_loop`` over the pairs.
     """
     if any(n < 1 for n in orders):
         raise DomainError("moment order must be >= 1")
@@ -694,11 +687,11 @@ def moment_bound_checks(alg: TracedAlgebra, xs: Sequence[AlgebraElement],
             raise DomainError("moment bound requires positive inputs")
         lhs = []
         for x, y in pairs:
-            tx = trace(alg, x).real
+            tx = trace(x.algebra, x).real
             if abs(tx - 1.0) > 1e-8:
                 raise DomainError(f"x must have unit trace, got {tx}")
-            lhs.append([trace(alg, x @ y.matrix_power(n)).real for n in orders])
-        mus = singular_values_many(alg, [*xs, *ys])
+            lhs.append([trace(x.algebra, x @ y.matrix_power(n)).real for n in orders])
+        mus = singular_values_many([*xs, *ys])
         reports = []
         for row, mu_x, mu_y in zip(lhs, mus, mus[len(xs):]):
             reports.append([])
@@ -721,4 +714,6 @@ def moment_bound_check(alg: TracedAlgebra, x: AlgebraElement, y: AlgebraElement,
     demonstrate that a weakened constant is caught; leave it at 2.0.  The
     one-pair, one-order case of ``moment_bound_checks``.
     """
-    return moment_bound_checks(alg, [x], [y], [n], tol, factor)[0][0]
+    if x.algebra != alg:
+        raise StructuralError("element does not belong to the given algebra")
+    return moment_bound_checks([x], [y], [n], tol, factor)[0][0]

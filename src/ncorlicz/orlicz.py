@@ -135,8 +135,9 @@ def cosh_minus_one() -> OrliczFunction:
 
     def conj_vec(u):
         # sup_v(uv - cosh v + 1) attained at v = arcsinh u:
-        # u arcsinh u - (sqrt(1 + u^2) - 1)
-        return u * (np.arcsinh(u) - u / (np.hypot(1.0, u) + 1.0))
+        # u arcsinh u - (sqrt(1 + u^2) - 1); the ratio tends to 1 at u = +inf
+        return u * (np.arcsinh(u) - np.divide(u, np.hypot(1.0, u) + 1.0, out=np.ones_like(u),
+                                              where=np.isfinite(u)))
 
     def conj():
         return OrliczFunction(

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import quadrature
-from .algebra import AlgebraElement, TracedAlgebra
+from .algebra import AlgebraElement, TracedAlgebra, _by_algebra
 from .errors import DomainError, NumericError, StructuralError, batch_or_loop
 from .solve import bisect_rows, bracket_rows
 
@@ -323,28 +323,23 @@ def constant(level: float, support: float = INF) -> ParametricForm:
 # Singular values and evaluation
 # ---------------------------------------------------------------------------
 
-def singular_values_many(alg: TracedAlgebra, elements: Sequence[AlgebraElement]) -> list[StepForm]:
-    """``singular_values`` of many elements of ``alg``: one stacked SVD per block.
+def singular_values_many(elements: Sequence[AlgebraElement]) -> list[StepForm]:
+    """``singular_values`` of elements of any algebras: one stacked SVD per algebra and block.
 
     ``np.linalg.svd(..., compute_uv=False)`` gives each matrix of a stack
     the values it gives that matrix alone, bit for bit, so each form is the
-    one-element form.  Errors (a foreign element, no convergence) follow
-    ``batch_or_loop``.
+    one-element form.  Errors (no convergence) follow ``batch_or_loop``.
     """
-    if not elements:
-        return []
-    durations = np.concatenate([np.full(n, w) for n, w in zip(alg.dims, alg.weights)])
 
-    def decompose(items):
-        if any(a.algebra != alg for a in items):
-            raise StructuralError("element does not belong to the given algebra")
-        values = np.concatenate([np.linalg.svd(np.array([a.blocks[k] for a in items]),
+    def decompose(alg, members):
+        durations = np.concatenate([np.full(n, w) for n, w in zip(alg.dims, alg.weights)])
+        values = np.concatenate([np.linalg.svd(np.array([a.blocks[k] for a in members]),
                                                compute_uv=False)
                                  for k in range(alg.n_blocks)], axis=1)
         order = np.argsort(-values, axis=1, kind="stable")
         return [StepForm(durations[o], v[o]) for o, v in zip(order, values)]
 
-    return batch_or_loop(decompose, elements)
+    return batch_or_loop(lambda items: _by_algebra(items, decompose), elements)
 
 
 def singular_values(alg: TracedAlgebra, a: AlgebraElement) -> StepForm:
@@ -352,7 +347,9 @@ def singular_values(alg: TracedAlgebra, a: AlgebraElement) -> StepForm:
 
     The one-element case of ``singular_values_many``.
     """
-    return singular_values_many(alg, [a])[0]
+    if a.algebra != alg:
+        raise StructuralError("element does not belong to the given algebra")
+    return singular_values_many([a])[0]
 
 
 def submajorizes(x_mu: RearrangementFunction, y_mu: RearrangementFunction) -> bool:

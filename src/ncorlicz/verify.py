@@ -23,7 +23,7 @@ import numpy as np
 from . import orlicz as og
 from . import rearrangement as rg
 from . import sampling as smp
-from .algebra import TracedAlgebra, _functions_of, _svd_blocks, abs_value, \
+from .algebra import TracedAlgebra, _by_algebra, _functions_of, _svd_blocks, abs_value, \
     apply_function, apply_function_many, is_projection, projection_trace_norm, trace
 from .errors import NotMeasurableError, UnboundedNormError
 from .morphisms import (
@@ -38,6 +38,7 @@ from .morphisms import (
 )
 from .norms import (
     amemiya_norm,
+    amemiya_norms,
     holder_checks,
     kunze_norm,
     kunze_norms,
@@ -129,20 +130,6 @@ def _corpus(cfg: SuiteConfig, base: int) -> list[TracedAlgebra]:
     return [shapes[i % len(shapes)] for i in range(cfg.count(base))]
 
 
-def _by_algebra(corpus: list[TracedAlgebra], solve, *columns) -> list:
-    """``solve(alg, *columns)`` once per algebra, on the rows of the corpus in it.
-
-    ``columns`` are lists that run along the corpus, and ``solve`` returns
-    one result per row it is given; the results come back in corpus order.
-    """
-    out = [None] * len(corpus)
-    for alg in dict.fromkeys(corpus):
-        rows = [i for i, member in enumerate(corpus) if member == alg]
-        for i, result in zip(rows, solve(alg, *([col[i] for i in rows] for col in columns))):
-            out[i] = result
-    return out
-
-
 def _norm_gauges() -> list[og.OrliczFunction]:
     return [og.power(1.0), og.power(2.0), og.power(3.0), og.cosh_minus_one(),
             og.linear_until_cap(1.0)]
@@ -159,7 +146,7 @@ def check_kunze_luxemburg_equivalence(cfg: SuiteConfig, rng):
     corpus = _corpus(cfg, 200)
     gauges = _norm_gauges()
     elements = [smp.random_element(alg, rng) for alg in corpus]
-    mus = [singular_values(alg, a) for alg, a in zip(corpus, elements)]
+    mus = singular_values_many(elements)
     worst = 0.0
     for phi in gauges:
         ks = kunze_norms(elements, phi, tol=cfg.tolerances.bisect).tolist()
@@ -175,33 +162,31 @@ def check_rearrangement_exchange(cfg: SuiteConfig, rng):
     """Gauge and rearrangement commute: mu(phi(|a|)) = phi(mu(a)) pointwise."""
     corpus = _corpus(cfg, 200)
     elements = [smp.random_element(alg, rng) for alg in corpus]
-    worst = 0.0
-    for gap in _by_algebra(corpus, _exchange_gaps, elements):
-        worst = max(worst, gap)
+    worst = max([0.0, *_exchange_gaps(elements)])
     return len(corpus) * 4, worst, worst <= cfg.tolerances.exchange
 
 
-def _exchange_gaps(alg, elements) -> list[float]:
+def _exchange_gaps(elements) -> list[float]:
     """The largest exchange gap of each element over the four gauges."""
     cap = og.linear_until_cap(1.0)
     gauges = [og.power(2.0), og.cosh_minus_one(), og.zero_then_linear(0.5)]
-    mus = singular_values_many(alg, elements)
+    mus = singular_values_many(elements)
     gaps = [0.0] * len(elements)
     # the cap gauge on the elements rescaled to a spectrum below the cap
     rows = [i for i, mu in enumerate(mus) if mu.sup_value > 0]
     small = [elements[i] * (0.9 / mus[i].sup_value) for i in rows]
-    for i, gap in zip(rows, _gaps_under(cap, alg, small, singular_values_many(alg, small))):
+    for i, gap in zip(rows, _gaps_under(cap, small, singular_values_many(small))):
         gaps[i] = max(gaps[i], gap)
     for phi in gauges:
-        for i, gap in enumerate(_gaps_under(phi, alg, elements, mus)):
+        for i, gap in enumerate(_gaps_under(phi, elements, mus)):
             gaps[i] = max(gaps[i], gap)
     return gaps
 
 
-def _gaps_under(phi, alg, elements, mus) -> list[float]:
+def _gaps_under(phi, elements, mus) -> list[float]:
     """max |mu(phi(|a|)) - phi(mu(a))| over the breakpoints of both, their midpoints
     and a point past both supports, for each element a with singular values mu."""
-    lefts = singular_values_many(alg, apply_function_many(phi, elements))
+    lefts = singular_values_many(apply_function_many(phi, elements))
     gaps = []
     for left, mu in zip(lefts, mus):
         right = StepForm(mu.durations, phi.eval_many(mu.values))
@@ -253,14 +238,14 @@ def check_weighted_norm_axioms(cfg: SuiteConfig, rng):
     for alg in corpus:
         a = smp.random_element(alg, rng)
         b = smp.random_element(alg, rng)
-        draws.append((alg, a, b, float(rng.uniform(0.2, 5.0))))
+        draws.append((a, b, float(rng.uniform(0.2, 5.0))))
+    mus = singular_values_many([x for a, b, alpha in draws for x in (a, b, a + b, alpha * a)])
     worst = 0.0
     for c, ctx in enumerate(contexts):
-        mine = draws[c::len(contexts)]  # element i is weighted by context i mod 3
-        forms = [singular_values(alg, x) for alg, a, b, alpha in mine
-                 for x in (a, b, a + b, alpha * a)]
-        norms = luxemburg_norms(forms, psi, ctx, tol=cfg.tolerances.bisect).tolist()
-        for j, (_, _, _, alpha) in enumerate(mine):
+        mine = range(c, len(draws), len(contexts))  # element i is weighted by context i mod 3
+        norms = luxemburg_norms([mus[4 * i + k] for i in mine for k in range(4)], psi, ctx,
+                                tol=cfg.tolerances.bisect).tolist()
+        for j, (_, _, alpha) in enumerate(draws[c::len(contexts)]):
             na, nb, nab, nscaled = norms[4 * j:4 * j + 4]
             worst = max(worst, nab - (na + nb))
             worst = max(worst, abs(nscaled - alpha * na) / max(1.0, alpha * na))
@@ -345,7 +330,7 @@ def check_quasi_trace_suite(cfg: SuiteConfig, rng):
         draws.append((x, a, b, alpha, smp.random_element(alg, rng)))
     worst = 0.0
     exact_gap = 0.0
-    for (_, _, _, alpha, _), forms in zip(draws, _by_algebra(corpus, _quasi_trace_forms, draws)):
+    for (_, _, _, alpha, _), forms in zip(draws, _quasi_trace_forms(draws)):
         mu_x, mu_a, mu_b, mu_ab, mu_cc, mu_cc_adj, mu_one, mu_capped = forms
         ctx = WeightedContext(mu_x)
         t_a = tau_x(mu_a, ctx)
@@ -369,21 +354,27 @@ def check_quasi_trace_suite(cfg: SuiteConfig, rng):
             worst <= cfg.tolerances.slack and exact_gap <= 1e-12)
 
 
-def _quasi_trace_forms(alg, draws) -> list[tuple]:
+def _quasi_trace_forms(draws) -> list[tuple]:
     """Per draw (x, a, b, alpha, c): the singular values of x, a, b, a + b, c*c,
     cc* and the identity, and of a with its spectrum capped at sup(a) k/6 for
-    k = 1..5 and at 2 sup(a)."""
+    k = 1..5 and at 2 sup(a).  The identity of each algebra is decomposed once."""
     xs, as_, bs, _, cs = zip(*draws)
     m = len(draws)
-    mus = singular_values_many(alg, [*xs, *as_, *bs, *(a + b for a, b in zip(as_, bs)),
-                                     *(c.adjoint() @ c for c in cs),
-                                     *(c @ c.adjoint() for c in cs), alg.identity()])
+    algebras = list(dict.fromkeys(a.algebra for a in as_))
+    mus = singular_values_many([*xs, *as_, *bs, *(a + b for a, b in zip(as_, bs)),
+                                *(c.adjoint() @ c for c in cs), *(c @ c.adjoint() for c in cs),
+                                *(alg.identity() for alg in algebras)])
+    ones = dict(zip(algebras, mus[6 * m:]))
     caps = np.array([[mu.sup_value * k / 6.0 for k in range(1, 6)] + [mu.sup_value * 2.0]
                      for mu in mus[m:2 * m]])
-    capped = singular_values_many(alg, _clip_spectra(alg, as_, caps))
     per = caps.shape[1]
-    return [(*(mus[j * m + i] for j in range(6)), mus[-1], capped[i * per:(i + 1) * per])
-            for i in range(m)]
+
+    def capped(alg, members, rows):
+        forms = singular_values_many(_clip_spectra(alg, members, np.array(rows)))
+        return [forms[i * per:(i + 1) * per] for i in range(len(members))]
+
+    return [(*(mus[j * m + i] for j in range(6)), ones[a.algebra], forms)
+            for i, (a, forms) in enumerate(zip(as_, _by_algebra(as_, capped, caps)))]
 
 
 def _clip_spectra(alg, elements, caps: np.ndarray) -> list:
@@ -413,12 +404,8 @@ def check_moment_chain(cfg: SuiteConfig, rng):
     for alg in corpus:
         xs.append(smp.random_state(alg, rng))
         ys.append(smp.random_positive(alg, rng))
-
-    def solve(alg, states, positives):
-        return moment_bound_checks(alg, states, positives, orders, factor=cfg.moment_factor)
-
     worst = -INF
-    for row in _by_algebra(corpus, solve, xs, ys):
+    for row in moment_bound_checks(xs, ys, orders, factor=cfg.moment_factor):
         for rep in row:
             worst = max(worst, rep.lhs - rep.rhs)
     return len(corpus) * len(orders), worst, worst <= cfg.tolerances.slack
@@ -432,13 +419,11 @@ def check_gauge_threshold_bounds(cfg: SuiteConfig, rng):
     low = og.zero_then_linear(0.7)
     cap = og.linear_until_cap(1.3)
     scalers = [og.power(2.0), og.cosh_minus_one()]
-    kept = []
+    elements, betas = [], []
     for alg in corpus:
-        a = smp.random_element(alg, rng)
-        mu = singular_values(alg, a)
-        if not mu.is_zero:
-            kept.append((alg, a, mu, float(rng.uniform(0.05, 1.0))))
-    mus = [mu for _, _, mu, _ in kept]
+        elements.append(smp.random_element(alg, rng))
+        betas.append(float(rng.uniform(0.05, 1.0)))
+    mus = singular_values_many(elements)
     lows = luxemburg_norms(mus, low).tolist()
     caps = luxemburg_norms(mus, cap).tolist()
 
@@ -453,10 +438,8 @@ def check_gauge_threshold_bounds(cfg: SuiteConfig, rng):
                 row.append(trace(alg, fb).real - beta * trace(alg, f1).real)
         return gaps
 
-    gaps = _by_algebra([alg for alg, _, _, _ in kept], shrink_gaps,
-                       [a for _, a, _, _ in kept], [beta for _, _, _, beta in kept])
     worst = 0.0
-    for (_, _, mu, _), n_low, n_cap, row in zip(kept, lows, caps, gaps):
+    for mu, n_low, n_cap, row in zip(mus, lows, caps, _by_algebra(elements, shrink_gaps, betas)):
         sup = mu.sup_value
         worst = max(worst, low.a_phi * n_low - sup)
         worst = max(worst, sup - cap.b_phi * n_cap)
@@ -472,13 +455,15 @@ def check_projection_norm_formula(cfg: SuiteConfig, rng):
     corpus = _corpus(cfg, 50)
     gauges = [og.power(2.0), og.power(3.0), og.cosh_minus_one(),
               og.exp_minus_one(), og.linear_until_cap(1.0), og.t_log1p()]
+    projections = [smp.random_projection(alg, rng) for alg in corpus]
+    mus = singular_values_many(projections)
     worst = 0.0
-    for i, alg in enumerate(corpus):
-        e = smp.random_projection(alg, rng)
-        phi = gauges[i % len(gauges)]
-        formula = projection_trace_norm(alg, e, phi)
-        oracle = luxemburg_norm(singular_values(alg, e), phi, tol=1e-10)
-        worst = max(worst, abs(formula - oracle) / max(1.0, formula))
+    for j, phi in enumerate(gauges):
+        mine = range(j, len(corpus), len(gauges))  # projection i has gauge i mod 6
+        oracles = luxemburg_norms([mus[i] for i in mine], phi, tol=1e-10).tolist()
+        for i, oracle in zip(mine, oracles):
+            formula = projection_trace_norm(corpus[i], projections[i], phi)
+            worst = max(worst, abs(formula - oracle) / max(1.0, formula))
     return len(corpus), worst, worst <= cfg.tolerances.slack
 
 
@@ -514,7 +499,7 @@ def check_composition_bound(cfg: SuiteConfig, rng):
         worst = max(worst, rep.max_ratio - rep.bound)
         total += rep.samples
         phi1 = og.compose_orlicz(psi, phi2)
-        norms = luxemburg_norms(singular_values_many(J.source, chain), phi1).tolist()
+        norms = luxemburg_norms(singular_values_many(chain), phi1).tolist()
         unit = [a * (0.9 / nrm) for a, nrm in zip(chain, norms) if nrm != 0]
         # the chain reuses the density's dual-gauge norm of the bound check
         for link in _chain_checks(J, psi, phi2, unit, cfg.tolerances.chain, rep.dual_norm):
@@ -751,13 +736,13 @@ def check_amemiya_sandwich(cfg: SuiteConfig, rng):
     """Luxemburg <= Amemiya <= 2 * Luxemburg, and the linear-gauge limit."""
     gauges = [og.power(1.0), og.power(2.0), og.cosh_minus_one(), og.exp_minus_one()]
     n = cfg.count(60)
+    mus = [smp.random_decreasing_step(rng) for _ in range(n)]
     worst = 0.0
-    for i in range(n):
-        mu = smp.random_decreasing_step(rng)
-        phi = gauges[i % len(gauges)]
-        lux = luxemburg_norm(mu, phi, tol=1e-10)
-        ame = amemiya_norm(mu, phi, tol=1e-10)
-        worst = max(worst, lux - ame, ame - 2.0 * lux)
+    for j, phi in enumerate(gauges):
+        mine = mus[j::len(gauges)]  # form i has gauge i mod 4
+        luxes = luxemburg_norms(mine, phi, tol=1e-10).tolist()
+        for lux, ame in zip(luxes, amemiya_norms(mine, phi, tol=1e-10).tolist()):
+            worst = max(worst, lux - ame, ame - 2.0 * lux)
     mu = smp.random_decreasing_step(rng)
     total = mu.total_integral()
     worst = max(worst, abs(amemiya_norm(mu, og.power(1.0)) - total) / max(1.0, total))
@@ -771,18 +756,18 @@ def check_modular_at_norm(cfg: SuiteConfig, rng):
     gauges = [og.power(2.0), og.cosh_minus_one(), og.exp_minus_one()]
     n = cfg.count(50)
     tol = 1e-9
+    mus = [smp.random_decreasing_step(rng) for _ in range(n)]
     worst = 0.0
-    for i in range(n):
-        mu = smp.random_decreasing_step(rng)
-        phi = gauges[i % len(gauges)]
-        lam = luxemburg_norm(mu, phi, tol=tol)
-        if lam == 0:
-            continue
-        at = modular(mu, phi, 1.0 / lam)
-        worst = max(worst, at - (1.0 + tol * 10))
-        below = modular(mu, phi, 1.0 / (lam * (1.0 - 10.0 * tol)))
-        if below <= 1.0 - tol:
-            worst = max(worst, (1.0 - tol) - below)
+    for j, phi in enumerate(gauges):
+        mine = mus[j::len(gauges)]  # form i has gauge i mod 3
+        for mu, lam in zip(mine, luxemburg_norms(mine, phi, tol=tol).tolist()):
+            if lam == 0:
+                continue
+            at = modular(mu, phi, 1.0 / lam)
+            worst = max(worst, at - (1.0 + tol * 10))
+            below = modular(mu, phi, 1.0 / (lam * (1.0 - 10.0 * tol)))
+            if below <= 1.0 - tol:
+                worst = max(worst, (1.0 - tol) - below)
     return n, worst, worst <= 1e-6
 
 

@@ -863,7 +863,7 @@ class TestMomentBoundMany:
         for alg in algebra_shapes():
             xs = [random_state(alg, rng) for _ in range(7)]
             ys = [random_positive(alg, rng) for _ in range(6)] + [alg.identity()]
-            got = moment_bound_checks(alg, xs, ys, orders, factor=1.5)
+            got = moment_bound_checks(xs, ys, orders, factor=1.5)
             assert got == [[moment_bound_check(alg, x, y, n, factor=1.5) for n in orders]
                            for x, y in zip(xs, ys)]
 
@@ -873,19 +873,23 @@ class TestMomentBoundMany:
         state, positive = random_state(alg, rng), random_positive(alg, rng)
         heavy = state * 3.0  # positive, trace three
         indefinite = alg.diagonal([[1.0, -1.0]])
-        other = TracedAlgebra((2,), (0.5,)).identity() * 2.0  # unit trace elsewhere
+        other = TracedAlgebra((2,), (0.5,)).identity()  # unit trace elsewhere
         cases = [[(state, positive), (heavy, positive), (state, indefinite)],
                  [(state, positive), (state, indefinite), (heavy, positive)],
                  [(state, other), (heavy, positive)],
-                 [(other, positive), (state, indefinite)]]
+                 [(other, positive), (state, indefinite)],
+                 [(other, other * 2.0), (other, positive), (heavy, positive)]]
         for pairs in cases:
-            want = _first_error(lambda p: [moment_bound_check(alg, p[0], p[1], n)
+            want = _first_error(lambda p: [moment_bound_check(p[0].algebra, p[0], p[1], n)
                                            for n in (1, 2)], pairs)
             assert isinstance(want, (DomainError, StructuralError))
             xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
-            _raises_like(lambda: moment_bound_checks(alg, xs, ys, (1, 2)), want)
+            _raises_like(lambda: moment_bound_checks(xs, ys, (1, 2)), want)
         with pytest.raises(DomainError, match="order"):
-            moment_bound_checks(alg, [heavy], [indefinite], (2, 0))
+            moment_bound_checks([heavy], [indefinite], (2, 0))
+        # the one-form call still rejects an element of another algebra
+        with pytest.raises(StructuralError):
+            moment_bound_check(alg, other, positive, 1)
 
 
 class TestGaugeThresholdNormBounds:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ncorlicz import (
     DomainError,
     InvalidOrliczError,
+    StepForm,
     compose_orlicz,
     conjugate,
     cosh_minus_one,
@@ -19,6 +20,7 @@ from ncorlicz import (
     exp_minus_one,
     formal_inverse,
     linear_until_cap,
+    modular,
     power,
     power_over_p,
     t_log1p,
@@ -256,6 +258,12 @@ class TestCoshFamilyAtBothEnds:
         # u asinh(u) - u + O(1) at the float ceiling, where u * u overflows
         assert conjugate(cosh_minus_one())(1e160) == pytest.approx(
             1e160 * (math.asinh(1e160) - 1.0), rel=1e-15)
+
+    def test_conjugate_at_infinity(self):
+        # the ratio u / (sqrt(1 + u^2) + 1) is inf / inf at u = +inf: its limit, 1
+        star = conjugate(cosh_minus_one())
+        assert star.eval_many(np.array([INF])).tolist() == [INF]
+        assert modular(StepForm.from_raw([1.0], [1e308]), star, 1e10) == INF
 
 
 class TestThresholdDetection:

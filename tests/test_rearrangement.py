@@ -116,40 +116,44 @@ def _catalog_element(kind, alg, rng):
 
 
 class TestSingularValuesMany:
-    """One stacked SVD per block gives the one-block-at-a-time forms bit for bit."""
+    """One stacked SVD per algebra and block gives the one-block-at-a-time forms bit for bit."""
 
-    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(range(len(algebra_shapes()))),
-           st.lists(st.sampled_from(["random", "zero", "identity", "projection", "positive"]),
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.lists(st.tuples(st.sampled_from(range(len(algebra_shapes()))),
+                              st.sampled_from(["random", "zero", "identity", "projection",
+                                               "positive"])),
                     min_size=1, max_size=12))
     @settings(max_examples=80, deadline=None)
-    def test_stack_is_the_block_loop(self, seed, shape, kinds):
-        # the catalog holds 1x1 blocks, mixed block sizes and repeated shapes
+    def test_stack_is_the_block_loop(self, seed, items):
+        # the catalog holds 1x1 blocks, mixed block sizes and repeated
+        # shapes; a corpus may mix them in any order
         rng = np.random.default_rng(seed)
-        alg = algebra_shapes()[shape]
-        elements = [_catalog_element(kind, alg, rng) for kind in kinds]
-        assert singular_values_many(alg, elements) == \
-            [_one_block_at_a_time(alg, a) for a in elements]
+        shapes = algebra_shapes()
+        elements = [_catalog_element(kind, shapes[shape], rng) for shape, kind in items]
+        assert singular_values_many(elements) == \
+            [_one_block_at_a_time(a.algebra, a) for a in elements]
 
     def test_one_by_one_blocks(self):
         alg = TracedAlgebra((1, 1, 1), (0.5, 2.0, 1.0))
         elements = [alg.diagonal([[3.0], [-1.0], [1.0]]), alg.diagonal([[0.0], [2j], [0.0]])]
-        assert singular_values_many(alg, elements) == \
-            [_one_block_at_a_time(alg, a) for a in elements]
+        assert singular_values_many(elements) == [_one_block_at_a_time(alg, a) for a in elements]
 
     def test_empty_and_one_row(self):
         alg = algebra_shapes()[2]
         a = random_element(alg, np.random.default_rng(3))
-        assert singular_values_many(alg, []) == []
+        assert singular_values_many([]) == []
         assert singular_values(alg, a) == _one_block_at_a_time(alg, a)
 
     def test_failures_raise_what_the_loop_raises_first(self):
         alg, other = TracedAlgebra((2,), (1.0,)), TracedAlgebra((2,), (2.0,))
         fine = alg.diagonal([[1.0, 2.0]])
         nan = alg.element([np.array([[math.nan, 0.0], [0.0, 1.0]])])
-        with pytest.raises(np.linalg.LinAlgError):
-            singular_values_many(alg, [fine, nan, other.identity()])
+        for elements in ([fine, nan, other.identity()], [fine, other.identity(), nan]):
+            with pytest.raises(np.linalg.LinAlgError):
+                singular_values_many(elements)
+        # the one-form call still rejects an element of another algebra
         with pytest.raises(StructuralError):
-            singular_values_many(alg, [fine, other.identity(), nan])
+            singular_values(alg, other.identity())
 
 
 def _old_canonical_form(durations, values):
