@@ -159,6 +159,7 @@ def _by_algebra(elements: Sequence[AlgebraElement], solve, *columns) -> list:
 
 def _are_positive(elements: Sequence[AlgebraElement], tol: float = 1e-10) -> np.ndarray:
     """``is_positive`` of many elements: one stacked call per algebra and block."""
+
     def rows(alg, members):
         return _positive_rows([np.array([a.blocks[k] for a in members])
                                for k in range(alg.n_blocks)], tol)

@@ -260,6 +260,8 @@ def composition_bound_check(J: JordanMorphism, psi: OrliczFunction,
 def _unit_ball_image_norms(J: JordanMorphism, phi1: OrliczFunction, phi2: OrliczFunction,
                            probes: Sequence[AlgebraElement]) -> list[float]:
     """phi2-norms of J(0.9 a / phi1-norm of a) over the nonzero probes a, in order."""
+    if any(a.algebra != J.source for a in probes):
+        raise StructuralError("element does not belong to the morphism's source")
     norms = luxemburg_norms(singular_values_many(probes), phi1).tolist()
     images = [apply_jordan(J, a * (0.9 / nrm)) for a, nrm in zip(probes, norms) if nrm != 0.0]
     return luxemburg_norms(singular_values_many(images), phi2).tolist()

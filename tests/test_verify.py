@@ -12,7 +12,6 @@ from ncorlicz import (
     AlgebraElement,
     apply_function,
     apply_function_many,
-    cosh_minus_one,
     custom,
     moment_bound_check,
     moment_bound_checks,
@@ -59,6 +58,14 @@ def test_passes_do_not_grow_with_the_corpus(monkeypatch, name):
     small, small_groups = _passes(monkeypatch, name, 0.05)
     large, large_groups = _passes(monkeypatch, name, 0.1)
     assert large <= small + large_groups + (large_groups - small_groups) * small / small_groups
+
+
+def test_seeds_do_not_depend_on_the_registry(monkeypatch):
+    # a new check that sorts before every other re-seeds none of them
+    cfg = SuiteConfig(seed=5)
+    before = {name: _rng_for(cfg, name).random(3).tolist() for name in CHECKS}
+    monkeypatch.setitem(CHECKS, "a_check_sorting_first", lambda cfg, rng: None)
+    assert {name: _rng_for(cfg, name).random(3).tolist() for name in before} == before
 
 
 def test_composition_bound_solves_each_dual_norm_once(monkeypatch):
@@ -194,7 +201,7 @@ class TestMixedCorpora:
         for many, one, items in self._calls(np.random.default_rng(25)):
             assert [_plain(r) for r in many(items)] == [_plain(one(item)) for item in items]
 
-    def test_errors_are_the_loop_s_first(self):
+    def test_errors_are_the_first_of_the_loop(self):
         rng = np.random.default_rng(26)
         shapes = algebra_shapes()
         (svd, one_svd, elements), (apply, one_apply, _), (moments, one_moment, pairs) = \
