@@ -6,10 +6,10 @@ The Luxemburg norm is inf{lam > 0 : modular(mu, phi, 1/lam) <= 1}; the
 Amemiya norm is inf_k (1 + modular(mu, phi, k)) / k.  The Luxemburg norm
 coincides with the trace-modular route through functional calculus, which
 ``kunze_norm`` computes independently; callers compare the two routes.
-Every Luxemburg and trace-modular norm takes the same walks and 16-way cut
-(``solve.bracket_rows`` and ``solve.bisect_rows``): step and trace data
-answer a round in one numpy pass, parametric data one pass over their cached
-quadrature samples.
+Every Luxemburg and trace-modular norm takes the same walks and the same
+cut, guided by the modular's values (``solve.bracket_rows`` and
+``solve.bisect_rows``): step and trace data answer a round in one numpy
+pass, parametric data one pass over their cached quadrature samples.
 The Amemiya minimum is found by ``solve.minimize``.
 """
 
@@ -30,8 +30,8 @@ from .algebra import (
     _trace_calculus,
     trace,
 )
-from .errors import (DomainError, NumericError, StructuralError, UnboundedNormError,
-                     batch_or_loop)
+from .errors import (DomainError, NcorliczError, NumericError, StructuralError,
+                     UnboundedNormError, batch_or_loop)
 from .orlicz import OrliczFunction, conjugate, cosh_minus_one
 from .quadrature import DEPTH
 from .rearrangement import (
@@ -42,12 +42,13 @@ from .rearrangement import (
     _interval_masses,
     singular_values_many,
 )
-from .solve import bisect_rows, bracket_rows, minimize
+from .solve import _cut, _walk, bisect_rows, bracket_rows, minimize
 
 INF = math.inf
 DEFAULT_TOL = 1e-9
 MODULAR_SLACK = 1e-9  # absolute slack at the modular <= 1 boundary
 BRACKET_LIMIT = 200
+_HEAD, _BIG = 7, np.finfo(float).max  # a norm's down walk starts 2**_HEAD above its seed
 AMEMIYA_K_CAP = 1e9
 # Rows solved together at most: a corpus solve's temporaries (Amemiya's first
 # pass is rows x 231 scalings x pieces) stay within about a megabyte.
@@ -302,45 +303,42 @@ def _parametric_integrand(phi: OrliczFunction, k: np.ndarray):
 
 
 def _feasible(modular_at):
-    """The rows predicates of ``_norm_bisect_rows`` from ``modular_at(rows, inv_scales)``."""
-
-    def feasible(rows, lams):
-        return modular_at(rows, 1.0 / lams) <= 1.0 + MODULAR_SLACK
-
-    return feasible, lambda rows, lams: ~feasible(rows, lams)
+    """Rows values for ``_norm_bisect_rows``: modular - (1 + MODULAR_SLACK), <= 0 if feasible."""
+    return lambda rows, lams: modular_at(rows, 1.0 / lams) - (1.0 + MODULAR_SLACK)
 
 
-def _norm_bisect_rows(tests, seeds: np.ndarray, tol: float) -> np.ndarray:
+def _norm_bisect_rows(value, seeds: np.ndarray, tol: float) -> np.ndarray:
     """inf{lam > 0 : modular <= 1} for each row, bracketed from its seed.
 
-    ``tests`` is the pair of rows predicates (feasible, infeasible):
-    whether the modulars of the rows numbered ``rows`` are at most one at
-    the matching rows of scalings lam, and whether they are not.  Each row
-    walks down from its seed BATCH scalings at a time, walks up when the
-    seed is infeasible, then bisects, with every row's numbers its own.
-    NaN marks a row that no finite scaling brings below one.
+    ``value`` is ``_feasible``'s.  Each row walks down BATCH scalings at a
+    time from 2**_HEAD times its seed, which brackets most norms in one
+    round, walks up when that start is infeasible, then cuts, guided by the
+    values of the walk's last round.  Every row's numbers are its own.  NaN
+    marks a row that no finite scaling brings below one.
     """
-    feasible, infeasible = tests
 
     def on(holds, subset):
         if subset.size == seeds.size:
             return holds
         return lambda rows, lams: holds(subset[rows], lams)
 
-    lam = np.where((seeds > 0.0) & (seeds < INF), seeds, 1.0)
     # walks probe scalings far from the norm, where the modular overflows
-    # to +inf: a value, not a warning
+    # to +inf: a value, not a warning; each way they reach 2**201 times the seed
     with np.errstate(over="ignore", invalid="ignore"):
-        yes, no = bracket_rows(feasible, lam, 0.5, BRACKET_LIMIT + 1)
-        up = (np.isnan(yes) & ~np.isnan(no)).nonzero()[0]  # the seed is infeasible
+        lam = np.minimum(np.where((seeds > 0.0) & (seeds < INF), seeds, 1.0) * 2.0 ** _HEAD, _BIG)
+        known = _walk(value, lam, 0.5, BRACKET_LIMIT + 1 + _HEAD)
+        yes, no = known[0], known[1]
+        up = (np.isnan(yes) & ~np.isnan(no)).nonzero()[0]  # the start is infeasible
         if up.size:
-            last, yes[up] = bracket_rows(on(infeasible, up), lam[up] * 2.0, 2.0, BRACKET_LIMIT)
+            last, yes[up] = bracket_rows(on(lambda rows, lams: ~(value(rows, lams) <= 0.0), up),
+                                         lam[up] * 2.0, 2.0, BRACKET_LIMIT - _HEAD)
             no[up] = np.where(np.isnan(last), lam[up], last)
+            known[2:, up] = np.nan
         # a down walk that never failed: feasible at arbitrarily small scalings
         out = np.where(np.isnan(no), 0.0, np.nan)
         todo = (~np.isnan(yes + no)).nonzero()[0]
         if todo.size:
-            out[todo] = bisect_rows(on(feasible, todo), yes[todo], no[todo], rtol=tol)
+            out[todo] = _cut(on(value, todo), known[:, todo], tol, 0.0)
     return out
 
 
@@ -532,15 +530,19 @@ def holder_checks(triples: Sequence[tuple[TracedAlgebra, AlgebraElement, Algebra
                   tol: float = 1e-8) -> list[list[HolderReport]]:
     """``holder_check`` without probes over many (alg, f, g) and gauges.
 
-    Each gauge takes |tr(fg)| of each triple, one ``singular_values_many``
-    call over all the f and g, and one Amemiya and one Luxemburg solve.
-    Errors follow ``batch_or_loop``, one gauge at a time.  Returns one list
-    of reports per gauge, in the order of ``triples``.
+    |tr(fg)| of each triple and one ``singular_values_many`` call over all
+    the f and g serve every gauge, which takes one Amemiya and one
+    Luxemburg solve.  Errors follow ``batch_or_loop``, one gauge at a time,
+    each gauge computing its own parts when the shared ones fail.  Returns
+    one list of reports per gauge, in the order of ``triples``.
     """
 
+    def parts(items):
+        return ([abs(trace(alg, f @ g)) for alg, f, g in items],
+                singular_values_many([f for _, f, _ in items] + [g for _, _, g in items]))
+
     def solve(phi, items):
-        lefts = [abs(trace(alg, f @ g)) for alg, f, g in items]
-        mus = singular_values_many([f for _, f, _ in items] + [g for _, _, g in items])
+        lefts, mus = shared if items is triples and shared else parts(items)
         duals = amemiya_norms(mus[:len(items)], conjugate(phi)).tolist()
         primals = luxemburg_norms(mus[len(items):], phi).tolist()
         row = []
@@ -552,6 +554,10 @@ def holder_checks(triples: Sequence[tuple[TracedAlgebra, AlgebraElement, Algebra
                                     passed=passed, sampled_sup=None, sampled_sup_ok=True))
         return row
 
+    try:
+        shared = parts(triples)
+    except (NcorliczError, np.linalg.LinAlgError):
+        shared = None
     return [batch_or_loop(lambda items: solve(phi, items), triples) for phi in gauges]
 
 

@@ -414,8 +414,8 @@ def formal_inverse(phi: OrliczFunction, t: float) -> float:
     if phi.b_phi < INF and t >= phi.value_at_b:
         return phi.b_phi
 
-    def below(rows, s):
-        return phi.eval_many(s) <= t
+    def below(rows, s):  # phi(s) - t, convex in s: it holds where <= 0
+        return phi.eval_many(s) - t
 
     lo = phi.a_phi
     with np.errstate(over="ignore", invalid="ignore"):

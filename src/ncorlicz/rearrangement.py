@@ -412,8 +412,8 @@ class WeightedContext:
         if w.inverse_cumulative is not None:
             return float(w.inverse_cumulative(s))
 
-        def below(rows, t):
-            return w.head_integrals(t.ravel()).reshape(t.shape) <= s
+        def below(rows, t):  # F(t) - s, concave in t: it holds where <= 0
+            return w.head_integrals(t.ravel()).reshape(t.shape) - s
 
         # doublings from 1 stop at 2**1023, the largest finite power of two
         last, hi = bracket_rows(below, np.array([1.0]), 2.0, 1023)

@@ -5,9 +5,10 @@ predicate: the Luxemburg and trace-modular norms, formal inverses, the
 detected gauge thresholds, the inverse running weight, the
 exponential-moment membership walk and the regularity walk.  There is one
 walk and one cut.  ``bracket_rows`` walks geometrically until the predicate
-first fails; ``bisect_rows`` cuts a (holds, fails) pair into BATCH + 1
-equal parts a round until it is within the caller's tolerance.  Callers keep
-their own tolerances and their own answer to a walk that never ends.
+first fails; ``bisect_rows`` cuts a (holds, fails) pair a round until it is
+within the caller's tolerance, guided by the predicate's values when it
+gives any.  Callers keep their own tolerances and their own answer to a
+walk that never ends.
 
 Both solve independent problems, one per row: the predicate
 ``holds(rows, points)`` gets BATCH points of every unfinished row as one
@@ -22,6 +23,7 @@ at once: the Amemiya norm and the values of a numeric conjugate.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -38,6 +40,11 @@ _NEW = np.setdiff1d(_INTERIOR, _KNOWN)
 # where a pair a few subnormals wide makes the quotient 0.
 _FRACTIONS = np.arange(1, BATCH + 1) / (BATCH + 1)
 _FRACTION_LIST = _FRACTIONS.tolist()
+# A guided round's, as fractions of its window: offset so that none lies on a predicted root.
+_GUIDED = (np.arange(BATCH) + 0.3) / BATCH
+_GUIDED_LIST, _CUTS = _GUIDED.tolist(), np.array([_FRACTIONS, _GUIDED]).T
+INF = math.inf
+_NAN = [math.nan]
 _ONE_ROW = np.arange(1)
 
 
@@ -46,35 +53,41 @@ def bracket_rows(holds, x: np.ndarray, factor: float,
     """Geometric walks of independent problems, one per entry of x, until each first fails.
 
     ``holds(rows, points)`` answers, for the problems numbered ``rows``,
-    whether each holds at the matching row of ``points``.  Each round gives
-    every problem still walking the next BATCH points of its walk
-    x * factor**i, i = 0, ..., limit, each point the previous one times
-    ``factor``.  Returns per problem the last point that held (NaN when x
-    itself failed) and the first point that failed (NaN when every tried
-    point held).
+    whether each holds at the matching row of ``points``: booleans, or
+    values that hold where they are <= 0.  Each round gives every problem
+    still walking the next BATCH points of its walk x * factor**i,
+    i = 0, ..., limit, each point the previous one times ``factor``.
+    Returns per problem the last point that held (NaN when x itself failed)
+    and the first point that failed (NaN when every tried point held).
     """
+    known = _walk(holds, x, factor, limit)
+    return known[0].copy(), known[1].copy()
+
+
+def _walk(holds, x: np.ndarray, factor: float, limit: int) -> np.ndarray:
+    """``bracket_rows`` as ``_cut``'s known points: last held, first failed, next; values."""
     x = np.array(x, dtype=float)
     if x.size == 1:
-        last, first = _bracket_one_row(holds, float(x[0]), factor, limit)
-        return np.array([last]), np.array([first])
-    last, first = np.full(x.size, np.nan), np.full(x.size, np.nan)
-    rows, held = np.arange(x.size), last.copy()
-    left = limit + 1
+        return _walk_one_row(holds, float(x[0]), factor, limit)
+    known = np.full((6, x.size), np.nan)
+    rows, held, left = np.arange(x.size), known[::3].copy(), limit + 1
     while left > 0 and rows.size:
-        points = np.empty((rows.size, min(BATCH, left)))
-        points[:, 0], points[:, 1:] = x, factor
-        np.multiply.accumulate(points, axis=1, out=points)
-        left -= points.shape[1]
-        fails = ~holds(rows, points)
-        i = fails.argmax(axis=1)
-        r = np.arange(rows.size)
-        found, before = points[r, i], np.where(i > 0, points[r, i - 1], held)
-        hit = fails.any(axis=1)
-        last[rows[hit]], first[rows[hit]] = before[hit], found[hit]
-        rows, held = rows[~hit], points[~hit, -1]
-        x = held * factor
-    last[rows] = held
-    return last, first
+        # the grid of points and values: the last point walked, this round's, NaN
+        grid = np.full((2, min(BATCH, left) + 2, rows.size), np.nan)
+        grid[:, 0] = held
+        points = grid[0, 1:-1]
+        points[0], points[1:] = x, factor
+        np.multiply.accumulate(points, axis=0, out=points)
+        left -= len(points)
+        grid[1, 1:-1] = _values(holds(rows, points.T)).T
+        ok = grid[1, 1:-1] <= 0.0
+        hit = ~np.logical_and.reduce(ok, axis=0)
+        around = grid.take(ok.argmin(axis=0) * rows.size + _around(*grid.shape[1:]))
+        known[:, rows[hit]] = around[:, hit]
+        rows, held = rows[~hit], grid[:, -2, ~hit]
+        x = held[0] * factor
+    known[::3, rows] = held
+    return known
 
 
 def bisect_rows(holds, yes: np.ndarray, no: np.ndarray, rtol: float,
@@ -82,67 +95,106 @@ def bisect_rows(holds, yes: np.ndarray, no: np.ndarray, rtol: float,
     """The boundaries of independent problems, one per entry of ``yes``.
 
     Each problem's pair (``yes`` holds, ``no`` fails) is cut until
-    |no - yes| <= atol + rtol * max(|yes|, |no|).  A round gives
-    ``holds(rows, points)`` BATCH evenly spaced interior points of each
-    unfinished pair; the new pair is the first failing point and the point
-    before it.  A finished problem is not evaluated again.  Returns the
-    ``yes`` ends.
+    |no - yes| <= atol + rtol * max(|yes|, |no|), ``holds`` as for
+    ``bracket_rows``.  A round gives it BATCH interior points of each
+    unfinished pair, evenly across the window between the secant root of
+    the pair and the root of the line through ``no`` and the point after it
+    (widened by the tolerance); for values convex or concave along the pair
+    it holds the boundary.  With no values, a value not finite, no such
+    line or a window not narrower than half the pair, the points cut the
+    pair into BATCH + 1 equal parts.  The new pair is the first failing
+    point and the point before it, and a finished problem is not evaluated
+    again.  Returns the ``yes`` ends.
     """
-    out = np.array(yes, dtype=float)
-    if out.size == 1:
-        return np.array([_bisect_one_row(holds, float(out[0]), float(no[0]), rtol, atol)])
-    rows, y, n = np.arange(out.size), out.copy(), np.array(no, dtype=float)
+    return _cut(holds, np.concatenate(([yes, no], np.full((4, np.size(yes)), np.nan))), rtol, atol)
+
+
+def _cut(holds, known: np.ndarray, rtol: float, atol: float) -> np.ndarray:
+    """``bisect_rows`` from ``_walk``'s known points and values."""
+    if known.shape[1] == 1:
+        return np.array([_cut_one_row(holds, known[:, 0].tolist(), rtol, atol)])
+    out, rows = known[0].copy(), np.arange(known.shape[1])
     while rows.size:
-        going = np.abs(n - y) > atol + rtol * np.maximum(np.abs(y), np.abs(n))
+        y, n, after, fy, fn, f_after = known
+        d = n - y
+        width, tol = np.abs(d), atol + rtol * np.maximum(np.abs(y), np.abs(n))
+        going = width > tol
         if not np.logical_and.reduce(going):
             out[rows] = y
-            rows, y, n = rows[going], y[going], n[going]
+            rows, known = rows[going], known[:, going]
             continue
-        # each row's grid: yes, its BATCH interior points, no
-        grid = np.empty((rows.size, BATCH + 2))
-        grid[:, 0], grid[:, -1] = y, n
-        np.add(y[:, None], (n - y)[:, None] * _FRACTIONS, out=grid[:, 1:-1])
-        fails = np.ones((rows.size, BATCH + 1), dtype=bool)
-        np.logical_not(holds(rows, grid[:, 1:-1]), out=fails[:, :-1])
-        # the first failing point, counted from yes; BATCH + 1 (no) when none failed
-        at = fails.argmax(axis=1) + np.arange(0, grid.size, BATCH + 2)
-        y, n = grid.take(at), grid.take(at + 1)
+        # the window, as fractions lo to lo + w of the pair from yes
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            slope = (f_after - fn) / ((after - n) / d)
+            s, t, pad = fy / (fy - fn), 1.0 - fn / slope, tol / width
+            lo = np.fmax(np.minimum(s, t) - pad, 0.0)
+            w = np.fmin(np.maximum(s, t) + pad, 1.0) - lo
+        guided = (slope > 0.0) & (slope < INF) & (w < 0.5)
+        # the grid of points and values: yes, BATCH new points, no and the point after
+        grid = np.empty((2, BATCH + 3, rows.size))
+        grid[:, :1], grid[:, -2:] = known.reshape(2, 3, -1)[:, :1], known.reshape(2, 3, -1)[:, 1:]
+        points = grid[0, 1:-2]
+        np.add(y + d * (lo * guided), d * np.fmax(w, ~guided) * _CUTS.take(guided.view(np.int8), 1),
+               out=points)
+        grid[1, 1:-2] = _values(holds(rows, points.T)).T
+        at = (grid[1, 1:-1] <= 0.0).argmin(axis=0)  # the new yes, before the first failing point
+        known = grid.take(at * rows.size + _around(*grid.shape[1:]))
     return out
 
 
-# One problem alone: the same points and pairs as its row in a many-row
-# call, kept in Python floats.  A numpy operation on a one-element array
-# costs as much as on a hundred, and the rows bookkeeping takes about twenty
-# of them per round, more than a one-row solve spends in its predicate.
-# A round is one call of ``holds`` on the one row of its points.
+def _values(answer: np.ndarray) -> np.ndarray:
+    """A predicate's answers as values: -1 where a boolean holds and +1 where it fails."""
+    return np.where(answer, -1.0, 1.0) if answer.dtype == bool else answer
 
-def _bracket_one_row(holds, x: float, factor: float, limit: int) -> tuple[float, float]:
-    last, left = math.nan, limit + 1
+
+@functools.lru_cache
+def _around(width: int, size: int) -> np.ndarray:
+    """Where a (2, width, size) grid keeps, per column, the points and values before, at and
+    after the first point of ``grid[:, 1:]`` that fails, less that point's index times size."""
+    return np.array([[0], [1], [2], [width], [width + 1], [width + 2]]) * size + np.arange(size)
+
+
+# One problem alone: the same points and pairs as its row in a many-row
+# call, in Python floats.  The rows bookkeeping takes about forty numpy
+# calls a round, more than a one-row solve spends in its predicate.
+
+def _walk_one_row(holds, x: float, factor: float, limit: int) -> np.ndarray:
+    xs, fs, left = _NAN, _NAN, limit + 1
     while left > 0:
         points = [x]
         for _ in range(min(BATCH, left) - 1):
             points.append(points[-1] * factor)
         left -= len(points)
-        fails = ~holds(_ONE_ROW, np.array([points]))[0]
-        i = int(fails.argmax())
-        if fails[i]:
-            return (points[i - 1] if i else last), points[i]
-        last = points[-1]
-        x = last * factor
-    return last, math.nan
+        values = _values(holds(_ONE_ROW, np.array([points]))[0]).tolist()
+        i = next((j for j, v in enumerate(values) if not v <= 0.0), None)
+        xs, fs = xs[-1:] + points, fs[-1:] + values
+        if i is not None:
+            return np.array([(xs + _NAN)[i:i + 3] + (fs + _NAN)[i:i + 3]]).T
+        x = points[-1] * factor
+    return np.array([xs[-1:] + _NAN * 2 + fs[-1:] + _NAN * 2]).T
 
 
-def _bisect_one_row(holds, yes: float, no: float, rtol: float, atol: float) -> float:
-    while abs(no - yes) > atol + rtol * max(abs(yes), abs(no)):
-        gap = no - yes
-        points = [yes + gap * f for f in _FRACTION_LIST]
-        fails = ~holds(_ONE_ROW, np.array([points]))[0]
-        i = int(fails.argmax())
-        if fails[i]:
-            yes, no = (points[i - 1] if i else yes), points[i]
-        else:
-            yes = points[-1]
-    return yes
+def _cut_one_row(holds, known: list, rtol: float, atol: float) -> float:
+    yes, no, after, fy, fn, f_after = known
+    while True:
+        d = no - yes
+        width, tol = abs(d), atol + rtol * max(abs(yes), abs(no))
+        if not width > tol:
+            return yes
+        start, step, fractions = yes, d, _FRACTION_LIST
+        b = (after - no) / d
+        slope = (f_after - fn) / b if b else math.nan
+        if 0.0 < slope < INF:
+            s, t, pad = fy / (fy - fn), 1.0 - fn / slope, tol / width
+            lo = max(min(s, t) - pad, 0.0)
+            w = min(max(s, t) + pad, 1.0) - lo
+            if w < 0.5:
+                start, step, fractions = yes + d * lo, d * w, _GUIDED_LIST
+        points = [start + step * f for f in fractions]
+        values = _values(holds(_ONE_ROW, np.array([points]))[0]).tolist()
+        i = next((j for j, v in enumerate(values) if not v <= 0.0), BATCH)
+        xs, fs = [yes] + points + [no, after], [fy] + values + [fn, f_after]
+        yes, no, after, fy, fn, f_after = xs[i:i + 3] + fs[i:i + 3]
 
 
 def minimize(f, points: np.ndarray, rtol: float,

@@ -23,6 +23,7 @@ from ncorlicz import (
     constant,
     cosh_minus_one,
     custom,
+    eval_gauge,
     exp_decay,
     exp_minus_one,
     holder_check,
@@ -56,7 +57,7 @@ from ncorlicz.sampling import (
     random_state,
     random_weight_step,
 )
-from ncorlicz.norms import AMEMIYA_K_CAP
+from ncorlicz.norms import AMEMIYA_K_CAP, MODULAR_SLACK
 from ncorlicz.verify import _norm_gauges
 
 INF = math.inf
@@ -167,11 +168,12 @@ class TestLuxemburg:
         assert luxemburg_norm(StepForm.from_raw([], []), power(2.0)) == 0.0
 
     def test_parametric_walk_up_past_its_first_point(self):
-        # the seed 1 is infeasible and the walk up 2, 4, 8, ... first holds at 16
-        # (norm 10) and 32 (norm sqrt(500))
-        assert luxemburg_norm(log_reciprocal(50.0), power(2.0)) == pytest.approx(10.0, rel=1e-9)
-        got = luxemburg_norm(power_decay(0.3, 200.0), power(2.0))
-        assert got == pytest.approx(math.sqrt(500.0), rel=1e-9)
+        # the seed 1 starts the walk at 2^7, which is infeasible, and the walk up
+        # 2^8, 2^9, ... first holds at 2^9 (norm sqrt(1e5)) and 2^10 (norm sqrt(5e5))
+        got = luxemburg_norm(log_reciprocal(5e4), power(2.0))
+        assert got == pytest.approx(math.sqrt(1e5), rel=1e-9)
+        got = luxemburg_norm(power_decay(0.3, 2e5), power(2.0))
+        assert got == pytest.approx(math.sqrt(5e5), rel=1e-9)
 
     def test_unbounded_raises(self):
         ctx = WeightedContext(exp_decay())
@@ -217,6 +219,70 @@ class TestLuxemburg:
         assert len(calls) == 1
         # weight masses of the pieces: 0.5 and 0.5 + 0.5 * 0.5
         assert lam == pytest.approx(math.sqrt(0.5 * 9.0 + 0.75 * 1.0), rel=1e-9)
+
+
+def _slack_corpus():
+    """200 seeded step forms, and the contexts they are solved in: Lebesgue and a step weight."""
+    rng = np.random.default_rng(26)
+    forms = [random_decreasing_step(rng) for _ in range(200)]
+    return forms, [None, WeightedContext(random_weight_step(rng))]
+
+
+def _fsum_modular(mu, phi, ctx, lam):
+    """The modular at scaling lam, summed exactly over one scalar gauge call per piece."""
+    masses = mu.durations if ctx is None else ctx.piece_masses(mu.breakpoints)
+    return math.fsum(m * eval_gauge(phi, v / lam)
+                     for v, m in zip(mu.values.tolist(), masses.tolist()) if m > 0)
+
+
+class TestNormSolveEdge:
+    """A norm lies on the feasible side of the slack, and a solve takes few passes."""
+
+    GAUGES = _norm_gauges() + [zero_then_linear(0.5)]
+
+    def test_modular_at_the_norm_is_within_the_slack(self):
+        # a point of the cut on its predicted root would put the modular
+        # within rounding of 1 + MODULAR_SLACK, on either side of it
+        tol = 1e-9
+        forms, ctxs = _slack_corpus()
+        for phi in self.GAUGES:
+            for ctx in ctxs:
+                for mu, lam in zip(forms, luxemburg_norms(forms, phi, ctx, tol).tolist()):
+                    assert _fsum_modular(mu, phi, ctx, lam) <= 1.0 + MODULAR_SLACK
+                    assert _fsum_modular(mu, phi, ctx, lam * (1.0 - 2.0 * tol)) > 1.0
+
+    def test_a_walk_from_near_the_float_ceiling(self):
+        # the walk starts 2^7 above the seed, or at the largest float where that overflows
+        for v in (1e300, 1e307, 1.7e308):
+            got = luxemburg_norm(StepForm.from_raw([1.0], [v]), power(2.0))
+            assert got == pytest.approx(v, rel=1e-9)
+
+    def test_a_luxemburg_solve_takes_at_most_five_passes(self, monkeypatch):
+        import ncorlicz.norms as norms
+        passes, real = [], norms._step_modular
+        monkeypatch.setattr(norms, "_step_modular", lambda *a: passes.append(1) or real(*a))
+        forms, ctxs = _slack_corpus()
+        solves = 0
+        for phi in self.GAUGES:
+            for ctx in ctxs:
+                for mu in forms:
+                    luxemburg_norm(mu, phi, ctx)
+                    solves += 1
+        assert len(passes) <= 5 * solves  # an even 16-way cut takes about 9.7
+
+    def test_a_kunze_solve_takes_at_most_five_passes(self, monkeypatch):
+        import ncorlicz.norms as norms
+        passes, real = [], norms._trace_calculus
+        monkeypatch.setattr(norms, "_trace_calculus", lambda *a: passes.append(1) or real(*a))
+        rng = np.random.default_rng(26)
+        solves = 0
+        for alg in algebra_shapes():
+            for _ in range(10):
+                a = random_element(alg, rng)
+                for phi in _norm_gauges():
+                    kunze_norm(alg, a, phi)
+                    solves += 1
+        assert len(passes) <= 5 * solves  # an even 16-way cut takes about 9.7
 
 
 # A weight per kind: Lebesgue, a density and a step weight
@@ -624,8 +690,10 @@ class TestManyForms:
                 assert want is not None
                 _raises_like(lambda: many(mus, phi), want)
         # parametric data name the gauge and the argument, as step data do
+        # the Luxemburg walk of log_reciprocal(1e-6) (norm sqrt(2e-6)) reaches
+        # the scalings below 7e-4 where the sampled arguments pass 1e6
         for mu, one in ((exp_decay(), amemiya_norm), (log_reciprocal(), amemiya_norm),
-                        (log_reciprocal(), luxemburg_norm)):
+                        (log_reciprocal(1e-6), luxemburg_norm)):
             with pytest.raises(NumericError,
                                match=r"^gauge nan_above_a_million returned NaN at \d"):
                 one(mu, phi)

@@ -3,7 +3,8 @@
 A search of one row takes the Python path of ``bracket_rows`` and
 ``bisect_rows`` (``TestBracket``, ``TestBisect``), a search of several rows
 the numpy path (``TestBatchedBracket``, ``TestBatchedBisect``); a row's answer
-is the same on both (``TestOnePointIsOneRow``, ``TestRows``).
+is the same on both (``TestOnePointIsOneRow``, ``TestRows``).  A predicate
+that gives values instead of booleans guides the cut (``TestValueGuidedCut``).
 """
 
 import math
@@ -278,6 +279,101 @@ class TestRows:
         assert sets == sorted(sets, key=len, reverse=True)  # once gone, never back
         assert got[0] <= 0.3 <= got[0] + 1e-3 and got[1] <= 0.7 <= got[1] + 1e-3
         assert [got[0]] == _bisect([lambda x: x <= 0.3], [0.0], [0.5], rtol=0.0, atol=1e-3)
+
+
+def _shape(kind, k, z):
+    """A value rising through 0 at z = 0, in units of the distance k z from the boundary."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "convex":
+            return np.expm1(k * z)
+        if kind == "concave":
+            return -np.expm1(-k * z)
+        if kind == "kinked":  # a broken line, kinked at z = 0.37: convex for k > 1
+            return np.where(z <= 0.37, z, z + (k - 1.0) * (z - 0.37))
+        if kind == "capped":  # convex, then +inf from z = 0.5 / k on
+            return np.where(k * z < 0.5, np.expm1(z), np.inf)
+        return np.where(z <= 0.0, -1.0, 1.0)
+
+
+_KINDS = ["convex", "concave", "kinked", "capped", "sign"]
+
+
+def _problems():
+    """Rows of value searches: (kind, slope k, boundary, holds below it, yes, no)."""
+    row = st.tuples(st.sampled_from(_KINDS), st.floats(0.01, 100.0), st.floats(-1e3, 1e3),
+                    st.booleans(), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
+    return st.lists(row, min_size=1, max_size=6)
+
+
+def _value_rows(problems, calls):
+    """The rows values of ``problems``, recording each row's evaluated points."""
+
+    def values(rows, xs):
+        out = np.empty(xs.shape)
+        for i, r in enumerate(rows.tolist()):
+            kind, k, edge, below, _, _ = problems[r]
+            calls[r].extend(xs[i].tolist())
+            out[i] = _shape(kind, k, (xs[i] - edge) if below else (edge - xs[i]))
+        return out
+
+    return values
+
+
+class TestValueGuidedCut:
+    """Values guide the cut; the answer keeps the even cut's guarantee."""
+
+    @given(_problems(), st.sampled_from([1e-13, 1e-9, 1e-6]), st.sampled_from([0.0, 1e-12]))
+    @settings(max_examples=150, deadline=None)
+    def test_each_answer_holds_and_meets_the_stopping_rule(self, problems, rtol, atol):
+        yes = [edge - a if below else edge + a for _, _, edge, below, a, _ in problems]
+        no = [edge + b if below else edge - b for _, _, edge, below, _, b in problems]
+        assume(atol > 0.0 or all(abs(p[2]) >= 1e-3 for p in problems))
+        calls = [[] for _ in problems]
+        values = _value_rows(problems, calls)
+        got = bisect_rows(values, np.array(yes), np.array(no), rtol, atol)
+        for r, (y0, n0, answer) in enumerate(zip(yes, no, got.tolist())):
+            tried = np.array(calls[r] + [n0])
+            failing = tried[~(values(np.array([r]), tried[None])[0] <= 0.0)]
+            # the failing point nearest the answer on the side of no
+            side = failing[(failing - answer) * (n0 - y0) > 0]
+            near = side[np.abs(side - answer).argmin()]
+            assert answer == y0 or values(np.array([r]), np.array([[answer]]))[0, 0] <= 0.0
+            assert abs(near - answer) <= atol + rtol * max(abs(answer), abs(near))
+
+    @given(_problems(), st.sampled_from([1e-13, 1e-9, 1e-6]), st.sampled_from([0.0, 1e-12]))
+    @settings(max_examples=150, deadline=None)
+    def test_one_row_is_its_row_of_many(self, problems, rtol, atol):
+        yes = np.array([edge - a if below else edge + a for _, _, edge, below, a, _ in problems])
+        no = np.array([edge + b if below else edge - b for _, _, edge, below, _, b in problems])
+        assume(atol > 0.0 or all(abs(p[2]) >= 1e-3 for p in problems))
+        values = _value_rows(problems, [[] for _ in problems])
+        many = bisect_rows(values, yes, no, rtol, atol)
+        for r in range(len(problems)):
+            one = bisect_rows(lambda rows, xs, r=r: values(rows + r, xs), yes[r:r + 1],
+                              no[r:r + 1], rtol, atol)
+            assert one.tolist() == many[r:r + 1].tolist()
+
+    @given(st.floats(-1e3, 1e3), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.booleans(),
+           st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_signs_take_the_even_points(self, edge, a, b, below, two_rows):
+        # a value of -1 or +1 gives no window: every round cuts 16 ways, at the
+        # points a boolean predicate is given
+        yes, no = (edge - a, edge + b) if below else (edge + a, edge - b)
+        rows = 2 if two_rows else 1
+        seen = []
+        for signs in (True, False):
+            calls = []
+
+            def holds(rows_, xs, signs=signs):
+                calls.append(xs.copy())
+                h = xs <= edge if below else xs >= edge
+                return np.where(h, -1.0, 1.0) if signs else h
+
+            got = bisect_rows(holds, np.full(rows, yes), np.full(rows, no), 1e-12, 1e-12)
+            seen.append((got.tolist(), [c.tolist() for c in calls]))
+        assert seen[0] == seen[1]
+        assert seen[1][1][0][0] == (yes + (no - yes) * _FRACTIONS).tolist()
 
 
 def _recorded(fn, calls):
