@@ -157,12 +157,17 @@ def _by_algebra(elements: Sequence[AlgebraElement], solve, *columns) -> list:
     return out
 
 
+def _stacks(alg: TracedAlgebra, elements: Sequence[AlgebraElement]) -> list[np.ndarray]:
+    """The per-block (rows, n, n) stacks of elements of ``alg``, one row per element."""
+    return [np.array([a.blocks[k] for a in elements]).reshape(-1, n, n)
+            for k, n in enumerate(alg.dims)]
+
+
 def _are_positive(elements: Sequence[AlgebraElement], tol: float = 1e-10) -> np.ndarray:
     """``is_positive`` of many elements: one stacked call per algebra and block."""
 
     def rows(alg, members):
-        return _positive_rows([np.array([a.blocks[k] for a in members])
-                               for k in range(alg.n_blocks)], tol)
+        return _positive_rows(_stacks(alg, members), tol)
 
     return np.array(_by_algebra(elements, rows), dtype=bool)
 
@@ -187,9 +192,9 @@ def _svd_blocks(elements: Sequence[AlgebraElement]):
     NumericError naming the block on failure.
     """
     out = []
-    for k in range(elements[0].algebra.n_blocks):
+    for k, stack in enumerate(_stacks(elements[0].algebra, elements)):
         try:
-            _, s, vh = np.linalg.svd(np.array([a.blocks[k] for a in elements]))
+            _, s, vh = np.linalg.svd(stack)
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"singular value decomposition failed on block {k}: {exc}") from exc
         out.append((s, vh, vh.conj()))

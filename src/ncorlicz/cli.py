@@ -37,7 +37,7 @@ from .norms import (
     pistone_sempi_equivalence,
 )
 from .rearrangement import singular_values
-from .sampling import random_element, random_self_adjoint
+from .sampling import random_elements, random_self_adjoints
 from .verify import SuiteConfig, Tolerances, run_suite
 
 ENV_SEED = "NCORLICZ_SEED"
@@ -157,7 +157,7 @@ def cmd_dual_check(args) -> int:
     g = load_element(alg, specs[2])
     phi = load_orlicz(specs[3])
     rng = np.random.default_rng(_seed_from(args))
-    probes = [random_element(alg, rng) for _ in range(args.samples)]
+    probes = random_elements([alg] * args.samples, rng)
     rep = holder_check(alg, f, g, phi, tol=args.tol, probes=probes)
     report = {
         "command": "dual-check",
@@ -201,7 +201,7 @@ def cmd_compose(args) -> int:
     psi = load_orlicz(specs[1])
     phi2 = load_orlicz(specs[2])
     rng = np.random.default_rng(_seed_from(args))
-    probes = [random_self_adjoint(J.source, rng) for _ in range(args.samples)]
+    probes = random_self_adjoints([J.source] * args.samples, rng)
     rep = composition_bound_check(J, psi, phi2, probes, tol=args.tol)
     spectrum = sorted({float(b[0, 0].real) for b in rep.density.blocks}, reverse=True)
     report = {
@@ -307,6 +307,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    if getattr(args, "samples", 0) < 0:  # a malformed input, like any parse error: exit 2
+        _parser().error(f"argument --samples: expected an integer >= 0, got {args.samples}")
     try:
         return args.fn(args)
     except SpecError as exc:

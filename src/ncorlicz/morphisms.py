@@ -18,6 +18,7 @@ import numpy as np
 from .algebra import (
     AlgebraElement,
     TracedAlgebra,
+    _stacks,
     abs_value,
     apply_function,
     trace,
@@ -25,7 +26,7 @@ from .algebra import (
 from .errors import DomainError, NotMeasurableError, StructuralError, batch_or_loop
 from .orlicz import OrliczFunction, compose_orlicz, conjugate
 from .norms import amemiya_norm, luxemburg_norms
-from .rearrangement import singular_values, singular_values_many, submajorizes
+from .rearrangement import _step_forms, singular_values, singular_values_many, submajorizes
 
 INF = math.inf
 FLAVORS = ("homo", "anti")
@@ -119,27 +120,30 @@ class JordanMorphism:
 
 
 def apply_jordan(J: JordanMorphism, a: AlgebraElement) -> AlgebraElement:
-    """Evaluate the block formula; transposed copies realize the anti part."""
+    """The block formula, the one-element case of ``_images``; transposes give the anti part."""
     if a.algebra != J.source:
         raise StructuralError("element does not belong to the morphism's source")
+    return AlgebraElement(J.target, tuple(s[0] for s in _images(J, [b[None] for b in a.blocks])))
+
+
+def _images(J: JordanMorphism, stacks: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """J of each row of per-block (rows, n, n) source stacks, as one stack per target block:
+    a unitary conjugates a whole stack in one matmul, each matrix getting its bits alone."""
     out = []
-    for k, spec in enumerate(J.blocks):
-        m = J.target.dims[k]
-        d = np.zeros((m, m), dtype=complex)  # the zero padding stays
-        if spec is None:
-            out.append(d)
-            continue
-        start = 0
-        for asg in spec.assignments:
-            piece = a.blocks[asg.src] if asg.flavor == "homo" else a.blocks[asg.src].T
-            n = piece.shape[0]
-            for _ in range(asg.copies):
-                d[start:start + n, start:start + n] = piece
-                start += n
-        if spec.unitary is not None:
-            d = spec.unitary @ d @ spec.unitary.conj().T
+    for m, spec in zip(J.target.dims, J.blocks):
+        d = np.zeros((len(stacks[0]), m, m), dtype=complex)  # the zero padding stays
+        if spec is not None:
+            start = 0
+            for asg in spec.assignments:
+                piece = stacks[asg.src] if asg.flavor == "homo" else stacks[asg.src].swapaxes(1, 2)
+                n = piece.shape[-1]
+                for _ in range(asg.copies):
+                    d[:, start:start + n, start:start + n] = piece
+                    start += n
+            if spec.unitary is not None:
+                d = spec.unitary @ d @ spec.unitary.conj().T
         out.append(d)
-    return J.target.element(out)
+    return out
 
 
 def radon_nikodym(J: JordanMorphism) -> AlgebraElement:
@@ -262,9 +266,17 @@ def _unit_ball_image_norms(J: JordanMorphism, phi1: OrliczFunction, phi2: Orlicz
     """phi2-norms of J(0.9 a / phi1-norm of a) over the nonzero probes a, in order."""
     if any(a.algebra != J.source for a in probes):
         raise StructuralError("element does not belong to the morphism's source")
-    norms = luxemburg_norms(singular_values_many(probes), phi1).tolist()
-    images = [apply_jordan(J, a * (0.9 / nrm)) for a, nrm in zip(probes, norms) if nrm != 0.0]
-    return luxemburg_norms(singular_values_many(images), phi2).tolist()
+    stacks = _stacks(J.source, probes)
+    norms = luxemburg_norms(_step_forms(J.source, stacks), phi1)
+    images = _images(J, _unit_ball(stacks, norms))
+    return luxemburg_norms(_step_forms(J.target, images), phi2).tolist()
+
+
+def _unit_ball(stacks: Sequence[np.ndarray], norms: np.ndarray) -> list[np.ndarray]:
+    """The rows a of per-block stacks with nonzero ``norms``, each scaled to 0.9 a / norm."""
+    live = norms != 0.0
+    scales = (0.9 / norms[live])[:, None, None]
+    return [s[live] * scales for s in stacks]
 
 
 @dataclass(frozen=True)

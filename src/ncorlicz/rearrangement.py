@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import quadrature
-from .algebra import AlgebraElement, TracedAlgebra, _by_algebra
+from .algebra import AlgebraElement, TracedAlgebra, _by_algebra, _stacks
 from .errors import DomainError, NumericError, StructuralError, batch_or_loop
 from .solve import bisect_rows, bracket_rows
 
@@ -52,17 +52,19 @@ class StepForm:
         if v.size > 1 and (v[1:] >= v[:-1]).any():
             if ((v[1:] - v[:-1]) > 1e-12 * (1.0 + v[:-1])).any():
                 raise DomainError("step values must be nonincreasing")
-            # merge exactly-equal adjacent values
-            same = v[1:] == v[:-1]
-            if same.any():
-                d = np.bincount(np.concatenate([[0], np.cumsum(~same)]), weights=d)
-                v = v[np.concatenate([[True], ~same])]
-        object.__setattr__(self, "durations", d)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "breakpoints", np.cumsum(d))
-        d.setflags(write=False)
-        v.setflags(write=False)
-        self.breakpoints.setflags(write=False)
+            (d,), (v,), _, (size,) = _canonical_rows(d[None], v[None])
+            d, v = d[:size], v[:size]
+        b = np.cumsum(d)
+        for x in (d, v, b):
+            x.setflags(write=False)
+        self.__dict__.update(durations=d, values=v, breakpoints=b)
+
+    @classmethod
+    def _of(cls, durations, values, breakpoints) -> "StepForm":
+        """A form of canonical read-only arrays taken as they are, without ``__post_init__``."""
+        form = object.__new__(cls)
+        form.__dict__.update(durations=durations, values=values, breakpoints=breakpoints)
+        return form
 
     @classmethod
     def from_raw(cls, durations, values) -> "StepForm":
@@ -330,16 +332,39 @@ def singular_values_many(elements: Sequence[AlgebraElement]) -> list[StepForm]:
     the values it gives that matrix alone, bit for bit, so each form is the
     one-element form.  Errors (no convergence) follow ``batch_or_loop``.
     """
+    return batch_or_loop(lambda items: _by_algebra(
+        items, lambda alg, members: _step_forms(alg, _stacks(alg, members))), elements)
 
-    def decompose(alg, members):
-        durations = np.concatenate([np.full(n, w) for n, w in zip(alg.dims, alg.weights)])
-        values = np.concatenate([np.linalg.svd(np.array([a.blocks[k] for a in members]),
-                                               compute_uv=False)
-                                 for k in range(alg.n_blocks)], axis=1)
-        order = np.argsort(-values, axis=1, kind="stable")
-        return [StepForm(durations[o], v[o]) for o, v in zip(order, values)]
 
-    return batch_or_loop(lambda items: _by_algebra(items, decompose), elements)
+def _step_forms(alg: TracedAlgebra, stacks: Sequence[np.ndarray]) -> list[StepForm]:
+    """The singular-value forms of the rows of per-block (rows, n, n) stacks of ``alg``:
+    read-only views of the rows of ``_canonical_rows``, built without ``__post_init__``."""
+    values = np.concatenate([np.linalg.svd(s, compute_uv=False) for s in stacks], axis=1)
+    order = np.argsort(-values, axis=1, kind="stable")
+    d, v, b, sizes = _canonical_rows(np.repeat(alg.weights, alg.dims)[order],
+                                     values[np.arange(len(values))[:, None], order])
+    return [StepForm._of(d[r, :k], v[r, :k], b[r, :k]) for r, k in enumerate(sizes.tolist())]
+
+
+def _canonical_rows(d: np.ndarray, v: np.ndarray):
+    """Rows of step data, positive values first, made canonical: read-only durations,
+    values and breakpoints, each row's pieces first, and the piece counts.  Values <= 0
+    or NaN are dropped; a run of equal values becomes one piece whose duration sums the
+    run's in order.  Without runs ``d`` and ``v`` themselves are kept."""
+    live = v > 0
+    tie = live[:, 1:] & (v[:, 1:] == v[:, :-1])  # entry j + 1 joins the run of entry j
+    if tie.any():
+        d = d.copy()
+        for j in np.flatnonzero(tie.any(axis=0)).tolist():
+            d[:, j + 1] = np.where(tie[:, j], d[:, j] + d[:, j + 1], d[:, j + 1])
+        live[:, :-1] &= ~tie  # the last entry of each run
+        pieces = np.zeros((2, *d.shape))
+        pieces[:, np.arange(d.shape[1]) < np.add.reduce(live, axis=1)[:, None]] = d[live], v[live]
+        d, v = pieces
+    b = np.cumsum(d, axis=1)
+    for x in (d, v, b):
+        x.setflags(write=False)
+    return d, v, b, np.add.reduce(live, axis=1)
 
 
 def singular_values(alg: TracedAlgebra, a: AlgebraElement) -> StepForm:

@@ -1,7 +1,9 @@
 """Seeded random corpora: elements, projections, weights, morphisms, channels.
 
 Everything is driven by an explicit numpy Generator so that verification runs
-are reproducible bit for bit.
+are reproducible bit for bit.  A corpus of elements is one ``standard_normal``
+call, read in the order of a loop of one-element draws: each element and the
+generator's state afterwards are that loop's, and a one-element draw is its case.
 """
 
 from __future__ import annotations
@@ -29,13 +31,45 @@ def _gauss_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
 
 
+def random_elements(algebras: list[TracedAlgebra],
+                    rng: np.random.Generator) -> list[AlgebraElement]:
+    """One random element of each algebra: blocks (X + iY) / sqrt(2), X then Y drawn n x n."""
+    return _drawn(algebras, rng, lambda s: s)
+
+
+def random_self_adjoints(algebras: list[TracedAlgebra],
+                         rng: np.random.Generator) -> list[AlgebraElement]:
+    """The self-adjoint parts (a + a*) / 2 of ``random_elements``, one stack per block."""
+    return _drawn(algebras, rng, lambda s: 0.5 * (s + s.conj().swapaxes(-1, -2)))
+
+
+def _drawn(algebras: list[TracedAlgebra], rng: np.random.Generator, finish) -> list:
+    """``random_elements``, each per-block stack passed through ``finish``; blocks are row views."""
+    widths = [2 * sum(n * n for n in alg.dims) for alg in algebras]
+    z = rng.standard_normal(sum(widths))
+    groups: dict = {}
+    for i, alg in enumerate(algebras):
+        groups.setdefault(alg, []).append(i)
+    out = [None] * len(algebras)
+    for alg, rows in groups.items():
+        draws = (z.reshape(len(rows), -1) if len(groups) == 1  # one algebra: rows in order
+                 else z[np.cumsum([0, *widths[:-1]])[rows, None] + np.arange(widths[rows[0]])])
+        stacks, col = [], 0
+        for n in alg.dims:
+            p = draws[:, col:col + 2 * n * n].reshape(-1, 2, n, n)  # X, then Y
+            stacks.append(finish((p[:, 0] + 1j * p[:, 1]) / np.sqrt(2.0)))
+            col += 2 * n * n
+        for i, row in zip(rows, zip(*stacks)):
+            out[i] = AlgebraElement(alg, row)
+    return out
+
+
 def random_element(alg: TracedAlgebra, rng: np.random.Generator) -> AlgebraElement:
-    return alg.element([_gauss_matrix(rng, n) for n in alg.dims])
+    return random_elements([alg], rng)[0]
 
 
 def random_self_adjoint(alg: TracedAlgebra, rng: np.random.Generator) -> AlgebraElement:
-    a = random_element(alg, rng)
-    return 0.5 * (a + a.adjoint())
+    return random_self_adjoints([alg], rng)[0]
 
 
 def random_positive(alg: TracedAlgebra, rng: np.random.Generator) -> AlgebraElement:

@@ -18,7 +18,8 @@ formal inverse or a detected threshold, is the one-row call: one predicate
 call a round on one row of that round's points.
 
 ``minimize`` finds and certifies the least values of many convex functions
-at once: the Amemiya norm and the values of a numeric conjugate.
+at once: the Amemiya norm and the values of a numeric conjugate.  One
+function, such as one Amemiya norm, is its one-row call, in Python floats.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ _NEIGHBOURS = np.clip(np.arange(GRID), 1, GRID - 2)[:, None] + _TRIPLE
 _KNOWN = np.array([0, GRID // 2, GRID - 1])  # a kept least point and its neighbours
 _INTERIOR = np.arange(1, GRID - 1)
 _NEW = np.setdiff1d(_INTERIOR, _KNOWN)
+_INTERIOR_LIST, _NEW_LIST = _INTERIOR.tolist(), _NEW.tolist()
 # A bisection round's points, as fractions of the pair from ``yes``: (no - yes) * j/16
 # rounds as j * ((no - yes) / 16) does where that quotient is exact, and still moves
 # where a pair a few subnormals wide makes the quotient 0.
@@ -154,8 +156,8 @@ def _around(width: int, size: int) -> np.ndarray:
     return np.array([[0], [1], [2], [width], [width + 1], [width + 2]]) * size + np.arange(size)
 
 
-# One problem alone: the same points and pairs as its row in a many-row
-# call, in Python floats.  The rows bookkeeping takes about forty numpy
+# One problem alone: the same points, pairs and least values as its row in a
+# many-row call, in Python floats.  The rows bookkeeping takes about forty numpy
 # calls a round, more than a one-row solve spends in its predicate.
 
 def _walk_one_row(holds, x: float, factor: float, limit: int) -> np.ndarray:
@@ -197,6 +199,24 @@ def _cut_one_row(holds, known: list, rtol: float, atol: float) -> float:
         yes, no, after, fy, fn, f_after = xs[i:i + 3] + fs[i:i + 3]
 
 
+def _minimize_one_row(f, points: list, rtol: float, atol: float) -> tuple[float, float]:
+    fx = f(_ONE_ROW, np.array([points]))[0].tolist()
+    i = min(max(fx.index(min(fx)), 1), len(fx) - 2)
+    ends, a = fx[i - 1:i + 2], points[i - 1]
+    h, cols = (points[i + 1] - a) / (GRID - 1), _INTERIOR_LIST
+    while True:
+        grid = [ends[0]] + [ends[1]] * (GRID - 2) + [ends[2]]
+        for c, value in zip(cols, f(_ONE_ROW, np.array([[a + h * c for c in cols]]))[0].tolist()):
+            grid[c] = value
+        i = grid.index(best := min(grid))
+        k = min(max(i, 1), GRID - 2)
+        ends = grid[k - 1:k + 2]
+        if (best + max(ends) - 2.0 * ends[1] <= atol + rtol * abs(best) or math.isinf(best)
+                or a + h == a):
+            return best, a + i * h
+        a, h, cols = a + h * (k - 1), h * (2.0 / (GRID - 1)), _NEW_LIST
+
+
 def minimize(f, points: np.ndarray, rtol: float,
              atol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Least values of independent convex functions, one per row of ``points``.
@@ -211,11 +231,15 @@ def minimize(f, points: np.ndarray, rtol: float,
     or within f_0 + f_2 - 2 f_1 of f_0 at an end.  A row stops when that is
     at most atol + rtol |f_i|, when f_i is +inf, or when its grid spacing
     is below an ulp.  Returns the least values and where they were found.
+    One row runs in Python floats: no value may be NaN, as ``min`` and ``argmin`` differ there.
     """
     rows = np.arange(len(points))
     least, at = np.empty(len(points)), np.empty(len(points))
     # +inf values make inf - inf in the bound: NaN there is no certificate
     with np.errstate(invalid="ignore", over="ignore"):
+        if len(points) == 1:
+            least[0], at[0] = _minimize_one_row(f, points[0].tolist(), rtol, atol)
+            return least, at
         fx = f(rows, points)
         near = np.minimum(np.maximum(fx.argmin(axis=1), 1), fx.shape[1] - 2)[:, None] + _TRIPLE
         ends = fx[rows[:, None], near]
@@ -240,3 +264,4 @@ def minimize(f, points: np.ndarray, rtol: float,
             h = h * (2.0 / (GRID - 1))
             cols = _NEW
     return least, at
+

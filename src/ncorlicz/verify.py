@@ -24,11 +24,13 @@ import numpy as np
 from . import orlicz as og
 from . import rearrangement as rg
 from . import sampling as smp
-from .algebra import TracedAlgebra, _by_algebra, _functions_of, _svd_blocks, abs_value, \
-    apply_function, apply_function_many, is_projection, projection_trace_norm, trace
+from .algebra import AlgebraElement, TracedAlgebra, _by_algebra, _functions_of, _stacks, \
+    _svd_blocks, abs_value, apply_function, apply_function_many, is_projection, \
+    projection_trace_norm, trace
 from .errors import NotMeasurableError, UnboundedNormError
 from .morphisms import (
     _chain_checks,
+    _unit_ball,
     absolute_continuity_check,
     apply_jordan,
     build_tau_T,
@@ -145,7 +147,7 @@ def check_kunze_luxemburg_equivalence(cfg: SuiteConfig, rng):
     """Trace-modular and rearrangement-integral norms agree on random elements."""
     corpus = _corpus(cfg, 200)
     gauges = _norm_gauges()
-    elements = [smp.random_element(alg, rng) for alg in corpus]
+    elements = smp.random_elements(corpus, rng)
     mus = singular_values_many(elements)
     worst = 0.0
     for phi in gauges:
@@ -161,7 +163,7 @@ def check_kunze_luxemburg_equivalence(cfg: SuiteConfig, rng):
 def check_rearrangement_exchange(cfg: SuiteConfig, rng):
     """Gauge and rearrangement commute: mu(phi(|a|)) = phi(mu(a)) pointwise."""
     corpus = _corpus(cfg, 200)
-    elements = [smp.random_element(alg, rng) for alg in corpus]
+    elements = smp.random_elements(corpus, rng)
     worst = max([0.0, *_exchange_gaps(elements)])
     return len(corpus) * 4, worst, worst <= cfg.tolerances.exchange
 
@@ -203,8 +205,8 @@ def check_holder_pairing(cfg: SuiteConfig, rng):
     """|tr(fg)| is dominated by the dual-gauge/gauge norm product."""
     corpus = _corpus(cfg, 500)
     gauges = [og.power(2.0), og.cosh_minus_one(), og.exp_minus_one()]
-    triples = [(alg, smp.random_element(alg, rng), smp.random_element(alg, rng))
-               for alg in corpus]
+    drawn = smp.random_elements([alg for alg in corpus for _ in "fg"], rng)
+    triples = list(zip(corpus, drawn[::2], drawn[1::2]))
     reports = holder_checks(triples, gauges, tol=cfg.tolerances.slack)
     worst = 0.0
     for row in reports:
@@ -384,8 +386,7 @@ def _clip_spectra(alg, elements, caps: np.ndarray) -> list:
     v diag(min(w, cap)) v*.
     """
     blocks = []
-    for k, n in enumerate(alg.dims):
-        stack = np.array([a.blocks[k] for a in elements])
+    for n, stack in zip(alg.dims, _stacks(alg, elements)):
         w, v = np.linalg.eigh(0.5 * (stack + stack.conj().swapaxes(-1, -2)))
         diag = np.zeros(caps.shape + (n, n))
         diag[..., range(n), range(n)] = np.minimum(w[:, None, :], caps[:, :, None])
@@ -484,23 +485,21 @@ def check_composition_bound(cfg: SuiteConfig, rng):
     """Composition operators are bounded by the dual-gauge norm of the density."""
     morphs = smp.morphism_catalog(rng)
     pairs = _psi_phi2_pairs()
-    samples_per = max(2, cfg.count(6))
-    draws = []
-    for _, J in morphs:
-        for _, psi, phi2 in pairs:
-            probes = [smp.random_self_adjoint(J.source, rng) for _ in range(samples_per)]
-            chain = [smp.random_self_adjoint(J.source, rng) for _ in range(2)]
-            draws.append((J, psi, phi2, probes, chain))
+    per = max(2, cfg.count(6)) + 2  # the probes, then a chain of two
+    cases = [(J, psi, phi2) for _, J in morphs for _, psi, phi2 in pairs]
+    drawn = smp.random_self_adjoints([J.source for J, _, _ in cases for _ in range(per)], rng)
     worst = -INF
     chain_worst = 0.0
     total = 0
-    for J, psi, phi2, probes, chain in draws:
+    for c, (J, psi, phi2) in enumerate(cases):
+        probes, chain = drawn[c * per:(c + 1) * per - 2], drawn[(c + 1) * per - 2:(c + 1) * per]
         rep = composition_bound_check(J, psi, phi2, probes, tol=cfg.tolerances.bound_slack)
         worst = max(worst, rep.max_ratio - rep.bound)
         total += rep.samples
         phi1 = og.compose_orlicz(psi, phi2)
-        norms = luxemburg_norms(singular_values_many(chain), phi1).tolist()
-        unit = [a * (0.9 / nrm) for a, nrm in zip(chain, norms) if nrm != 0]
+        norms = luxemburg_norms(singular_values_many(chain), phi1)
+        unit = [AlgebraElement(J.source, row)
+                for row in zip(*_unit_ball(_stacks(J.source, chain), norms))]
         # the chain reuses the density's dual-gauge norm of the bound check
         for link in _chain_checks(J, psi, phi2, unit, cfg.tolerances.chain, rep.dual_norm):
             if link.hypothesis_ok:
@@ -594,9 +593,8 @@ def check_jordan_structure(cfg: SuiteConfig, rng):
         if not is_projection(jold, 1e-10):
             worst = max(worst, 1.0)
         f = radon_nikodym(J)
-        for _ in range(cfg.count(6)):
-            a = smp.random_element(J.source, rng)
-            b = smp.random_element(J.source, rng)
+        drawn = smp.random_elements([J.source] * (2 * cfg.count(6)), rng)
+        for a, b in zip(drawn[::2], drawn[1::2]):
             sym = 0.5 * ((a @ b) + (b @ a))
             lhs = apply_jordan(J, sym)
             ja, jb = apply_jordan(J, a), apply_jordan(J, b)
@@ -620,10 +618,10 @@ def check_jordan_structure(cfg: SuiteConfig, rng):
 def check_fack_kosaki(cfg: SuiteConfig, rng):
     """Singular-value product, symmetry and homogeneity inequalities."""
     corpus = _corpus(cfg, 40)
+    drawn = smp.random_elements([alg for alg in corpus for _ in "fg"], rng)
     worst = 0.0
-    for alg in corpus:
-        rep = fack_kosaki_checks(alg, smp.random_element(alg, rng),
-                                 smp.random_element(alg, rng))
+    for alg, f, g in zip(corpus, drawn[::2], drawn[1::2]):
+        rep = fack_kosaki_checks(alg, f, g)
         worst = max(worst, rep.product_violation, rep.trace_symmetry_violation,
                     rep.homogeneity_violation)
     return len(corpus), worst, worst <= 1e-9
@@ -635,9 +633,9 @@ def check_fack_kosaki(cfg: SuiteConfig, rng):
 def check_rearrangement_laws(cfg: SuiteConfig, rng):
     """Distribution-function definition, symmetry, head totals, idempotence."""
     corpus = _corpus(cfg, 60)
+    drawn = smp.random_elements([alg for alg in corpus for _ in "ab"], rng)
     worst = 0.0
-    for alg in corpus:
-        a = smp.random_element(alg, rng)
+    for alg, a, b in zip(corpus, drawn[::2], drawn[1::2]):
         mu = singular_values(alg, a)
         mu_abs = singular_values(alg, abs_value(a))
         mu_adj = singular_values(alg, a.adjoint())
@@ -663,7 +661,6 @@ def check_rearrangement_laws(cfg: SuiteConfig, rng):
                 if lhs != rhs:
                     worst = max(worst, 1.0)
         # triangle submajorization of sums
-        b = smp.random_element(alg, rng)
         mu_b = singular_values(alg, b)
         mu_ab = singular_values(alg, a + b)
         alphas = np.unique(np.concatenate([mu.breakpoints, mu_b.breakpoints,
@@ -806,10 +803,9 @@ def check_composed_gauge_norm_bound(cfg: SuiteConfig, rng):
     pairs = _psi_phi2_pairs()
     worst = 0.0
     used = 0
-    for i, alg in enumerate(corpus):
+    for i, (alg, a) in enumerate(zip(corpus, smp.random_self_adjoints(corpus, rng))):
         _, psi, phi2 = pairs[i % len(pairs)]
         phi1 = og.compose_orlicz(psi, phi2)
-        a = smp.random_self_adjoint(alg, rng)
         nrm = luxemburg_norm(singular_values(alg, a), phi1)
         if nrm == 0:
             continue

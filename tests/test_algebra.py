@@ -24,7 +24,14 @@ from ncorlicz import (
     singular_values,
     trace,
 )
-from ncorlicz.sampling import algebra_shapes, random_element, random_positive
+from ncorlicz.sampling import (
+    algebra_shapes,
+    random_element,
+    random_elements,
+    random_positive,
+    random_self_adjoint,
+    random_self_adjoints,
+)
 
 
 def test_trace_of_identity():
@@ -220,3 +227,36 @@ def test_apply_function_many_raises_what_the_loop_raises_first():
             apply_function_many(phi, elements)
     with pytest.raises(DomainError):
         apply_function_many(phi, [fine], 0.0)
+
+
+def _drawn_one_at_a_time(algebras, rng, self_adjoint):
+    """The corpus as it was drawn element by element: two n x n draws per block."""
+    out = []
+    for alg in algebras:
+        blocks = [(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+                  for n in alg.dims]
+        out.append([0.5 * (b + b.conj().T) if self_adjoint else b for b in blocks])
+    return out
+
+
+@pytest.mark.parametrize("draw, one, self_adjoint", [
+    (random_elements, random_element, False),
+    (random_self_adjoints, random_self_adjoint, True),
+])
+def test_corpus_draw_is_the_one_element_loop(draw, one, self_adjoint):
+    shapes = algebra_shapes()
+    mixed = [shapes[i % len(shapes)] for i in range(14)] + [shapes[4], shapes[4], shapes[1]]
+    for seed, corpus in enumerate([[alg] * 4 for alg in shapes] + [mixed, [shapes[2]], []]):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = draw(corpus, got_rng)
+        want = _drawn_one_at_a_time(corpus, want_rng, self_adjoint)
+        assert [a.algebra for a in got] == corpus
+        assert [[b.tobytes() for b in a.blocks] for a in got] == \
+            [[b.tobytes() for b in blocks] for blocks in want]
+        assert all(not b.flags.writeable for a in got for b in a.blocks)
+        # the generator is left where the loop leaves it
+        assert got_rng.standard_normal(3).tolist() == want_rng.standard_normal(3).tolist()
+    for alg in shapes:
+        a = one(alg, np.random.default_rng(5))
+        want = _drawn_one_at_a_time([alg], np.random.default_rng(5), self_adjoint)[0]
+        assert [b.tobytes() for b in a.blocks] == [b.tobytes() for b in want]

@@ -353,6 +353,29 @@ class TestCli:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["compose", "dual-check"])
+    def test_negative_sample_counts_are_malformed(self, tmp_path, capsys, command):
+        inputs = {
+            "compose": ["--morphism", _write(tmp_path, "j.json", {
+                "source": {"blocks": [{"dim": 2, "weight": 1.0}]},
+                "target": {"blocks": [{"dim": 2, "weight": 1.0}]},
+                "blocks": [{"assignments": [{"src": 0, "copies": 1}], "flavor": "homo"}]}),
+                        "--psi", _write(tmp_path, "psi.json", {"kind": "power", "p": 1}),
+                        "--phi2", _write(tmp_path, "phi2.json", POWER2)],
+            "dual-check": ["--algebra", _write(tmp_path, "a.json", ALGEBRA),
+                           "--element", _write(tmp_path, "f.json", DIAG34),
+                           "--element2", _write(tmp_path, "g.json", DIAG34),
+                           "--orlicz", _write(tmp_path, "p.json", POWER2)],
+        }
+        argv = [command, *inputs[command], "--seed", "1"]
+        assert main(argv + ["--samples", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["pass"]
+        for count in ("-3", "-1"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--samples", count])
+            assert exc.value.code == 2
+            assert "--samples: expected an integer >= 0" in capsys.readouterr().err
+
     def test_tolerance_echo(self, tmp_path, capsys):
         alg, element = _write(tmp_path, "a.json", ALGEBRA), _write(tmp_path, "e.json", DIAG34)
         gauge = _write(tmp_path, "p.json", POWER2)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import ncorlicz.morphisms as morphisms
+from ncorlicz.algebra import _stacks
+from ncorlicz.norms import luxemburg_norms
 
 from ncorlicz import (
     Assignment,
@@ -38,10 +40,12 @@ from ncorlicz import (
     purity_check,
     radon_nikodym,
     singular_values,
+    singular_values_many,
     submajorizes,
     trace,
 )
 from ncorlicz.sampling import (
+    algebra_shapes,
     depolarizing_map,
     doubling_morphism,
     identity_channel,
@@ -57,6 +61,7 @@ from ncorlicz.sampling import (
     random_projection,
     random_self_adjoint,
     random_trace_preserving_map,
+    random_unitary,
     scaled_identity_map,
     transpose_morphism,
     zero_morphism,
@@ -128,6 +133,59 @@ class TestApplyJordan:
         tgt = TracedAlgebra((3,), (1.0,))
         with pytest.raises(StructuralError):
             JordanMorphism(src, tgt, (BlockImage((Assignment(0, 1, "homo"),)),))
+
+
+def _block_formula(J, a):
+    """J(a) as it was computed one element at a time: per-matrix copies and conjugation."""
+    out = []
+    for m, spec in zip(J.target.dims, J.blocks):
+        d = np.zeros((m, m), dtype=complex)
+        if spec is not None:
+            start = 0
+            for asg in spec.assignments:
+                piece = a.blocks[asg.src] if asg.flavor == "homo" else a.blocks[asg.src].T
+                for _ in range(asg.copies):
+                    d[start:start + piece.shape[0], start:start + piece.shape[0]] = piece
+                    start += piece.shape[0]
+            if spec.unitary is not None:
+                d = spec.unitary @ d @ spec.unitary.conj().T
+        out.append(d)
+    return out
+
+
+def _stacked_catalog(rng):
+    """The catalog, and a 5x5 unitary twist of a copy beside a transposed block."""
+    src, tgt = TracedAlgebra((2, 3), (1.0, 0.5)), TracedAlgebra((5,), (1.0,))
+    wide = JordanMorphism(src, tgt, (BlockImage((Assignment(0, 1, "homo"), Assignment(1, 1, "anti")),
+                                                unitary=random_unitary(5, rng)),))
+    return [*morphism_catalog(rng), ("unitary_m5", wide)]
+
+
+class TestStackedImages:
+    """One pass over per-block stacks gives each element's image bit for bit."""
+
+    def test_images_are_the_block_formula(self):
+        rng = np.random.default_rng(29)
+        for name, J in _stacked_catalog(rng):
+            elements = [random_element(J.source, rng) for _ in range(5)]
+            elements += [random_self_adjoint(J.source, rng), J.source.zero(), J.source.identity()]
+            images = morphisms._images(J, _stacks(J.source, elements))
+            assert all(s.shape == (len(elements), m, m) for s, m in zip(images, J.target.dims))
+            for r, a in enumerate(elements):
+                want = [b.tobytes() for b in _block_formula(J, a)]
+                assert [s[r].tobytes() for s in images] == want, name
+                assert [b.tobytes() for b in apply_jordan(J, a).blocks] == want, name
+
+    def test_unit_ball_is_the_per_probe_scaling(self):
+        rng = np.random.default_rng(31)
+        for alg in [*algebra_shapes(), TracedAlgebra((5,), (1.0,))]:
+            probes = [random_self_adjoint(alg, rng) for _ in range(4)]
+            probes.insert(1, alg.zero())
+            norms = luxemburg_norms(singular_values_many(probes), power(2.0))
+            got = morphisms._unit_ball(_stacks(alg, probes), norms)
+            want = [a * (0.9 / nrm) for a, nrm in zip(probes, norms.tolist()) if nrm != 0.0]
+            assert [[s[r].tobytes() for s in got] for r in range(len(want))] == \
+                [[b.tobytes() for b in a.blocks] for a in want]
 
 
 class TestRadonNikodym:

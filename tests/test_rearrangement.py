@@ -29,8 +29,12 @@ from ncorlicz import (
     weighted_rearrangement,
 )
 from ncorlicz.rearrangement import SUBMAJOR_SLACK, _interval_masses
+from ncorlicz.morphisms import apply_jordan
 from ncorlicz.sampling import (
     algebra_shapes,
+    doubling_morphism,
+    mixed_flavor_morphism,
+    padded_morphism,
     random_decreasing_step,
     random_element,
     random_positive,
@@ -154,6 +158,58 @@ class TestSingularValuesMany:
         # the one-form call still rejects an element of another algebra
         with pytest.raises(StructuralError):
             singular_values(alg, other.identity())
+
+
+def _ties_and_zeros(rng):
+    """Twenty elements whose singular values hold zeros or exact ties: images under the
+    doubling, padded and mixed-flavour morphisms, zero elements and multiples of identities."""
+    corpus = []
+    for J in (doubling_morphism(2), padded_morphism(rng), mixed_flavor_morphism()):
+        corpus += [apply_jordan(J, random_element(J.source, rng)) for _ in range(4)]
+    shapes = algebra_shapes()
+    corpus += [shapes[k].zero() for k in (0, 3, 5)]
+    corpus += [shapes[k].identity() * c for k, c in ((0, 2.5), (1, 1.0), (3, 0.5), (4, 3.0))]
+    # a run after a first piece, on weights whose sums round: the breakpoint of
+    # the run is 0.7 + (0.1 + 0.1 + 0.1), not ((0.7 + 0.1) + 0.1) + 0.1
+    weighted = TracedAlgebra((1, 3), (0.7, 0.1))
+    return corpus + [weighted.diagonal([[5.0], [1.0, 1.0, 1.0]])]
+
+
+class TestStackedCanonicalForms:
+    """The forms of stacked rows with zeros and ties are the constructor's, and skip it."""
+
+    def test_ties_and_zeros_are_the_block_loop(self):
+        for seed in range(5):
+            elements = _ties_and_zeros(np.random.default_rng(seed))
+            got = singular_values_many(elements)
+            assert got == [_one_block_at_a_time(a.algebra, a) for a in elements]
+            for mu, a in zip(got, elements):
+                s = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in a.blocks])
+                w = np.concatenate([np.full(b.shape[0], w)
+                                    for b, w in zip(a.blocks, a.algebra.weights)])
+                order = np.argsort(-s, kind="stable")
+                d, v = _old_canonical_form(w[order], s[order])
+                assert mu.durations.tobytes() == d.tobytes()
+                assert mu.values.tobytes() == v.tobytes()
+                assert mu.breakpoints.tobytes() == np.cumsum(d).tobytes()
+                arrays = (mu.durations, mu.values, mu.breakpoints)
+                assert not any(x.flags.writeable for x in arrays)
+        # the corpus holds zero singular values and exact ties among the positive ones
+        raw = [np.concatenate([np.linalg.svd(b, compute_uv=False) for b in a.blocks])
+               for a in elements]
+        assert any((x == 0).any() for x in raw)
+        assert any(np.unique(x[x > 0]).size < (x > 0).sum() for x in raw)
+
+    def test_no_constructor_runs(self, monkeypatch):
+        elements = _ties_and_zeros(np.random.default_rng(7))
+        assert len(elements) == 20
+        calls = []
+        real = StepForm.__post_init__
+        monkeypatch.setattr(StepForm, "__post_init__", lambda self: calls.append(1) or real(self))
+        singular_values_many(elements)
+        assert calls == []
+        StepForm(np.ones(2), np.ones(2))  # the constructor itself is counted
+        assert calls == [1]
 
 
 def _old_canonical_form(durations, values):

@@ -17,6 +17,37 @@ from hypothesis import strategies as st
 from ncorlicz.solve import _FRACTIONS, BATCH, bisect_rows, bracket_rows, minimize
 
 
+def _convex(kind, c, s):
+    """A convex function of x: smooth, kinked, linear, or +inf on one side of c."""
+    return {
+        "square": lambda x: s * (x - c) ** 2 + 1.0,
+        "kink": lambda x: s * np.abs(x - c) + 0.5,
+        "linear": lambda x: s * x + c,
+        "inf_below": lambda x: np.where(x < c, np.inf, s * x),
+        "inf_above": lambda x: np.where(x > c, np.inf, (x - 0.5 * c) ** 2),
+    }[kind]
+
+
+class TestMinimizeOneRow:
+    @given(st.lists(st.tuples(st.sampled_from(["square", "kink", "linear", "inf_below",
+                                               "inf_above"]),
+                              st.floats(1e-3, 1e3), st.floats(1e-2, 1e2)),
+                    min_size=2, max_size=6),
+           st.sampled_from([1e-12, 1e-9, 1e-3]), st.sampled_from([0.0, 1e-20]))
+    @settings(max_examples=150, deadline=None)
+    def test_one_row_is_its_row_of_many(self, rows, rtol, atol):
+        fns = [_convex(*row) for row in rows]
+
+        def f(idx, x):  # each row evaluated alone, whatever the other rows are
+            return np.array([fns[i](xr) for i, xr in zip(idx.tolist(), x)])
+
+        least, at = minimize(f, np.tile(GEOMETRIC, (len(rows), 1)), rtol, atol)
+        for r, fn in enumerate(fns):
+            one = minimize(lambda idx, x: fn(x), GEOMETRIC[None, :], rtol, atol)
+            assert (one[0].tobytes(), one[1].tobytes()) == \
+                (least[r:r + 1].tobytes(), at[r:r + 1].tobytes())
+
+
 def _rows(predicates, calls=None):
     """A rows predicate from one scalar predicate per row, recording the points of each call."""
 
