@@ -33,9 +33,9 @@ from .morphisms import (
     JordanMorphism,
     KrausGroup,
     PositiveMap,
+    TauT,
     absolute_continuity_check,
     apply_jordan,
-    build_tau_T,
     composition_bound_check,
     interpolation_contraction_check,
     modular_chain_check,

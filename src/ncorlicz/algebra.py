@@ -177,11 +177,9 @@ def _same_algebra(a: AlgebraElement, b: AlgebraElement) -> None:
         raise StructuralError("elements belong to different algebras")
 
 
-def trace(alg: TracedAlgebra, a: AlgebraElement) -> complex:
-    """Weighted trace sum_k c_k tr(a_k)."""
-    if a.algebra != alg:
-        raise StructuralError("element does not belong to the given algebra")
-    return complex(sum(w * np.trace(b) for w, b in zip(alg.weights, a.blocks)))
+def trace(a: AlgebraElement) -> complex:
+    """Weighted trace sum_k c_k tr(a_k), with the weights of a's algebra."""
+    return complex(sum(w * np.trace(b) for w, b in zip(a.algebra.weights, a.blocks)))
 
 
 def _svd_blocks(elements: Sequence[AlgebraElement]):
@@ -328,16 +326,13 @@ def is_projection(e: AlgebraElement, tol: float = PROJECTION_TOL) -> bool:
     return idem.sup_norm() <= tol and sa.sup_norm() <= tol
 
 
-def projection_trace_norm(alg: TracedAlgebra, e: AlgebraElement,
-                          phi: OrliczFunction) -> float:
+def projection_trace_norm(e: AlgebraElement, phi: OrliczFunction) -> float:
     """Gauge norm of a projection from its trace alone: 1 / phi^{-1}(1 / tr(e))."""
     from .orlicz import formal_inverse
 
-    if e.algebra != alg:
-        raise StructuralError("projection does not belong to the given algebra")
     if not is_projection(e):
         raise DomainError("input is not a projection within tolerance 1e-10")
-    t = trace(alg, e).real
+    t = trace(e).real
     if t <= 0:
         raise DomainError("projection has zero trace")
     return 1.0 / formal_inverse(phi, 1.0 / t)

@@ -105,7 +105,7 @@ def cmd_norm(args) -> int:
     alg = load_algebra(specs[0])
     element = load_element(alg, specs[1])
     phi = load_orlicz(specs[2])
-    mu = singular_values(alg, element)
+    mu = singular_values(element)
     report = {
         "command": "norm",
         "inputs_digest": _digest(*specs),
@@ -114,7 +114,7 @@ def cmd_norm(args) -> int:
     }
     try:
         lux = luxemburg_norm(mu, phi)
-        kun = kunze_norm(alg, element, phi)
+        kun = kunze_norm(element, phi)
         ame = amemiya_norm(mu, phi)
         slack = NORM_RELATION_REL * max(1.0, lux)
         report["result"] = {
@@ -134,7 +134,7 @@ def cmd_singular(args) -> int:
     specs = _load(args.algebra, args.element)
     alg = load_algebra(specs[0])
     element = load_element(alg, specs[1])
-    mu = singular_values(alg, element)
+    mu = singular_values(element)
     knots = np.concatenate([[0.0], mu.breakpoints])
     grid = np.unique(np.concatenate([knots, 0.5 * (knots[:-1] + knots[1:])]))
     pairs = np.column_stack((grid, mu.evaluate_many(grid))).tolist()
@@ -158,7 +158,7 @@ def cmd_dual_check(args) -> int:
     phi = load_orlicz(specs[3])
     rng = np.random.default_rng(_seed_from(args))
     probes = random_elements([alg] * args.samples, rng)
-    rep = holder_check(alg, f, g, phi, tol=args.tol, probes=probes)
+    rep = holder_check(f, g, phi, tol=args.tol, probes=probes)
     report = {
         "command": "dual-check",
         "inputs_digest": _digest(*specs),

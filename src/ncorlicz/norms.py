@@ -24,14 +24,12 @@ import numpy as np
 from . import quadrature
 from .algebra import (
     AlgebraElement,
-    TracedAlgebra,
     _are_positive,
     _svd_blocks,
     _trace_calculus,
     trace,
 )
-from .errors import (DomainError, NcorliczError, NumericError, StructuralError,
-                     UnboundedNormError, batch_or_loop)
+from .errors import DomainError, NcorliczError, NumericError, UnboundedNormError, batch_or_loop
 from .orlicz import OrliczFunction, conjugate, cosh_minus_one
 from .quadrature import DEPTH
 from .rearrangement import (
@@ -418,8 +416,7 @@ def kunze_norms(elements: Sequence[AlgebraElement], phi: OrliczFunction,
     return batch_or_loop(solve, elements)
 
 
-def kunze_norm(alg: TracedAlgebra, a: AlgebraElement, phi: OrliczFunction,
-               tol: float = DEFAULT_TOL) -> float:
+def kunze_norm(a: AlgebraElement, phi: OrliczFunction, tol: float = DEFAULT_TOL) -> float:
     """Trace-modular norm inf{lam : tr phi(|a|/lam) <= 1} via functional calculus.
 
     An independent code path from ``luxemburg_norm``: each block is
@@ -429,9 +426,6 @@ def kunze_norm(alg: TracedAlgebra, a: AlgebraElement, phi: OrliczFunction,
     the verification suite compare them.  The one-element case of
     ``kunze_norms``.
     """
-    _check_tol(tol)
-    if a.algebra != alg:
-        raise StructuralError("element does not belong to the given algebra")
     return float(kunze_norms([a], phi, tol)[0])
 
 
@@ -525,24 +519,24 @@ class HolderReport:
     sampled_sup_ok: bool
 
 
-def holder_checks(triples: Sequence[tuple[TracedAlgebra, AlgebraElement, AlgebraElement]],
+def holder_checks(pairs: Sequence[tuple[AlgebraElement, AlgebraElement]],
                   gauges: Sequence[OrliczFunction],
                   tol: float = 1e-8) -> list[list[HolderReport]]:
-    """``holder_check`` without probes over many (alg, f, g) and gauges.
+    """``holder_check`` without probes over many pairs (f, g) and gauges.
 
-    |tr(fg)| of each triple and one ``singular_values_many`` call over all
+    |tr(fg)| of each pair and one ``singular_values_many`` call over all
     the f and g serve every gauge, which takes one Amemiya and one
     Luxemburg solve.  Errors follow ``batch_or_loop``, one gauge at a time,
     each gauge computing its own parts when the shared ones fail.  Returns
-    one list of reports per gauge, in the order of ``triples``.
+    one list of reports per gauge, in the order of ``pairs``.
     """
 
     def parts(items):
-        return ([abs(trace(alg, f @ g)) for alg, f, g in items],
-                singular_values_many([f for _, f, _ in items] + [g for _, _, g in items]))
+        return ([abs(trace(f @ g)) for f, g in items],
+                singular_values_many([f for f, _ in items] + [g for _, g in items]))
 
     def solve(phi, items):
-        lefts, mus = shared if items is triples and shared else parts(items)
+        lefts, mus = shared if items is pairs and shared else parts(items)
         duals = amemiya_norms(mus[:len(items)], conjugate(phi)).tolist()
         primals = luxemburg_norms(mus[len(items):], phi).tolist()
         row = []
@@ -555,15 +549,14 @@ def holder_checks(triples: Sequence[tuple[TracedAlgebra, AlgebraElement, Algebra
         return row
 
     try:
-        shared = parts(triples)
+        shared = parts(pairs)
     except (NcorliczError, np.linalg.LinAlgError):
         shared = None
-    return [batch_or_loop(lambda items: solve(phi, items), triples) for phi in gauges]
+    return [batch_or_loop(lambda items: solve(phi, items), pairs) for phi in gauges]
 
 
-def holder_check(alg: TracedAlgebra, f: AlgebraElement, g: AlgebraElement,
-                 phi: OrliczFunction, tol: float = 1e-8,
-                 probes: Sequence[AlgebraElement] = ()) -> HolderReport:
+def holder_check(f: AlgebraElement, g: AlgebraElement, phi: OrliczFunction,
+                 tol: float = 1e-8, probes: Sequence[AlgebraElement] = ()) -> HolderReport:
     """|tr(fg)| <= (dual gauge norm of f) * (gauge norm of g).
 
     The dual factor is the Amemiya norm in the conjugate gauge — the computable
@@ -571,7 +564,7 @@ def holder_check(alg: TracedAlgebra, f: AlgebraElement, g: AlgebraElement,
     are given, that sup is also estimated over them, each scaled to gauge
     norm one; the estimate can falsify but not certify the bound.
     """
-    rep = holder_checks([(alg, f, g)], [phi], tol)[0][0]
+    rep = holder_checks([(f, g)], [phi], tol)[0][0]
     if not probes:
         return rep
 
@@ -693,10 +686,10 @@ def moment_bound_checks(xs: Sequence[AlgebraElement], ys: Sequence[AlgebraElemen
             raise DomainError("moment bound requires positive inputs")
         lhs = []
         for x, y in pairs:
-            tx = trace(x.algebra, x).real
+            tx = trace(x).real
             if abs(tx - 1.0) > 1e-8:
                 raise DomainError(f"x must have unit trace, got {tx}")
-            lhs.append([trace(x.algebra, x @ y.matrix_power(n)).real for n in orders])
+            lhs.append([trace(x @ y.matrix_power(n)).real for n in orders])
         mus = singular_values_many([*xs, *ys])
         reports = []
         for row, mu_x, mu_y in zip(lhs, mus, mus[len(xs):]):
@@ -711,8 +704,7 @@ def moment_bound_checks(xs: Sequence[AlgebraElement], ys: Sequence[AlgebraElemen
     return batch_or_loop(solve, list(zip(xs, ys)))
 
 
-def moment_bound_check(alg: TracedAlgebra, x: AlgebraElement, y: AlgebraElement,
-                       n: int, tol: float = 1e-9,
+def moment_bound_check(x: AlgebraElement, y: AlgebraElement, n: int, tol: float = 1e-9,
                        factor: float = 2.0) -> MomentReport:
     """tr(x y^n) <= 2n * integral of mu(y)^n mu(x).
 
@@ -720,6 +712,4 @@ def moment_bound_check(alg: TracedAlgebra, x: AlgebraElement, y: AlgebraElement,
     demonstrate that a weakened constant is caught; leave it at 2.0.  The
     one-pair, one-order case of ``moment_bound_checks``.
     """
-    if x.algebra != alg:
-        raise StructuralError("element does not belong to the given algebra")
     return moment_bound_checks([x], [y], [n], tol, factor)[0][0]

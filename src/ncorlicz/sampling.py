@@ -80,7 +80,7 @@ def random_positive(alg: TracedAlgebra, rng: np.random.Generator) -> AlgebraElem
 def random_state(alg: TracedAlgebra, rng: np.random.Generator) -> AlgebraElement:
     """Positive element of unit trace."""
     p = random_positive(alg, rng)
-    return p * (1.0 / trace(alg, p).real)
+    return p * (1.0 / trace(p).real)
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from ncorlicz import SpecError, StepForm, trace
+from ncorlicz import SpecError, StepForm, apply_jordan, trace
 from ncorlicz.cli import main
 from ncorlicz.loaders import (
     load_algebra,
@@ -59,7 +59,7 @@ class TestLoaders:
     def test_algebra_and_element(self):
         alg = load_algebra(ALGEBRA)
         el = load_element(alg, DIAG34)
-        assert trace(alg, el).real == pytest.approx(7.0)
+        assert trace(el).real == pytest.approx(7.0)
 
     def test_element_block_count_mismatch(self):
         alg = load_algebra(ALGEBRA)
@@ -94,7 +94,7 @@ class TestLoaders:
         }
         J = load_morphism(spec)
         a = J.source.diagonal([[1.0, 2.0]])
-        img = J.apply(a)
+        img = apply_jordan(J, a)
         np.testing.assert_allclose(img.blocks[0], a.blocks[0])
         np.testing.assert_allclose(img.blocks[1], a.blocks[0].T)
 

@@ -18,13 +18,13 @@ from ncorlicz import (
     NumericError,
     PositiveMap,
     StructuralError,
+    TauT,
     TracedAlgebra,
     UnboundedNormError,
     absolute_continuity_check,
     abs_value,
     apply_function,
     apply_jordan,
-    build_tau_T,
     composition_bound_check,
     compose_orlicz,
     cosh_minus_one,
@@ -89,14 +89,14 @@ class TestApplyJordan:
         J = padded_morphism()
         img = apply_jordan(J, J.source.identity())
         assert is_projection(img)
-        assert trace(J.target, img).real == pytest.approx(2.0)
+        assert trace(img).real == pytest.approx(2.0)
 
     def test_singular_values_invariant_under_transpose(self):
         J = transpose_morphism(3, weight=1.0)
         rng = np.random.default_rng(1)
         a = random_element(J.source, rng)
-        mu1 = singular_values(J.source, a)
-        mu2 = singular_values(J.target, apply_jordan(J, a))
+        mu1 = singular_values(a)
+        mu2 = singular_values(apply_jordan(J, a))
         np.testing.assert_allclose(mu1.values, mu2.values, atol=1e-12)
 
     def test_jordan_axioms_across_catalog(self):
@@ -208,8 +208,8 @@ class TestRadonNikodym:
             f = radon_nikodym(J)
             for _ in range(4):
                 a = random_element(J.source, rng)
-                lhs = trace(J.target, apply_jordan(J, a))
-                rhs = trace(J.source, f @ a)
+                lhs = trace(apply_jordan(J, a))
+                rhs = trace(f @ a)
                 assert abs(lhs - rhs) < 1e-10, name
 
 
@@ -248,6 +248,23 @@ class TestAbsoluteContinuity:
         assert rep.deltas[0] == pytest.approx(rep.epsilons[0])
         assert rep.verified
 
+    def test_each_projection_is_imaged_once(self, monkeypatch):
+        # one image per source block for the density, then one per projection
+        # of the corpus (the coordinate ones and the given ones), whatever the
+        # number of epsilons
+        J = kernel_morphism()
+        projections = _projections(J)
+        calls, image = [0], morphisms.apply_jordan
+
+        def counted(J, a):
+            calls[0] += 1
+            return image(J, a)
+
+        monkeypatch.setattr(morphisms, "apply_jordan", counted)
+        assert absolute_continuity_check(J, projections=projections).verified
+        corpus = sum(J.source.dims) + len(projections)
+        assert calls[0] == corpus + J.source.n_blocks
+
 
 class TestCompositionBound:
     def test_transpose_within_unit_bound(self):
@@ -283,7 +300,7 @@ class TestModularChain:
         J = transpose_morphism(2)
         a = random_self_adjoint(J.source, rng)
         phi1 = compose_orlicz(power(1.0), power(2.0))
-        nrm = luxemburg_norm(singular_values(J.source, a), phi1)
+        nrm = luxemburg_norm(singular_values(a), phi1)
         rep = modular_chain_check(J, power(1.0), power(2.0), a * (0.9 / nrm))
         assert rep.hypothesis_ok and rep.passed
         assert rep.max_pairwise_gap < 1e-10
@@ -294,10 +311,10 @@ class TestModularChain:
         rng = np.random.default_rng(9)
         a = random_self_adjoint(alg, rng)
         phi1 = compose_orlicz(power(1.0), power(2.0))
-        nrm = luxemburg_norm(singular_values(alg, a), phi1)
+        nrm = luxemburg_norm(singular_values(a), phi1)
         a = a * (0.9 / nrm)
         rep = modular_chain_check(J, power(1.0), power(2.0), a)
-        direct = trace(alg, apply_function(power(2.0), a)).real
+        direct = trace(apply_function(power(2.0), a)).real
         for v in rep.values:
             assert v == pytest.approx(direct, rel=1e-12)
 
@@ -306,10 +323,10 @@ class TestModularChain:
         rng = np.random.default_rng(10)
         a = random_self_adjoint(J.source, rng)
         phi1 = compose_orlicz(power_over_p(2.0), power(2.0))
-        nrm = luxemburg_norm(singular_values(J.source, a), phi1)
+        nrm = luxemburg_norm(singular_values(a), phi1)
         a = a * (0.9 / nrm)
         rep = modular_chain_check(J, power_over_p(2.0), power(2.0), a)
-        double = 2.0 * trace(J.source, apply_function(power(2.0), a)).real
+        double = 2.0 * trace(apply_function(power(2.0), a)).real
         assert rep.values[3] == pytest.approx(double, rel=1e-10)
         assert rep.passed
 
@@ -318,7 +335,7 @@ class TestModularChain:
         rng = np.random.default_rng(11)
         a = random_self_adjoint(J.source, rng)
         phi1 = compose_orlicz(power_over_p(2.0), power(2.0))
-        a = a * (0.9 / luxemburg_norm(singular_values(J.source, a), phi1))
+        a = a * (0.9 / luxemburg_norm(singular_values(a), phi1))
         want = morphisms.dual_gauge_bound(J, power_over_p(2.0))
         calls = []
         real = morphisms.radon_nikodym
@@ -342,11 +359,11 @@ def _probe_by_probe(J, psi, phi2, probes, tol=1e-7):
     bound = max(1.0, morphisms.dual_gauge_bound(J, psi))
     max_ratio, used = 0.0, 0
     for a in probes:
-        nrm = luxemburg_norm(singular_values(J.source, a), phi1)
+        nrm = luxemburg_norm(singular_values(a), phi1)
         if nrm == 0.0:
             continue
         image = apply_jordan(J, a * (0.9 / nrm))
-        max_ratio = max(max_ratio, luxemburg_norm(singular_values(J.target, image), phi2))
+        max_ratio = max(max_ratio, luxemburg_norm(singular_values(image), phi2))
         used += 1
     return bound, max_ratio, used, max_ratio <= bound + tol * max(1.0, bound)
 
@@ -357,8 +374,8 @@ def _excess_probe_by_probe(T, phi, probes):
                 T.apply(T.source.identity()).sup_norm())
     worst, sub_ok = -math.inf, True
     for a in probes:
-        mu_a = singular_values(T.source, a)
-        mu_img = singular_values(T.target, T.apply(a))
+        mu_a = singular_values(a)
+        mu_img = singular_values(T.apply(a))
         if bound > 0:
             sub_ok = sub_ok and submajorizes(mu_a, mu_img.scaled(1.0 / bound))
         worst = max(worst, luxemburg_norm(mu_img, phi) - bound * luxemburg_norm(mu_a, phi))
@@ -402,7 +419,7 @@ class TestBatchedChecks:
                 elements = []
                 for scale in (0.9, 0.5, 3.0, 0.0):  # 3.0 leaves the unit ball
                     a = random_self_adjoint(J.source, rng)
-                    nrm = luxemburg_norm(singular_values(J.source, a), phi1)
+                    nrm = luxemburg_norm(singular_values(a), phi1)
                     elements.append(a * (scale / nrm))
                 elements.append(random_element(J.source, rng) * 1e-3)  # not self-adjoint
                 got = modular_chain_checks(J, psi, phi2, elements)
@@ -485,36 +502,36 @@ class TestBatchedChecks:
 class TestTauT:
     def test_transpose_recovers_source_trace(self):
         J = transpose_morphism(2)
-        tau_T = build_tau_T(J)
+        tau_T = TauT(J)
         rng = np.random.default_rng(11)
         a = random_element(J.source, rng)
-        assert abs(tau_T(a) - trace(J.source, a)) < 1e-12
+        assert abs(tau_T(a) - trace(a)) < 1e-12
 
     def test_doubling_doubles(self):
         J = doubling_morphism(2)
-        tau_T = build_tau_T(J)
+        tau_T = TauT(J)
         rng = np.random.default_rng(12)
         p = random_positive(J.source, rng)
-        assert tau_T(p).real == pytest.approx(2.0 * trace(J.source, p).real)
-        pulled = trace(J.target, apply_jordan(J, p)).real
+        assert tau_T(p).real == pytest.approx(2.0 * trace(p).real)
+        pulled = trace(apply_jordan(J, p)).real
         assert pulled <= tau_T(p).real + 1e-12
 
     def test_kernel_morphism_still_faithful(self):
         J = kernel_morphism()
-        tau_T = build_tau_T(J)
+        tau_T = TauT(J)
         killed = J.source.element([np.zeros((2, 2)), np.eye(2)])
-        assert trace(J.target, apply_jordan(J, killed)).real == pytest.approx(0.0)
+        assert trace(apply_jordan(J, killed)).real == pytest.approx(0.0)
         assert tau_T(killed).real == pytest.approx(2.0)  # the patched trace sees it
 
     def test_traciality_and_domination_across_catalog(self):
         rng = np.random.default_rng(13)
         for name, J in morphism_catalog(rng):
-            tau_T = build_tau_T(J)
+            tau_T = TauT(J)
             a = random_element(J.source, rng)
             assert abs(tau_T(a.adjoint() @ a) - tau_T(a @ a.adjoint())) < 1e-10, name
             p = random_positive(J.source, rng)
             assert tau_T(p).real > 0, name
-            assert trace(J.target, apply_jordan(J, p)).real <= tau_T(p).real + 1e-10, name
+            assert trace(apply_jordan(J, p)).real <= tau_T(p).real + 1e-10, name
 
 
 class TestInterpolation:
@@ -532,8 +549,8 @@ class TestInterpolation:
         rng = np.random.default_rng(15)
         for _ in range(10):
             a = random_self_adjoint(T.source, rng)
-            mu_a = singular_values(T.source, a)
-            mu_p = singular_values(T.target, T.apply(a))
+            mu_a = singular_values(a)
+            mu_p = singular_values(T.apply(a))
             assert submajorizes(mu_a, mu_p)
 
     def test_scaled_identity_equality_case(self):
@@ -586,8 +603,8 @@ class TestTransposeRoute:
         rng = np.random.default_rng(19)
         a = random_element(T.source, rng)
         b = random_element(T.target, rng)
-        lhs = trace(T.target, T.apply(a) @ b)
-        rhs = trace(T.source, a @ T.adjoint_apply(b))
+        lhs = trace(T.apply(a) @ b)
+        rhs = trace(a @ T.adjoint_apply(b))
         assert abs(lhs - rhs) < 1e-12
 
     def test_contraction_still_holds(self):

@@ -151,7 +151,7 @@ class TestModular:
 class TestLuxemburg:
     def test_quadratic_closed_form(self):
         alg = TracedAlgebra((2,), (1.0,))
-        mu = singular_values(alg, alg.diagonal([[3.0, 4.0]]))
+        mu = singular_values(alg.diagonal([[3.0, 4.0]]))
         assert luxemburg_norm(mu, power(2.0)) == pytest.approx(5.0, rel=1e-9)
 
     def test_projection_value_matches_formula(self):
@@ -280,7 +280,7 @@ class TestNormSolveEdge:
             for _ in range(10):
                 a = random_element(alg, rng)
                 for phi in _norm_gauges():
-                    kunze_norm(alg, a, phi)
+                    kunze_norm(a, phi)
                     solves += 1
         assert len(passes) <= 5 * solves  # an even 16-way cut takes about 9.7
 
@@ -341,11 +341,11 @@ class TestKunze:
     def test_matches_luxemburg(self):
         alg = TracedAlgebra((2,), (1.0,))
         a = alg.diagonal([[3.0, 4.0]])
-        assert kunze_norm(alg, a, power(2.0)) == pytest.approx(5.0, rel=1e-8)
+        assert kunze_norm(a, power(2.0)) == pytest.approx(5.0, rel=1e-8)
 
     def test_zero_element(self):
         alg = TracedAlgebra((2,), (1.0,))
-        assert kunze_norm(alg, alg.zero(), power(2.0)) == 0.0
+        assert kunze_norm(alg.zero(), power(2.0)) == 0.0
 
     def test_cap_gauge_small_element(self):
         # exercises the finite-cap branch: functional calculus fails for small
@@ -353,8 +353,8 @@ class TestKunze:
         alg = TracedAlgebra((2,), (1.0,))
         a = alg.diagonal([[0.5, 0.25]])
         phi = linear_until_cap(1.0)
-        k = kunze_norm(alg, a, phi)
-        l = luxemburg_norm(singular_values(alg, a), phi)
+        k = kunze_norm(a, phi)
+        l = luxemburg_norm(singular_values(a), phi)
         assert k == pytest.approx(l, rel=1e-8)
         assert math.isfinite(k)
 
@@ -365,15 +365,15 @@ class TestKunze:
         calls = []
         real = norms._svd_blocks
         monkeypatch.setattr(norms, "_svd_blocks", lambda x: calls.append(x) or real(x))
-        k = kunze_norm(alg, a, cosh_minus_one())
+        k = kunze_norm(a, cosh_minus_one())
         assert len(calls) == 1
-        assert k == pytest.approx(luxemburg_norm(singular_values(alg, a), cosh_minus_one()),
+        assert k == pytest.approx(luxemburg_norm(singular_values(a), cosh_minus_one()),
                                   rel=1e-8)
 
     def test_nan_gauge_is_an_error(self):
         alg = TracedAlgebra((1,), (0.01,))
         with pytest.raises(NumericError):
-            kunze_norm(alg, alg.diagonal([[10.0]]), _nan_from_three())
+            kunze_norm(alg.diagonal([[10.0]]), _nan_from_three())
 
 
 class TestAmemiya:
@@ -588,16 +588,16 @@ class TestManyForms:
         algs = [shapes[int(rng.integers(len(shapes)))] for _ in scales]
         elements = [random_element(alg, rng) * c for alg, c in zip(algs, scales)]
         got = kunze_norms(elements, phi).tolist()
-        assert got == [kunze_norm(alg, a, phi) for alg, a in zip(algs, elements)]
+        assert got == [kunze_norm(a, phi) for a in elements]
 
     def test_holder_many_is_the_one_form_loop(self):
         rng = np.random.default_rng(4)
-        triples = [(alg, random_element(alg, rng), random_element(alg, rng))
-                   for alg in algebra_shapes() * 2]
+        pairs = [(random_element(alg, rng), random_element(alg, rng))
+                 for alg in algebra_shapes() * 2]
         gauges = [power(2.0), cosh_minus_one(), exp_minus_one()]
-        reports = holder_checks(triples, gauges)
+        reports = holder_checks(pairs, gauges)
         for phi, row in zip(gauges, reports):
-            assert row == [holder_check(alg, f, g, phi) for alg, f, g in triples]
+            assert row == [holder_check(f, g, phi) for f, g in pairs]
 
     @given(_steps(), st.sampled_from(_many_gauges()), _contexts(),
            st.floats(1e-3, 1e3))
@@ -642,21 +642,21 @@ class TestManyForms:
                     plain.element([np.array([[math.nan, 0.0], [0.0, 1.0]])])]
         for order in ([0, 2, 1, 3], [0, 1, 2], [3, 1, 0, 2], [0, 4, 1], [3, 2, 4], [4, 0]):
             items = [elements[i] for i in order]
-            want = _first_error(lambda a: kunze_norm(a.algebra, a, phi), items)
+            want = _first_error(lambda a: kunze_norm(a, phi), items)
             _raises_like(lambda: kunze_norms(items, phi), want)
 
-    def test_holder_errors_follow_the_triple_order(self):
-        # triple 0 fails its Luxemburg solve (weight 1e130), triple 1 its dual
+    def test_holder_errors_follow_the_pair_order(self):
+        # pair 0 fails its Luxemburg solve (weight 1e130), pair 1 its dual
         # (1e70 has no finite Amemiya norm in the conjugate of power(1)); one
-        # dual solve over both triples would meet the second first
+        # dual solve over both pairs would meet the second first
         heavy, plain = TracedAlgebra((1,), (1e130,)), TracedAlgebra((1,), (1.0,))
-        triples = [(heavy, heavy.zero(), heavy.diagonal([[1.0]])),
-                   (plain, plain.diagonal([[1e70]]), plain.diagonal([[1.0]]))]
+        pairs = [(heavy.zero(), heavy.diagonal([[1.0]])),
+                 (plain.diagonal([[1e70]]), plain.diagonal([[1.0]]))]
         phi = power(1.0)
-        for items in (triples, triples[::-1]):
-            want = _first_error(lambda t: holder_check(*t, phi), items)
+        for items in (pairs, pairs[::-1]):
+            want = _first_error(lambda p: holder_check(*p, phi), items)
             _raises_like(lambda: holder_checks(items, [phi]), want)
-        assert isinstance(_first_error(lambda t: holder_check(*t, phi), triples),
+        assert isinstance(_first_error(lambda p: holder_check(*p, phi), pairs),
                           UnboundedNormError)
 
     def test_mixed_kinds_are_the_one_form_loop(self):
@@ -706,7 +706,7 @@ class TestManyForms:
 class TestHolder:
     def test_zero_pair(self):
         alg = TracedAlgebra((2,), (1.0,))
-        rep = holder_check(alg, alg.zero(), alg.zero(), power(2.0))
+        rep = holder_check(alg.zero(), alg.zero(), power(2.0))
         assert rep.lhs == 0.0 and rep.passed
 
     def test_cauchy_schwarz_reduction(self):
@@ -714,9 +714,9 @@ class TestHolder:
         rng = np.random.default_rng(3)
         for _ in range(10):
             f, g = random_element(alg, rng), random_element(alg, rng)
-            rep = holder_check(alg, f, g, power(2.0))
-            two_f = math.sqrt(trace(alg, f @ f.adjoint()).real)
-            two_g = math.sqrt(trace(alg, g @ g.adjoint()).real)
+            rep = holder_check(f, g, power(2.0))
+            two_f = math.sqrt(trace(f @ f.adjoint()).real)
+            two_g = math.sqrt(trace(g @ g.adjoint()).real)
             assert rep.dual_norm == pytest.approx(two_f, rel=1e-7)
             assert rep.primal_norm == pytest.approx(two_g, rel=1e-7)
             assert rep.lhs <= rep.rhs + 1e-8
@@ -727,7 +727,7 @@ class TestHolder:
         rng = np.random.default_rng(4)
         f, g = random_element(alg, rng), random_element(alg, rng)
         probes = [random_element(alg, rng) for _ in range(10)]
-        rep = holder_check(alg, f, g, cosh_minus_one(), probes=probes)
+        rep = holder_check(f, g, cosh_minus_one(), probes=probes)
         assert rep.passed and rep.sampled_sup_ok
         assert rep.sampled_sup <= rep.dual_norm + 1e-7
 
@@ -740,11 +740,11 @@ class TestHolder:
             for phi in (cosh_minus_one(), linear_until_cap(1.0)):
                 best = 0.0
                 for gp in probes:
-                    nrm = luxemburg_norm(singular_values(alg, gp), phi)
+                    nrm = luxemburg_norm(singular_values(gp), phi)
                     if nrm != 0.0:
                         prod = f @ (gp * (1.0 / nrm))
-                        best = max(best, singular_values(alg, prod).total_integral())
-                assert holder_check(alg, f, g, phi, probes=probes).sampled_sup == best
+                        best = max(best, singular_values(prod).total_integral())
+                assert holder_check(f, g, phi, probes=probes).sampled_sup == best
 
 
 class TestTauX:
@@ -752,8 +752,8 @@ class TestTauX:
         alg = TracedAlgebra((2, 1), (1.0, 0.5))
         rng = np.random.default_rng(5)
         x = random_state(alg, rng)
-        ctx = WeightedContext(singular_values(alg, x))
-        one = singular_values(alg, alg.identity())
+        ctx = WeightedContext(singular_values(x))
+        one = singular_values(alg.identity())
         assert tau_x(one, ctx) == pytest.approx(ctx.mass, abs=1e-12)
         assert ctx.mass == pytest.approx(1.0, abs=1e-10)
 
@@ -765,11 +765,11 @@ class TestTauX:
         alg = TracedAlgebra((3,), (1.0,))
         rng = np.random.default_rng(6)
         x = random_state(alg, rng)
-        ctx = WeightedContext(singular_values(alg, x))
+        ctx = WeightedContext(singular_values(x))
         for _ in range(10):
             a, b = random_positive(alg, rng), random_positive(alg, rng)
-            lhs = tau_x(singular_values(alg, a + b), ctx)
-            rhs = tau_x(singular_values(alg, a), ctx) + tau_x(singular_values(alg, b), ctx)
+            lhs = tau_x(singular_values(a + b), ctx)
+            rhs = tau_x(singular_values(a), ctx) + tau_x(singular_values(b), ctx)
             assert lhs <= rhs + 1e-10
 
     def test_step_under_exp_decay_matches_closed_form(self):
@@ -894,14 +894,14 @@ class TestMomentBound:
         alg = TracedAlgebra((2,), (1.0,))
         x = alg.diagonal([[0.6, 0.4]])
         y = alg.diagonal([[2.0, 1.0]])
-        rep = moment_bound_check(alg, x, y, 1)
+        rep = moment_bound_check(x, y, 1)
         assert rep.passed and rep.lhs <= rep.rhs
 
     def test_identity_variable(self):
         alg = TracedAlgebra((2,), (0.5,))
         x = alg.identity()  # trace one
         for n in (1, 2, 5):
-            rep = moment_bound_check(alg, x, alg.identity(), n)
+            rep = moment_bound_check(x, alg.identity(), n)
             assert rep.lhs == pytest.approx(1.0)
             assert rep.rhs == pytest.approx(2.0 * n)
             assert rep.passed
@@ -912,13 +912,13 @@ class TestMomentBound:
         for _ in range(10):
             x = random_state(alg, rng)
             y = random_positive(alg, rng)
-            assert moment_bound_check(alg, x, y, 3).passed
+            assert moment_bound_check(x, y, 3).passed
 
     def test_domain_checks(self):
         alg = TracedAlgebra((2,), (1.0,))
         rng = np.random.default_rng(8)
         with pytest.raises(DomainError):
-            moment_bound_check(alg, random_positive(alg, rng) * 5.0,
+            moment_bound_check(random_positive(alg, rng) * 5.0,
                                random_positive(alg, rng), 1)
 
 
@@ -932,7 +932,7 @@ class TestMomentBoundMany:
             xs = [random_state(alg, rng) for _ in range(7)]
             ys = [random_positive(alg, rng) for _ in range(6)] + [alg.identity()]
             got = moment_bound_checks(xs, ys, orders, factor=1.5)
-            assert got == [[moment_bound_check(alg, x, y, n, factor=1.5) for n in orders]
+            assert got == [[moment_bound_check(x, y, n, factor=1.5) for n in orders]
                            for x, y in zip(xs, ys)]
 
     def test_errors_follow_the_input_order(self):
@@ -948,16 +948,13 @@ class TestMomentBoundMany:
                  [(other, positive), (state, indefinite)],
                  [(other, other * 2.0), (other, positive), (heavy, positive)]]
         for pairs in cases:
-            want = _first_error(lambda p: [moment_bound_check(p[0].algebra, p[0], p[1], n)
+            want = _first_error(lambda p: [moment_bound_check(p[0], p[1], n)
                                            for n in (1, 2)], pairs)
             assert isinstance(want, (DomainError, StructuralError))
             xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
             _raises_like(lambda: moment_bound_checks(xs, ys, (1, 2)), want)
         with pytest.raises(DomainError, match="order"):
             moment_bound_checks([heavy], [indefinite], (2, 0))
-        # the one-form call still rejects an element of another algebra
-        with pytest.raises(StructuralError):
-            moment_bound_check(alg, other, positive, 1)
 
 
 class TestGaugeThresholdNormBounds:
@@ -968,7 +965,7 @@ class TestGaugeThresholdNormBounds:
         rng = np.random.default_rng(9)
         for alg in shapes:
             a = random_element(alg, rng)
-            mu = singular_values(alg, a)
+            mu = singular_values(a)
             assert phi.a_phi * luxemburg_norm(mu, phi) <= mu.sup_value + 1e-8
 
     def test_upper_cap_bound(self):
@@ -977,7 +974,7 @@ class TestGaugeThresholdNormBounds:
         rng = np.random.default_rng(10)
         for alg in shapes:
             a = random_element(alg, rng)
-            mu = singular_values(alg, a)
+            mu = singular_values(a)
             assert phi.b_phi * luxemburg_norm(mu, phi) >= mu.sup_value - 1e-8
 
     def test_shrinking_trace_inequality(self):
@@ -985,8 +982,8 @@ class TestGaugeThresholdNormBounds:
         rng = np.random.default_rng(11)
         a = random_element(alg, rng)
         for beta in (0.2, 0.7, 1.0):
-            lhs = trace(alg, apply_function(cosh_minus_one(), a, beta)).real
-            rhs = beta * trace(alg, apply_function(cosh_minus_one(), a, 1.0)).real
+            lhs = trace(apply_function(cosh_minus_one(), a, beta)).real
+            rhs = beta * trace(apply_function(cosh_minus_one(), a, 1.0)).real
             assert lhs <= rhs + 1e-10
 
 
@@ -1001,9 +998,9 @@ class TestComposedNormBound:
         phi1 = compose_orlicz(psi, phi2)
         for _ in range(10):
             a = random_element(alg, rng)
-            nrm = luxemburg_norm(singular_values(alg, a), phi1)
+            nrm = luxemburg_norm(singular_values(a), phi1)
             a = a * (0.8 / nrm)
-            n1 = luxemburg_norm(singular_values(alg, a), phi1)
+            n1 = luxemburg_norm(singular_values(a), phi1)
             inner = apply_function(phi2, a)
-            npsi = luxemburg_norm(singular_values(alg, inner), psi)
+            npsi = luxemburg_norm(singular_values(inner), psi)
             assert npsi <= n1 + 1e-8

@@ -49,7 +49,7 @@ INF = math.inf
 class TestSingularValues:
     def test_unit_weights_sorted(self):
         alg = TracedAlgebra((3,), (1.0,))
-        mu = singular_values(alg, alg.diagonal([[3.0, 1.0, 2.0]]))
+        mu = singular_values(alg.diagonal([[3.0, 1.0, 2.0]]))
         np.testing.assert_allclose(mu.values, [3.0, 2.0, 1.0])
         np.testing.assert_allclose(mu.durations, [1.0, 1.0, 1.0])
         assert mu.evaluate(0.5) == 3.0
@@ -58,7 +58,7 @@ class TestSingularValues:
 
     def test_weighted_durations(self):
         alg = TracedAlgebra((1, 1), (0.5, 2.0))
-        mu = singular_values(alg, alg.diagonal([[4.0], [1.0]]))
+        mu = singular_values(alg.diagonal([[4.0], [1.0]]))
         np.testing.assert_allclose(mu.values, [4.0, 1.0])
         np.testing.assert_allclose(mu.durations, [0.5, 2.0])
         assert mu.evaluate(0.25) == 4.0
@@ -72,7 +72,7 @@ class TestSingularValues:
         rng = np.random.default_rng(2)
         for _ in range(10):
             a = random_element(alg, rng)
-            mu = singular_values(alg, a)
+            mu = singular_values(a)
             eigs, weights = [], []
             for w, blk in zip(alg.weights, abs_value(a).blocks):
                 for ev in np.linalg.eigvalsh(blk):
@@ -88,9 +88,9 @@ class TestSingularValues:
         alg = TracedAlgebra((3,), (1.0,))
         rng = np.random.default_rng(4)
         a = random_element(alg, rng)
-        mu = singular_values(alg, a)
+        mu = singular_values(a)
         for other in (abs_value(a), a.adjoint()):
-            mu2 = singular_values(alg, other)
+            mu2 = singular_values(other)
             np.testing.assert_allclose(mu.values, mu2.values, atol=1e-10)
             np.testing.assert_allclose(mu.durations, mu2.durations, atol=1e-12)
 
@@ -146,7 +146,7 @@ class TestSingularValuesMany:
         alg = algebra_shapes()[2]
         a = random_element(alg, np.random.default_rng(3))
         assert singular_values_many([]) == []
-        assert singular_values(alg, a) == _one_block_at_a_time(alg, a)
+        assert singular_values(a) == _one_block_at_a_time(alg, a)
 
     def test_failures_raise_what_the_loop_raises_first(self):
         alg, other = TracedAlgebra((2,), (1.0,)), TracedAlgebra((2,), (2.0,))
@@ -155,9 +155,6 @@ class TestSingularValuesMany:
         for elements in ([fine, nan, other.identity()], [fine, other.identity(), nan]):
             with pytest.raises(np.linalg.LinAlgError):
                 singular_values_many(elements)
-        # the one-form call still rejects an element of another algebra
-        with pytest.raises(StructuralError):
-            singular_values(alg, other.identity())
 
 
 def _ties_and_zeros(rng):
@@ -309,8 +306,8 @@ class TestEvaluateAndHead:
         alg = TracedAlgebra((2, 1), (1.0, 3.0))
         rng = np.random.default_rng(9)
         a = random_element(alg, rng)
-        total = singular_values(alg, a).head_integral(INF)
-        assert total == pytest.approx(trace(alg, abs_value(a)).real, rel=1e-12)
+        total = singular_values(a).head_integral(INF)
+        assert total == pytest.approx(trace(abs_value(a)).real, rel=1e-12)
 
 
 class TestCanonicalization:
@@ -345,9 +342,9 @@ class TestSubmajorization:
             return
         a = alg.diagonal([xs])
         b = alg.diagonal([ys])
-        mu_a = singular_values(alg, a)
-        mu_b = singular_values(alg, b)
-        mu_ab = singular_values(alg, a + b)
+        mu_a = singular_values(a)
+        mu_b = singular_values(b)
+        mu_ab = singular_values(a + b)
         alphas = np.concatenate([mu_a.breakpoints, mu_b.breakpoints, mu_ab.breakpoints])
         for al in alphas:
             assert mu_ab.head_integral(float(al)) <= (
@@ -484,17 +481,17 @@ class TestFackKosaki:
     def test_product_example(self):
         alg = TracedAlgebra((2,), (1.0,))
         f = alg.diagonal([[2.0, 1.0]])
-        rep = fack_kosaki_checks(alg, f, f)
+        rep = fack_kosaki_checks(f, f)
         assert rep.passed
-        mu_fg = singular_values(alg, f @ f)
-        mu_f = singular_values(alg, f)
+        mu_fg = singular_values(f @ f)
+        mu_f = singular_values(f)
         assert mu_fg.evaluate(1.0) == 1.0 <= mu_f.evaluate(0.5) * mu_f.evaluate(0.5)
 
     def test_random_elements(self):
         alg = TracedAlgebra((3,), (1.0,))
         rng = np.random.default_rng(12)
         for _ in range(5):
-            rep = fack_kosaki_checks(alg, random_element(alg, rng),
+            rep = fack_kosaki_checks(random_element(alg, rng),
                                      random_element(alg, rng))
             assert rep.passed
 
@@ -502,8 +499,8 @@ class TestFackKosaki:
         alg = TracedAlgebra((2,), (1.0,))
         rng = np.random.default_rng(14)
         a = random_element(alg, rng)
-        mu = singular_values(alg, a)
-        mu2 = singular_values(alg, -2.0 * a)
+        mu = singular_values(a)
+        mu2 = singular_values(-2.0 * a)
         np.testing.assert_allclose(mu2.values, 2.0 * mu.values, atol=1e-12)
 
 
@@ -554,11 +551,11 @@ def _loop_submajorizes(x_mu, y_mu) -> bool:
     return _loop_head(y_mu, INF) <= _loop_head(x_mu, INF) + SUBMAJOR_SLACK
 
 
-def _loop_fack_kosaki(alg, f, g) -> tuple:
+def _loop_fack_kosaki(f, g) -> tuple:
     """fack_kosaki_checks as a loop over the points of its grids."""
-    mu_f = singular_values(alg, f)
-    mu_g = singular_values(alg, g)
-    mu_fg = singular_values(alg, f @ g)
+    mu_f = singular_values(f)
+    mu_g = singular_values(g)
+    mu_fg = singular_values(f @ g)
     pts = np.unique(np.concatenate([[0.0], mu_f.breakpoints, mu_g.breakpoints,
                                     mu_fg.breakpoints]))
     grid = np.unique(np.concatenate([pts, 0.5 * (pts[1:] + pts[:-1])])) if pts.size > 1 else pts
@@ -568,14 +565,14 @@ def _loop_fack_kosaki(alg, f, g) -> tuple:
             lhs = _loop_evaluate(mu_fg, float(t + s))
             rhs = _loop_evaluate(mu_f, float(t)) * _loop_evaluate(mu_g, float(s))
             prod_viol = max(prod_viol, lhs - rhs)
-    mu_ffs = singular_values(alg, f.adjoint() @ f)
-    mu_fsf = singular_values(alg, f @ f.adjoint())
+    mu_ffs = singular_values(f.adjoint() @ f)
+    mu_fsf = singular_values(f @ f.adjoint())
     pts = np.unique(np.concatenate([[0.0], mu_ffs.breakpoints, mu_fsf.breakpoints]))
     tr_viol = max(abs(_loop_evaluate(mu_ffs, float(t)) - _loop_evaluate(mu_fsf, float(t)))
                   for t in pts)
     tr_viol = max(tr_viol, max(abs(_loop_evaluate(mu_ffs, float(t) * 0.5)
                                    - _loop_evaluate(mu_fsf, float(t) * 0.5)) for t in pts))
-    mu_af = singular_values(alg, -2.0 * f)
+    mu_af = singular_values(-2.0 * f)
     hom_viol = max(abs(_loop_evaluate(mu_af, float(t)) - 2.0 * _loop_evaluate(mu_f, float(t)))
                    for t in grid)
     return prod_viol, tr_viol, hom_viol, len(grid) ** 2
@@ -702,14 +699,14 @@ class TestArrayRoute:
         alg = algebra_shapes()[shape]
         rng = np.random.default_rng(seed)
         f, g = random_element(alg, rng), random_element(alg, rng)
-        rep = fack_kosaki_checks(alg, f, g)
+        rep = fack_kosaki_checks(f, g)
         fields = (rep.product_violation, rep.trace_symmetry_violation,
                   rep.homogeneity_violation, rep.samples)
-        assert fields == _loop_fack_kosaki(alg, f, g)
+        assert fields == _loop_fack_kosaki(f, g)
         assert [type(v) for v in fields] == [float, float, float, int]
 
     def test_fack_kosaki_on_the_zero_element(self):
         alg = algebra_shapes()[2]
-        rep = fack_kosaki_checks(alg, alg.zero(), alg.identity())
+        rep = fack_kosaki_checks(alg.zero(), alg.identity())
         assert (rep.product_violation, rep.trace_symmetry_violation, rep.homogeneity_violation,
-                rep.samples) == _loop_fack_kosaki(alg, alg.zero(), alg.identity())
+                rep.samples) == _loop_fack_kosaki(alg.zero(), alg.identity())

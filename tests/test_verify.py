@@ -13,6 +13,7 @@ from ncorlicz import (
     apply_function,
     apply_function_many,
     custom,
+    fack_kosaki_checks,
     moment_bound_check,
     moment_bound_checks,
     singular_values,
@@ -138,6 +139,15 @@ def test_decompositions_do_not_grow_with_the_corpus(monkeypatch, name, small_sca
     assert large <= small + (large_kinds - small_kinds) * small / small_kinds
 
 
+def test_fack_kosaki_decomposes_once_per_block(monkeypatch):
+    # the six elements of the check share one stacked decomposition per block
+    alg = algebra_shapes()[2]
+    rng = np.random.default_rng(5)
+    f, g = random_element(alg, rng), random_element(alg, rng)
+    calls, _ = _decompositions(monkeypatch, lambda: fack_kosaki_checks(f, g))
+    assert calls == alg.n_blocks
+
+
 def _clip_one_block(block, cap):
     """A block with its spectrum capped, as it was computed before stacking."""
     w, v = np.linalg.eigh(0.5 * (block + block.conj().T))
@@ -187,13 +197,13 @@ class TestMixedCorpora:
     def _calls(self, rng) -> list:
         """(many-form call, one-form call, items) of each many-form call."""
         return [
-            (singular_values_many, lambda a: singular_values(a.algebra, a),
+            (singular_values_many, singular_values,
              _interleaved(random_element, rng)),
             (lambda es: apply_function_many(self.GAUGE, es, 0.1),
              lambda a: apply_function(self.GAUGE, a, 0.1), _interleaved(random_element, rng)),
             (lambda pairs: moment_bound_checks([x for x, _ in pairs], [y for _, y in pairs],
                                                self.ORDERS),
-             lambda p: [moment_bound_check(p[0].algebra, *p, n) for n in self.ORDERS],
+             lambda p: [moment_bound_check(*p, n) for n in self.ORDERS],
              list(zip(_interleaved(random_state, rng), _interleaved(random_positive, rng)))),
         ]
 
