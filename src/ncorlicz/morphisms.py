@@ -9,6 +9,7 @@ Jordan property; the homomorphism/antihomomorphism split is the per-entry
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -95,25 +96,13 @@ class JordanMorphism:
                 if not np.allclose(u @ u.conj().T, np.eye(m), atol=1e-10):
                     raise StructuralError(f"matrix of target block {k} is not unitary")
 
-    def referenced_sources(self) -> set[int]:
-        out: set[int] = set()
-        for spec in self.blocks:
-            if spec is not None:
-                out.update(a.src for a in spec.assignments)
-        return out
-
-    def kernel_blocks(self) -> tuple[int, ...]:
-        """Source blocks never referenced by any assignment."""
-        ref = self.referenced_sources()
-        return tuple(j for j in range(self.source.n_blocks) if j not in ref)
-
+    @functools.cached_property
     def kernel_projection(self) -> AlgebraElement:
-        """Central projection onto the kernel ideal of the morphism."""
-        kern = set(self.kernel_blocks())
-        return self.source.element([
-            np.eye(n) if j in kern else np.zeros((n, n))
-            for j, n in enumerate(self.source.dims)
-        ])
+        """Central projection onto the kernel ideal: the unit of every source block
+        that no assignment references.  Built once per morphism, on first use."""
+        ref = {a.src for spec in self.blocks if spec is not None for a in spec.assignments}
+        return self.source.element([np.zeros((n, n)) if j in ref else np.eye(n)
+                                    for j, n in enumerate(self.source.dims)])
 
 
 def apply_jordan(J: JordanMorphism, a: AlgebraElement) -> AlgebraElement:
@@ -146,19 +135,17 @@ def _images(J: JordanMorphism, stacks: Sequence[np.ndarray]) -> list[np.ndarray]
 def radon_nikodym(J: JordanMorphism) -> AlgebraElement:
     """Central positive density f with tr_target(J(a)) = tr_source(f a) for all a.
 
-    Blockwise scalar lambda_j computed from the minimal projection sitting at
-    the (1,1) matrix unit of each source block (any minimal projection gives
-    the same value; the fixed choice keeps runs reproducible).
+    Read from the assignments, with no image taken: a minimal projection of
+    source block j maps to one rank-one projection per copy of block j, so
+    lambda_j = sum_k W_k c_kj / w_j, with W_k the target weights, c_kj the
+    copies of block j in target block k and w_j the source weight.
     """
-    lambdas = []
-    for j, n in enumerate(J.source.dims):
-        p = J.source.element([
-            (np.diag([1.0] + [0.0] * (nn - 1)) if jj == j else np.zeros((nn, nn)))
-            for jj, nn in enumerate(J.source.dims)
-        ])
-        num = trace(apply_jordan(J, p)).real
-        lambdas.append(num / J.source.weights[j])
-    return J.source.element([lam * np.eye(n) for lam, n in zip(lambdas, J.source.dims)])
+    mass = [0.0] * J.source.n_blocks
+    for weight, spec in zip(J.target.weights, J.blocks):
+        for asg in spec.assignments if spec is not None else ():
+            mass[asg.src] += weight * asg.copies
+    return J.source.element([m / w * np.eye(n)
+                             for m, w, n in zip(mass, J.source.weights, J.source.dims)])
 
 
 @dataclass(frozen=True)
@@ -211,14 +198,14 @@ def absolute_continuity_check(J: JordanMorphism,
 # Composition-operator bound
 # ---------------------------------------------------------------------------
 
-def _density_dual_norm(J: JordanMorphism, f: AlgebraElement, psi: OrliczFunction) -> float:
+def _density_dual_norm(f: AlgebraElement, psi: OrliczFunction) -> float:
     """Amemiya norm of the trace density f in the conjugate gauge; 0 for f = 0."""
     return amemiya_norm(singular_values(f), conjugate(psi))
 
 
 def dual_gauge_bound(J: JordanMorphism, psi: OrliczFunction) -> float:
     """max(1, Amemiya norm of the trace density in the conjugate gauge)."""
-    return max(1.0, _density_dual_norm(J, radon_nikodym(J), psi))
+    return max(1.0, _density_dual_norm(radon_nikodym(J), psi))
 
 
 @dataclass(frozen=True)
@@ -244,7 +231,7 @@ def composition_bound_check(J: JordanMorphism, psi: OrliczFunction,
     """
     phi1 = compose_orlicz(psi, phi2)
     f = radon_nikodym(J)
-    dual_norm = _density_dual_norm(J, f, psi)
+    dual_norm = _density_dual_norm(f, psi)
     bound = max(1.0, dual_norm)
     ratios = batch_or_loop(lambda ps: _unit_ball_image_norms(J, phi1, phi2, ps), probes)
     max_ratio = 0.0
@@ -316,7 +303,8 @@ def _chain_reports(J: JordanMorphism, psi: OrliczFunction, phi2: OrliczFunction,
     if any(a.algebra != J.source for a in elements):
         raise StructuralError("element does not belong to the morphism's source")
     source_norms = luxemburg_norms(singular_values_many(elements), phi1).tolist()
-    f = froot = None
+    f = radon_nikodym(J)
+    froot = J.source.element([np.sqrt(b.real.clip(min=0.0)).astype(complex) for b in f.blocks])
     routes = []  # the four route values and phi2(|a|) per element, None off the hypotheses
     for a, source_norm in zip(elements, source_norms):
         if not source_norm < 1.0 or not a.is_selfadjoint():
@@ -329,10 +317,6 @@ def _chain_reports(J: JordanMorphism, psi: OrliczFunction, phi2: OrliczFunction,
             q2 = trace(apply_function(phi2, apply_jordan(J, abs_a))).real
             gauged = apply_function(phi2, a)
             q3 = trace(apply_jordan(J, gauged)).real
-            if f is None:
-                f = radon_nikodym(J)
-                froot = J.source.element([np.sqrt(b.real.clip(min=0.0)).astype(complex)
-                                          for b in f.blocks])
             q4 = trace(froot @ gauged @ froot).real
         except NotMeasurableError:
             routes.append(None)
@@ -342,7 +326,7 @@ def _chain_reports(J: JordanMorphism, psi: OrliczFunction, phi2: OrliczFunction,
     # the chain needs the bare norm; the reported bound is dual_gauge_bound's max with 1
     bare_dual = dual_norm
     if bare_dual is None and live:
-        bare_dual = _density_dual_norm(J, f, psi)
+        bare_dual = _density_dual_norm(f, psi)
     inners = iter(luxemburg_norms(singular_values_many([g for _, g in live]), psi).tolist())
     reports = []
     for route, source_norm in zip(routes, source_norms):
@@ -386,18 +370,17 @@ def modular_chain_check(J: JordanMorphism, psi: OrliczFunction, phi2: OrliczFunc
 class TauT:
     """Faithful normal trace dominating the pulled-back target trace.
 
-    tau_T(a) = tr_source(e a) + tr_target(J((1 - e) a)) with e the kernel
-    projection; on kernel blocks it falls back to the source trace, elsewhere
-    it is the pulled-back trace.
+    tau_T(a) = tr_source(e a) + tr_target(J(a)) with e the kernel projection:
+    on kernel blocks it falls back to the source trace, elsewhere it is the
+    pulled-back trace.  J reads only the blocks that some assignment
+    references, so J(a) = J((1 - e) a).
     """
 
     morphism: JordanMorphism
 
     def __call__(self, a: AlgebraElement) -> complex:
         J = self.morphism
-        e = J.kernel_projection()
-        one = J.source.identity()
-        return trace(e @ a) + trace(apply_jordan(J, (one - e) @ a))
+        return trace(J.kernel_projection @ a) + trace(apply_jordan(J, a))
 
 
 # ---------------------------------------------------------------------------
@@ -462,24 +445,16 @@ class PositiveMap:
         return self.source.element(out)
 
     def choi_matrix(self) -> np.ndarray:
-        """Unnormalized Choi matrix; defined for single-block maps without transposes."""
+        """Unnormalized Choi matrix sum_K vec(K) vec(K)^* over the Kraus operators K, vec
+        stacking columns, so block (i, j) is T(E_ij); single-block maps without transposes."""
         if self.source.n_blocks != 1 or self.target.n_blocks != 1:
             raise DomainError("Choi matrix is defined here for single-block maps")
         if any(g.transpose for g in self.groups):
             raise DomainError("Choi matrix of a transposed route is not completely positive")
-        n = self.source.dims[0]
-        m = self.target.dims[0]
-        choi = np.zeros((n * m, n * m), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                eij = np.zeros((n, n), dtype=complex)
-                eij[i, j] = 1.0
-                img = np.zeros((m, m), dtype=complex)
-                for g in self.groups:
-                    for op in g.ops:
-                        img += op @ eij @ op.conj().T
-                choi[i * m:(i + 1) * m, j * m:(j + 1) * m] = img
-        return choi
+        size = self.source.dims[0] * self.target.dims[0]
+        kraus = np.array([op.T.reshape(-1) for g in self.groups for op in g.ops],
+                         dtype=complex).reshape(-1, size)
+        return kraus.T @ kraus.conj()
 
 
 def purity_check(T: PositiveMap) -> bool:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import quadrature
 from .algebra import AlgebraElement, TracedAlgebra, _by_algebra, _stacks
-from .errors import DomainError, NumericError, StructuralError, batch_or_loop
+from .errors import DomainError, NcorliczError, NumericError, StructuralError, batch_or_loop
 from .solve import bisect_rows, bracket_rows
 
 INF = math.inf
@@ -171,7 +171,14 @@ class ParametricForm:
 
     @property
     def sup_value(self) -> float:
-        return self.evaluate(0.0)
+        """The value at 0, which may be +inf; ``fn`` raising there is a DomainError."""
+        try:
+            return self.evaluate(0.0)
+        except NcorliczError:
+            raise
+        except (ArithmeticError, ValueError) as exc:
+            raise DomainError(f"{self.label}: fn raised {exc!r} at 0; the value at 0 may be "
+                              "+inf and should be returned as +inf") from exc
 
     def evaluate(self, t: float) -> float:
         if t < 0:

@@ -93,7 +93,10 @@ class SuiteConfig:
     seed: int = 0
     scale: float = 1.0
     tolerances: Tolerances = field(default_factory=Tolerances)
-    moment_factor: float = 2.0  # lowering this below 2 must make moment_chain fail
+    # scales moment_chain's 2n.  The check passes down to 1.0 and fails below it (0.999
+    # fails): some sample attains the constant-1 inequality |tr(xy)| <= integral mu(x) mu(y)
+    # at n = 1, so the check is sharp for that constant, not for 2n.
+    moment_factor: float = 2.0
 
     def count(self, base: int) -> int:
         return max(1, int(round(base * self.scale)))

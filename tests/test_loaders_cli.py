@@ -436,6 +436,14 @@ class TestVerifySuite:
                         names=["moment_chain"])
         assert not rep["all_pass"]
 
+    @pytest.mark.parametrize("factor, passes", [(1.0, True), (0.999, False)])
+    def test_moment_chain_is_sharp_at_constant_one(self, factor, passes):
+        # some sample attains |tr(xy)| <= integral mu(x) mu(y), so the check
+        # holds down to 2n scaled by 1.0 and fails just below it
+        rep = run_suite(SuiteConfig(seed=0, scale=0.1, moment_factor=factor),
+                        names=["moment_chain"])
+        assert rep["all_pass"] is passes
+
     def test_verify_exits_one_on_falsified_claim(self, monkeypatch, capsys):
         from ncorlicz import verify as v
 

@@ -202,6 +202,28 @@ class TestRadonNikodym:
         np.testing.assert_allclose(f.blocks[0], np.eye(2), atol=1e-12)
         np.testing.assert_allclose(f.blocks[1], np.zeros((2, 2)), atol=1e-12)
 
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_density_is_the_hand_derived_lambda(self, seed):
+        # lambda_j = sum_k W_k c_kj / w_j, exactly; weighted_multiblock sends its
+        # weight-0.5 block into target blocks of weights 1.5 and 1.0 and its
+        # weight-2.0 block into one of weight 0.5
+        want = {"transpose_m2": [1.0], "doubling_m2": [2.0], "kernel_drop": [1.0, 0.0],
+                "padded_embedding": [1.0], "padded_embedding_unitary": [1.0],
+                "mixed_flavor_stack": [2.0], "zero": [0.0], "two_copies_unitary": [2.0],
+                "weighted_multiblock": [5.0, 0.25], "transpose_m3_unitary": [1.0]}
+        catalog = morphism_catalog(np.random.default_rng(seed))
+        assert [name for name, _ in catalog] == list(want)
+        for name, J in catalog:
+            f = radon_nikodym(J)
+            for block, lam, n in zip(f.blocks, want[name], J.source.dims):
+                assert np.array_equal(block, lam * np.eye(n)), name
+
+    def test_density_takes_no_image(self, monkeypatch):
+        monkeypatch.setattr(morphisms, "apply_jordan", None)
+        monkeypatch.setattr(morphisms, "_images", None)
+        for _, J in morphism_catalog(np.random.default_rng(1)):
+            radon_nikodym(J)
+
     def test_trace_duality_across_catalog(self):
         rng = np.random.default_rng(4)
         for name, J in morphism_catalog(rng):
@@ -249,9 +271,8 @@ class TestAbsoluteContinuity:
         assert rep.verified
 
     def test_each_projection_is_imaged_once(self, monkeypatch):
-        # one image per source block for the density, then one per projection
-        # of the corpus (the coordinate ones and the given ones), whatever the
-        # number of epsilons
+        # one image per projection of the corpus (the coordinate ones and the
+        # given ones), whatever the number of epsilons; the density takes none
         J = kernel_morphism()
         projections = _projections(J)
         calls, image = [0], morphisms.apply_jordan
@@ -263,7 +284,7 @@ class TestAbsoluteContinuity:
         monkeypatch.setattr(morphisms, "apply_jordan", counted)
         assert absolute_continuity_check(J, projections=projections).verified
         corpus = sum(J.source.dims) + len(projections)
-        assert calls[0] == corpus + J.source.n_blocks
+        assert calls[0] == corpus
 
 
 class TestCompositionBound:
@@ -500,6 +521,15 @@ class TestBatchedChecks:
 
 
 class TestTauT:
+    def test_kernel_projection_is_built_once(self):
+        for name, J in morphism_catalog(np.random.default_rng(1)):
+            e = J.kernel_projection
+            assert e is J.kernel_projection, name
+            kernel = {"kernel_drop": [1], "zero": [0]}.get(name, [])
+            want = [np.eye(n) if j in kernel else np.zeros((n, n))
+                    for j, n in enumerate(J.source.dims)]
+            assert all(np.array_equal(b, w) for b, w in zip(e.blocks, want)), name
+
     def test_transpose_recovers_source_trace(self):
         J = transpose_morphism(2)
         tau_T = TauT(J)
@@ -588,6 +618,30 @@ class TestPurity:
         flagged = type(T)(T.source, T.target, T.groups, cp=False)
         with pytest.raises(DomainError):
             purity_check(flagged)
+
+
+def _choi_by_matrix_units(T):
+    """The Choi matrix by its definition: block (i, j) of size m is T(E_ij)."""
+    n, m = T.source.dims[0], T.target.dims[0]
+    choi = np.zeros((n * m, n * m), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            eij = np.zeros((n, n), dtype=complex)
+            eij[i, j] = 1.0
+            choi[i * m:(i + 1) * m, j * m:(j + 1) * m] = T.apply(T.source.element([eij])).blocks[0]
+    return choi
+
+
+class TestChoi:
+    def test_kraus_form_matches_the_matrix_units(self):
+        maps = [*positive_map_catalog(np.random.default_rng(1)),
+                ("identity_channel", identity_channel(2))]
+        for name, T in maps:
+            assert T.source.n_blocks == T.target.n_blocks == 1, name
+            got = T.choi_matrix()
+            want = _choi_by_matrix_units(T)
+            assert got.shape == want.shape, name
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15, err_msg=name)
 
 
 class TestTransposeRoute:

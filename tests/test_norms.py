@@ -301,6 +301,13 @@ class TestCapOnUnboundedData:
         with pytest.raises(UnboundedNormError):
             luxemburg_norm(log_reciprocal(1.0), phi, ctx)
 
+    def test_fn_raising_at_zero_names_the_contract(self):
+        # fn should return +inf at 0; raising there is a DomainError chained from the raise
+        mu = ParametricForm(lambda t: math.sqrt(math.log(1.0 / t)), support=1.0)
+        with pytest.raises(DomainError, match="may be \\+inf") as got:
+            luxemburg_norm(mu, power(2.0))
+        assert isinstance(got.value.__cause__, ZeroDivisionError)
+
     @pytest.mark.parametrize("weight", _WEIGHTS, ids=["lebesgue", "exp", "step"])
     def test_bounded_data_up_to_the_cap(self, weight):
         # exp_decay has sup mu = 1: finite up to k = b_phi and +inf one ulp beyond
